@@ -53,6 +53,8 @@ class SqrtVal:
     __slots__ = ("p", "q", "d")
 
     def __init__(self, p, q=0, d: int = 2):
+        if d <= 0:
+            raise ValueError(f"sqrt({d}) needs a positive radicand")
         self.p = Fraction(p)
         self.q = Fraction(q)
         self.d = d

@@ -63,7 +63,7 @@ def _cmd_mindet(args) -> int:
         coset = RingMatrix.parse(ring, args.coset)
     elif args.ideal is not None:
         raise UsageError("--ideal needs --coset")
-    value, witness = min_abs_det_sq(args.box, coset=coset, ideal=ideal, jobs=args.jobs)
+    value, witness = min_abs_det_sq(args.box, coset=coset, ideal=ideal)
     _print_value(value, args.float)
     print(f"witness\t{witness}")
     return 0
@@ -222,9 +222,9 @@ def _cmd_iso(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.claim:
-        reports = [verify.run_claim(args.claim, jobs=args.jobs)]
+        reports = [verify.run_claim(args.claim)]
     elif args.all:
-        reports = verify.run_all(jobs=args.jobs)
+        reports = verify.run_all()
     else:
         raise UsageError("give --all or --claim ID")
     for report in reports:
@@ -243,6 +243,11 @@ def _cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 # parser
 
+# The box scans run in one process; --jobs stays accepted so that existing
+# invocations keep working.
+_JOBS_HELP = "ignored; kept for compatibility (the scans run in one process)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cosetcodes",
@@ -254,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=int, default=2, help="coordinates range over [-box, box]")
     p.add_argument("--coset", help="restrict to one projection class (matrix literal)")
     p.add_argument("--ideal", choices=["1pi", "2"], help="ideal for --coset")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--float", action="store_true")
     p.set_defaults(handler=_cmd_mindet)
 
@@ -321,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the brute-force certification claims")
     p.add_argument("--all", action="store_true")
     p.add_argument("--claim", choices=sorted(verify.CLAIMS))
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--format", choices=["tsv", "plain"], default="tsv")
     p.set_defaults(handler=_cmd_verify)
 
@@ -336,7 +341,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

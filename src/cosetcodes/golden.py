@@ -14,8 +14,11 @@ integer), the determinant collapses to
 
 because alpha*alphabar = 2 + i.  Everything here manipulates that identity
 with exact integer arithmetic; |det(X)|^2 is always |z|^2 / 5 for the
-Gaussian integer z = N_ab - i*N_cd, so minimum-determinant searches reduce to
-integer scans.
+Gaussian integer z = N_ab - i*N_cd.  The box scans therefore never visit the
+(2B+1)^8 codewords: they search for close pairs among the norms of the
+(2B+1)^4 half-codewords (a, b) and (c, d), in one process, with the same
+lexicographic-first witness a full loop would report.  The brute loops live
+on in the verify module as the independent oracle.
 
 Cosets come from reducing the coordinates modulo the ideals (1+i) and (2) of
 Z[i].  The reductions land in F4-pairs and F4[i]-pairs respectively, and the
@@ -37,13 +40,14 @@ module checks both groupings exhaustively and reports the difference.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .cyclic import pair_to_matrix
+from .cyclic import matrix_to_pair, pair_to_matrix
 from .matrices import RingMatrix
 from .rings import F2, F2I, F4, F4I, RingElement, quadratic_norm
 
@@ -485,48 +489,77 @@ def golden_pair_mul(
 
 
 # ----------------------------------------------------------------------
-# box scans
+# box scans, factorized over half-codeword norms
+#
+# A codeword splits into the halves L = (a, b) and R = (c, d).  Writing
+# N(a + b*theta) = p + q*i and N(c + d*theta) = r + s*i,
+#
+#     m = 5*|det|^2 = |N_L - i*N_R|^2 = (r - q)^2 + (s + p)^2,
+#
+# the squared distance from N_R to the point (q, -p).  A box scan is thus a
+# closest-point search in Z^2 between the norms of the (2B+1)^4 halves, not a
+# loop over the (2B+1)^8 codewords.  Both residue keys split the same way: the
+# left half gives the low bits of the codeword key, the right half the high
+# bits.  A norm is zero only at the zero half, so the one pair every scan
+# leaves out, the zero codeword, is the pair of two zero norms.
 
 def box_coordinates(box: int) -> range:
     return range(-box, box + 1)
 
 
-def iter_box_codewords(box: int) -> Iterator[tuple[int, ...]]:
-    """All (2*box+1)^8 coordinate tuples, lexicographic, zero included."""
-    import itertools
-
-    return itertools.product(box_coordinates(box), repeat=8)
+def _check_box(box: int) -> None:
+    if box < 1:
+        raise ValueError("box must be at least 1")
 
 
-def _scan_chunk(args: tuple[int, tuple[int, ...], int, int]) -> tuple[int, tuple[int, ...]] | None:
-    """Minimum-m scan over codewords whose first coordinate is in a_re_values.
+def _half_key_1pi(h: Sequence[int]) -> int:
+    ar, ai, br, bi = h
+    return ((ar + ai) & 1) | ((br + bi) & 1) << 1
 
-    filter_mode: 0 = none, 1 = fix the mod-(1+i) key, 2 = fix the mod-2 key.
-    Returns (min_m, witness_coords) over nonzero codewords, or None if the
-    chunk contains no admissible codeword.
-    """
-    import itertools
 
-    box, a_re_values, filter_mode, filter_key = args
-    rng = range(-box, box + 1)
-    best_m = None
-    best_witness = None
-    for ar in a_re_values:
-        for rest in itertools.product(rng, repeat=7):
-            coords = (ar,) + rest
-            if not any(coords):
-                continue
-            if filter_mode == 1 and _key_mod_1pi(coords) != filter_key:
-                continue
-            if filter_mode == 2 and _key_mod_2(coords) != filter_key:
-                continue
-            m = det_sq_times5(coords)
-            if best_m is None or m < best_m:
-                best_m = m
-                best_witness = coords
-    if best_m is None:
-        return None
-    return best_m, best_witness
+def _half_key_2(h: Sequence[int]) -> int:
+    ar, ai, br, bi = h
+    return (ar & 1) | (ai & 1) << 1 | (br & 1) << 2 | (bi & 1) << 3
+
+
+# ideal -> (half-key function, key bits per half)
+_HALF_KEYS = {"1pi": (_half_key_1pi, 2), "2": (_half_key_2, 4)}
+
+_Half = tuple[int, int, int, int]
+_Norm = tuple[int, int]
+
+
+def _box_halves(box: int) -> list[tuple[_Half, _Norm]]:
+    """All (2*box+1)^4 halves in lexicographic order, each with its norm."""
+    return [(h, norm_ints(*h)) for h in itertools.product(box_coordinates(box), repeat=4)]
+
+
+def _offset_shells() -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """(t, every (dx, dy) with dx^2 + dy^2 = t) for t = 0, 1, 2, 4, 5, 8, ...
+
+    Offsets come in square blocks |dx|, |dy| <= k, which hold every offset of
+    norm at most k^2; k doubles each time a block is used up."""
+    done, k = -1, 1
+    while True:
+        shells: dict[int, list[tuple[int, int]]] = {}
+        for dx in range(-k, k + 1):
+            for dy in range(-k, k + 1):
+                t = dx * dx + dy * dy
+                if done < t <= k * k:
+                    shells.setdefault(t, []).append((dx, dy))
+        yield from sorted(shells.items())
+        done, k = k * k, 2 * k
+
+
+def _coset_key(coset: RingMatrix, ideal: str) -> int:
+    """The residue key (as ``_key_mod_1pi`` / ``_key_mod_2``) shared by the
+    codewords that project onto ``coset``."""
+    ring, width = (F4, 1) if ideal == "1pi" else (F4I, 2)
+    parts = [p for x in matrix_to_pair(coset, ring) for p in ring.w_components(x)]
+    key = 0
+    for pos, part in enumerate(parts):
+        key |= part.mask << (width * pos)
+    return key
 
 
 def min_abs_det_sq(
@@ -534,131 +567,102 @@ def min_abs_det_sq(
     *,
     coset: RingMatrix | None = None,
     ideal: str | None = None,
-    jobs: int = 1,
 ) -> tuple[Fraction, GoldenCodeword]:
     """Exact minimum of |det(X)|^2 over the nonzero codewords of the box.
 
     With ``coset``/``ideal`` the scan is restricted to codewords whose
     projection (mod (1+i) or mod 2, per ``ideal`` in {"1pi", "2"}) equals the
     given 2x2 matrix.  The witness is the first minimizer in lexicographic
-    coordinate order regardless of ``jobs``.
+    coordinate order.
+
+    The search grows the distance t = 0, 1, 2, 4, ... shell by shell until
+    some distinct left norm has a right norm at distance t from its target;
+    the witness is then the first left half that does, completed by the
+    lexicographically smallest right half at that distance.
     """
-    filter_mode = 0
-    filter_key = 0
     if coset is not None:
-        if ideal == "1pi":
-            from .cyclic import matrix_to_pair
-
-            x0, x1 = matrix_to_pair(coset, F4)
-            a, b = F4.w_components(x0)
-            c, d = F4.w_components(x1)
-            filter_mode = 1
-            filter_key = a.mask | b.mask << 1 | c.mask << 2 | d.mask << 3
-        elif ideal == "2":
-            from .cyclic import matrix_to_pair
-
-            x0, x1 = matrix_to_pair(coset, F4I)
-            masks = []
-            for elem in (x0, x1):
-                p, q = F4I.w_components(elem)
-                masks.extend([p.mask, q.mask])
-            filter_mode = 2
-            filter_key = 0
-            for pos, m2 in enumerate(masks):
-                filter_key |= (m2 & 1) << (2 * pos)
-                filter_key |= ((m2 >> 1) & 1) << (2 * pos + 1)
-        else:
+        if ideal not in _HALF_KEYS:
             raise ValueError("ideal must be '1pi' or '2' when a coset is given")
+        key = _coset_key(coset, ideal)
     elif ideal is not None:
         raise ValueError("ideal given without a coset matrix")
+    _check_box(box)
 
-    a_values = list(box_coordinates(box))
-    if jobs <= 1:
-        chunks = [(box, tuple(a_values), filter_mode, filter_key)]
-        results = [_scan_chunk(c) for c in chunks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = min(jobs, len(a_values))
-        step = -(-len(a_values) // jobs)
-        chunk_vals = [
-            tuple(a_values[k : k + step]) for k in range(0, len(a_values), step)
-        ]
-        args = [(box, vals, filter_mode, filter_key) for vals in chunk_vals]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_chunk, args))
-
-    best: tuple[int, tuple[int, ...]] | None = None
-    for res in results:  # chunk order == enumeration order, so first win stays
-        if res is not None and (best is None or res[0] < best[0]):
-            best = res
-    if best is None:
+    left = right = _box_halves(box)
+    if coset is not None:
+        half_key, bits = _HALF_KEYS[ideal]
+        left = [x for x in left if half_key(x[0]) == key & ((1 << bits) - 1)]
+        right = [x for x in right if half_key(x[0]) == key >> bits]
+    zero = (0, 0)
+    if not left or not right or all(n == zero for _, n in left + right):
         raise ValueError("no nonzero codeword matches the requested coset in the box")
-    m, coords = best
-    return Fraction(m, 5), GoldenCodeword.from_ints(coords)
+    first_right: dict[_Norm, _Half] = {}
+    for h, n in right:
+        first_right.setdefault(n, h)
+
+    def hits(norm: _Norm, offsets: list[tuple[int, int]]) -> Iterator[_Norm]:
+        """Right norms at the given offsets from the target of a left norm."""
+        p, q = norm
+        for dx, dy in offsets:
+            target = (q + dx, dy - p)
+            if target in first_right and (norm != zero or target != zero):
+                yield target
+
+    left_norms = list(dict.fromkeys(n for _, n in left))
+    for m, offsets in _offset_shells():
+        if any(any(hits(n, offsets)) for n in left_norms):
+            break
+    h, targets = next((h, found) for h, n in left if (found := list(hits(n, offsets))))
+    r = min(first_right[t] for t in targets)
+    return Fraction(m, 5), GoldenCodeword.from_ints(h + r)
 
 
-def _floor_scan_chunk(
-    args: tuple[int, tuple[int, ...], str]
-) -> tuple[int, list[tuple[int, ...]], list[int]]:
-    """Check the determinant floors over one chunk of the box.
-
-    Returns (checked_count, violations, class_counts[4/2/1 indexed 0..2])
-    for the requested ideal; violations hold the offending coordinate tuples
-    (kept to at most 5 per chunk).
-    """
-    import itertools
-
-    box, a_re_values, ideal = args
-    if ideal == "1pi":
-        table = floor_table_mod_1pi()
-        keyfn = _key_mod_1pi
-    else:
-        table = floor_table_mod_2()
-        keyfn = _key_mod_2
-    rng = range(-box, box + 1)
-    checked = 0
-    violations: list[tuple[int, ...]] = []
-    counts = [0, 0, 0]  # floors 4, 2, 1
-    floor_index = {4: 0, 2: 1, 1: 2}
-    for ar in a_re_values:
-        for rest in itertools.product(rng, repeat=7):
-            coords = (ar,) + rest
-            if not any(coords):
-                continue
-            checked += 1
-            floor = table[keyfn(coords)]
-            counts[floor_index[floor]] += 1
-            if det_sq_times5(coords) < floor:
-                if len(violations) < 5:
-                    violations.append(coords)
-    return checked, violations, counts
+# The offsets of norm < 4 (3 is not a sum of two squares): a floor of at most
+# 4 can only fail at these distances.
+_NEAR_OFFSETS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
 
 
 def scan_det_floors(
-    ideal: str, box: int = 2, jobs: int = 1
+    ideal: str, box: int = 2
 ) -> tuple[int, list[tuple[int, ...]], list[int]]:
     """Exhaustive floor check over the box for ideal "1pi" or "2".
 
     Returns (codewords_checked, violations, per-floor counts).  An empty
-    violation list means every floor held.
-    """
-    if ideal not in ("1pi", "2"):
-        raise ValueError("ideal must be '1pi' or '2'")
-    a_values = list(box_coordinates(box))
-    if jobs <= 1:
-        parts = [_floor_scan_chunk((box, tuple(a_values), ideal))]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    violation list means every floor held; otherwise it holds the first five
+    offending coordinate tuples in lexicographic order.
 
-        jobs = min(jobs, len(a_values))
-        step = -(-len(a_values) // jobs)
-        chunk_vals = [
-            tuple(a_values[k : k + step]) for k in range(0, len(a_values), step)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_floor_scan_chunk, [(box, v, ideal) for v in chunk_vals]))
-    checked = sum(p[0] for p in parts)
-    violations = [v for p in parts for v in p[1]]
-    counts = [sum(p[2][k] for p in parts) for k in range(3)]
-    return checked, violations, counts
+    Class sizes are products of the per-key half counts, less the zero
+    codeword.  A violation needs m < floor <= 4, so only the right norms at
+    the nine offsets of norm < 4 around each left half's target are visited.
+    """
+    if ideal not in _HALF_KEYS:
+        raise ValueError("ideal must be '1pi' or '2'")
+    _check_box(box)
+    table = floor_table_mod_1pi() if ideal == "1pi" else floor_table_mod_2()
+    half_key, bits = _HALF_KEYS[ideal]
+    halves = [(h, n, half_key(h)) for h, n in _box_halves(box)]
+    key_counts = [0] * (1 << bits)
+    right_by_norm: dict[_Norm, list[tuple[_Half, int]]] = {}
+    for h, n, k in halves:
+        key_counts[k] += 1
+        right_by_norm.setdefault(n, []).append((h, k))
+
+    floor_index = {4: 0, 2: 1, 1: 2}
+    counts = [0, 0, 0]  # floors 4, 2, 1
+    for kl, count_l in enumerate(key_counts):
+        for kr, count_r in enumerate(key_counts):
+            counts[floor_index[table[kl | kr << bits]]] += count_l * count_r
+    counts[floor_index[table[0]]] -= 1  # the zero codeword
+
+    violations: list[tuple[int, ...]] = []
+    for h, (p, q), kl in halves:
+        if len(violations) >= 5:
+            break
+        found = []
+        for dx, dy in _NEAR_OFFSETS:
+            m = dx * dx + dy * dy
+            for r, kr in right_by_norm.get((q + dx, dy - p), ()):
+                if m < table[kl | kr << bits] and (any(h) or any(r)):
+                    found.append(h + r)
+        violations.extend(sorted(found))
+    return len(halves) ** 2 - 1, violations[:5], counts

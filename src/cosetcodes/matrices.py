@@ -14,6 +14,7 @@ load-bearing downstream (projection classes, Bachoc weights).
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterable, Iterator
 
 from .rings import QuotientRing, RingElement
@@ -70,13 +71,13 @@ class RingMatrix:
 
     @classmethod
     def parse(cls, ring: QuotientRing, text: str) -> "RingMatrix":
-        """Parse "[[0,1],[1,0]]" with entries in the ring's element grammar."""
-        s = text.strip()
-        if not (s.startswith("[[") and s.endswith("]]")):
+        """Parse "[[0,1],[1,0]]" with entries in the ring's element grammar;
+        whitespace may surround brackets, rows and entries."""
+        m = re.fullmatch(r"\s*\[\s*\[(.*)\]\s*\]\s*", text, re.DOTALL)
+        if not m:
             raise ValueError(f"matrix literal must look like [[...],[...]]: {text!r}")
-        body = s[2:-2]
-        rows = [chunk.split(",") for chunk in body.split("],[")]
-        return cls(ring, [[ring.parse(e) for e in row] for row in rows])
+        rows = [chunk.split(",") for chunk in re.split(r"\]\s*,\s*\[", m.group(1))]
+        return cls(ring, [[ring.parse(e.strip()) for e in row] for row in rows])
 
     # ------------------------------------------------------------------
     # access

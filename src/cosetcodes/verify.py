@@ -11,8 +11,9 @@ in ``details`` with explicit witnesses.
 
 The TSV surface is one line per claim:  ``claim<TAB>pass|fail<TAB>witness``.
 
-Heavy scans (the +/-2 coordinate box: 390,624 nonzero codewords) accept a
-``jobs`` argument; results are identical at any worker count.
+The Golden box claims check the library's norm-factorized searches against
+brute loops over all 390,624 nonzero codewords of the +/-2 coordinate box;
+any disagreement in value, witness, violations or class sizes fails the claim.
 """
 
 from __future__ import annotations
@@ -163,6 +164,53 @@ def _sigma_tables(ring, n: int) -> list[list[int]]:
     for _ in range(1, n):
         sig.append([sq[m] for m in sig[-1]])
     return sig
+
+
+# ----------------------------------------------------------------------
+# brute-force Golden box scans (oracle-local: the library searches over
+# half-codeword norms, these loops visit every codeword of the box)
+
+def brute_min_det_sq(
+    box: int, keyfn: Callable[[Sequence[int]], int] | None = None, key: int = 0
+) -> tuple[int, tuple[int, ...]]:
+    """(m, coords) for the lexicographic-first nonzero codeword of the box
+    that minimizes m = 5*|det|^2; with ``keyfn``, only codewords whose
+    residue key is ``key`` count."""
+    best_m: int | None = None
+    best: tuple[int, ...] | None = None
+    for coords in itertools.product(range(-box, box + 1), repeat=8):
+        if keyfn is not None and keyfn(coords) != key:
+            continue
+        if not any(coords):
+            continue
+        m = det_sq_times5(coords)
+        if best_m is None or m < best_m:
+            best_m, best = m, coords
+    if best_m is None:
+        raise ValueError("no nonzero codeword matches the requested coset in the box")
+    return best_m, best
+
+
+def brute_det_floors(ideal: str, box: int) -> tuple[int, list[tuple[int, ...]], list[int]]:
+    """(nonzero codewords checked, the first five floor violations in
+    lexicographic order, class sizes for floors 4/2/1) over the box."""
+    if ideal == "1pi":
+        table, keyfn = golden.floor_table_mod_1pi(), golden._key_mod_1pi
+    else:
+        table, keyfn = golden.floor_table_mod_2(), golden._key_mod_2
+    floor_index = {4: 0, 2: 1, 1: 2}
+    checked = 0
+    violations: list[tuple[int, ...]] = []
+    counts = [0, 0, 0]
+    for coords in itertools.product(range(-box, box + 1), repeat=8):
+        if not any(coords):
+            continue
+        checked += 1
+        floor = table[keyfn(coords)]
+        counts[floor_index[floor]] += 1
+        if det_sq_times5(coords) < floor and len(violations) < 5:
+            violations.append(coords)
+    return checked, violations, counts
 
 
 # ----------------------------------------------------------------------
@@ -416,59 +464,24 @@ def certify_iso_f16m4() -> OracleReport:
     )
 
 
-def certify_iso_m2f2_f4j() -> OracleReport:
-    """The F4-pair model phi: bijection onto M2(F2), identity, additivity,
-    and multiplicativity against the twisted product, all 16^2 pairs."""
+def _certify_pair_model(
+    claim: str, ring, base, symbol: str, space: str
+) -> OracleReport:
+    """A pair model ``symbol`` from ring-pairs onto M2(base): bijection,
+    identity, additivity and multiplicativity against the twisted product,
+    on all pairs of pairs."""
     started = time.perf_counter()
     failures: list[str] = []
-    pairs = [(x, y) for x in F4 for y in F4]
+    pairs = [(x, y) for x in ring for y in ring]
     images = {p: pair_to_matrix(*p) for p in pairs}
 
-    if len(set(images.values())) != 16:
-        failures.append("phi is not a bijection onto M2(f2)")
-    if images[(F4.one, F4.zero)] != RingMatrix.identity(F2, 2):
-        failures.append("phi(1, 0) is not the identity matrix")
+    if len(set(images.values())) != len(pairs):
+        failures.append(f"{symbol} is not a bijection onto M2({base.name})")
+    if images[(ring.one, ring.zero)] != RingMatrix.identity(base, 2):
+        failures.append(f"{symbol}(1, 0) is not the identity matrix")
     for p, m in images.items():
-        if matrix_to_pair(m, F4) != p:
-            failures.append(f"phi inverse fails at {p}")
-            break
-
-    for p in pairs:
-        for q in pairs:
-            s = (p[0] + q[0], p[1] + q[1])
-            if images[s] != images[p] + images[q]:
-                failures.append(f"additivity fails at {p}, {q}")
-                break
-            prod = twisted_pair_mul(p, q)
-            if images[prod] != images[p] * images[q]:
-                failures.append(f"multiplicativity fails at {p}, {q}")
-                break
-        if failures:
-            break
-
-    return _report(
-        "iso_m2f2_f4j",
-        "16 images; 256 pair products",
-        failures,
-        started=started,
-    )
-
-
-def certify_iso_m2f2i_f4ij() -> OracleReport:
-    """The F4[i]-pair model psi: bijection onto M2(F2[i]), identity,
-    additivity and multiplicativity on all 256^2 pairs of pairs."""
-    started = time.perf_counter()
-    failures: list[str] = []
-    pairs = [(x, y) for x in F4I for y in F4I]
-    images = {p: pair_to_matrix(*p) for p in pairs}
-
-    if len(set(images.values())) != 256:
-        failures.append("psi is not a bijection onto M2(f2i)")
-    if images[(F4I.one, F4I.zero)] != RingMatrix.identity(F2I, 2):
-        failures.append("psi(1, 0) is not the identity matrix")
-    for p, m in images.items():
-        if matrix_to_pair(m, F4I) != p:
-            failures.append(f"psi inverse fails at {p}")
+        if matrix_to_pair(m, ring) != p:
+            failures.append(f"{symbol} inverse fails at {p}")
             break
 
     for p in pairs:
@@ -485,11 +498,18 @@ def certify_iso_m2f2i_f4ij() -> OracleReport:
         if failures:
             break
 
-    return _report(
-        "iso_m2f2i_f4ij",
-        "256 images; 65536 pair products",
-        failures,
-        started=started,
+    return _report(claim, space, failures, started=started)
+
+
+def certify_iso_m2f2_f4j() -> OracleReport:
+    """The F4-pair model phi onto M2(F2), all 16^2 pairs."""
+    return _certify_pair_model("iso_m2f2_f4j", F4, F2, "phi", "16 images; 256 pair products")
+
+
+def certify_iso_m2f2i_f4ij() -> OracleReport:
+    """The F4[i]-pair model psi onto M2(F2[i]), all 256^2 pairs."""
+    return _certify_pair_model(
+        "iso_m2f2i_f4ij", F4I, F2I, "psi", "256 images; 65536 pair products"
     )
 
 
@@ -911,16 +931,24 @@ def certify_projection_compat() -> OracleReport:
     )
 
 
-def certify_golden_mindet(jobs: int = 1) -> OracleReport:
-    """Minimum |det|^2 over the +/-2 coordinate box is exactly 1/5, and the
-    reported witness really attains it (integer route vs symbolic route)."""
+def certify_golden_mindet() -> OracleReport:
+    """Minimum |det|^2 over the +/-2 coordinate box is exactly 1/5, the
+    reported witness really attains it (integer route vs symbolic route), and
+    the brute loop finds the same value and witness."""
     started = time.perf_counter()
     failures: list[str] = []
-    value, witness = min_abs_det_sq(2, jobs=jobs)
+    value, witness = min_abs_det_sq(2)
     if value != Fraction(1, 5):
         failures.append(f"min |det|^2 over box 2 is {value}, expected 1/5")
     if abs_det_sq(witness) != value:
         failures.append(f"witness {witness} does not attain the minimum")
+    m, coords = brute_min_det_sq(2)
+    brute = (Fraction(m, 5), GoldenCodeword.from_ints(coords))
+    if brute != (value, witness):
+        failures.append(
+            f"factorized search gives {value} at {witness}, "
+            f"brute loop {brute[0]} at {brute[1]}"
+        )
     return _report(
         "golden_mindet",
         "5^8 - 1 nonzero codewords",
@@ -930,36 +958,37 @@ def certify_golden_mindet(jobs: int = 1) -> OracleReport:
     )
 
 
-def certify_det_floors_1pi(jobs: int = 1) -> OracleReport:
+def _floor_scan(ideal: str) -> tuple[str, list[str], list[str]]:
+    """(space, failures, details) of the library's box-2 floor scan for one
+    ideal; the failures are its violations, then any disagreement with the
+    brute loop."""
+    scan = scan_det_floors(ideal, 2)
+    checked, violations, counts = scan
+    failures = [f"floor violated at {v}" for v in violations]
+    brute = brute_det_floors(ideal, 2)
+    if scan != brute:
+        failures.append(f"factorized floor scan {scan} disagrees with the brute loop {brute}")
+    details = [
+        f"checked {checked} codewords; class sizes (floor 4/2/1) = "
+        f"{counts[0]}/{counts[1]}/{counts[2]}"
+    ]
+    return f"{checked} nonzero codewords in the +/-2 box", failures, details
+
+
+def certify_det_floors_1pi() -> OracleReport:
     """Determinant floors for the ideal (1+i) over the +/-2 box: projection
     zero -> 4/5, nonzero non-unit -> 2/5, unit -> 1/5."""
     started = time.perf_counter()
-    checked, violations, counts = scan_det_floors("1pi", 2, jobs=jobs)
-    failures = [f"floor violated at {v}" for v in violations]
-    details = (
-        f"checked {checked} codewords; class sizes (floor 4/2/1) = "
-        f"{counts[0]}/{counts[1]}/{counts[2]}",
-    )
-    return _report(
-        "det_floors_1pi",
-        f"{checked} nonzero codewords in the +/-2 box",
-        failures,
-        details=details,
-        started=started,
-    )
+    space, failures, details = _floor_scan("1pi")
+    return _report("det_floors_1pi", space, failures, details=details, started=started)
 
 
-def certify_det_floors_2(jobs: int = 1) -> OracleReport:
+def certify_det_floors_2() -> OracleReport:
     """Determinant floors for the ideal (2) over the +/-2 box, classified by
     the unit class of u = N(x0) + i*N(x1); also reports the counterexample
     that rules out the naive equal-norms grouping."""
     started = time.perf_counter()
-    checked, violations, counts = scan_det_floors("2", 2, jobs=jobs)
-    failures = [f"floor violated at {v}" for v in violations]
-    details = [
-        f"checked {checked} codewords; class sizes (floor 4/2/1) = "
-        f"{counts[0]}/{counts[1]}/{counts[2]}",
-    ]
+    space, failures, details = _floor_scan("2")
 
     # defect of the naive grouping, exhibited on a tiny codeword
     naive = golden.equal_norms_floor_table_mod_2()
@@ -974,13 +1003,7 @@ def certify_det_floors_2(jobs: int = 1) -> OracleReport:
     else:
         failures.append("expected counterexample to the equal-norms grouping vanished")
 
-    return _report(
-        "det_floors_2",
-        f"{checked} nonzero codewords in the +/-2 box",
-        failures,
-        details=details,
-        started=started,
-    )
+    return _report("det_floors_2", space, failures, details=details, started=started)
 
 
 # ----------------------------------------------------------------------
@@ -1051,10 +1074,8 @@ def brute_delta_min(
     """
     if ideal == "1pi":
         keyfn = golden._key_mod_1pi
-        pair_ring = F4
     elif ideal == "2":
         keyfn = golden._key_mod_2
-        pair_ring = F4I
     else:
         raise ValueError("ideal must be '1pi' or '2'")
 
@@ -1067,23 +1088,6 @@ def brute_delta_min(
             ints.extend((g.re, g.im))
         by_key.setdefault(keyfn(ints), []).append(cw)
 
-    def matrix_key(m: RingMatrix) -> int:
-        x0, x1 = matrix_to_pair(m, pair_ring)
-        parts = []
-        for elem in (x0, x1):
-            a, b = pair_ring.w_components(elem)
-            parts.extend((a, b))
-        if ideal == "1pi":
-            key = 0
-            for pos, p in enumerate(parts):
-                key |= p.mask << pos
-            return key
-        key = 0
-        for pos, p in enumerate(parts):
-            key |= (p.mask & 1) << (2 * pos)
-            key |= ((p.mask >> 1) & 1) << (2 * pos + 1)
-        return key
-
     best: SqrtVal | None = None
     best_witness: tuple[GoldenCodeword, ...] | None = None
     eq2_all = True
@@ -1091,7 +1095,7 @@ def brute_delta_min(
     for outer in code.codewords():
         candidate_lists = []
         for m in outer:
-            lst = by_key.get(matrix_key(m))
+            lst = by_key.get(golden._coset_key(m, ideal))
             if not lst:
                 candidate_lists = []
                 break
@@ -1164,7 +1168,7 @@ def certify_delta_min_rep2() -> OracleReport:
 # ----------------------------------------------------------------------
 # registry
 
-CLAIMS: dict[str, Callable[..., OracleReport]] = {
+CLAIMS: dict[str, Callable[[], OracleReport]] = {
     "counts": certify_counts,
     "regular_rep": certify_regular_rep,
     "iso_f8m3": certify_iso_f8m3,
@@ -1183,20 +1187,16 @@ CLAIMS: dict[str, Callable[..., OracleReport]] = {
     "delta_min_rep2": certify_delta_min_rep2,
 }
 
-_JOB_AWARE = {"golden_mindet", "det_floors_1pi", "det_floors_2"}
 
-
-def run_claim(name: str, jobs: int = 1) -> OracleReport:
+def run_claim(name: str) -> OracleReport:
     try:
         fn = CLAIMS[name]
     except KeyError:
         raise ValueError(
             f"unknown claim {name!r}; known: {', '.join(sorted(CLAIMS))}"
         ) from None
-    if name in _JOB_AWARE:
-        return fn(jobs=jobs)
     return fn()
 
 
-def run_all(jobs: int = 1) -> list[OracleReport]:
-    return [run_claim(name, jobs=jobs) for name in CLAIMS]
+def run_all() -> list[OracleReport]:
+    return [run_claim(name) for name in CLAIMS]

@@ -40,6 +40,12 @@ def test_sqrtval_basics():
         SQRT2 + SQRT5
 
 
+@pytest.mark.parametrize("d", [0, -1, -5])
+def test_sqrtval_rejects_nonpositive_radicand(d):
+    with pytest.raises(ValueError):
+        SqrtVal(0, 1, d)
+
+
 def test_sqrt2_squares_to_2():
     assert SQRT2 * SQRT2 == SqrtVal(2, 0, 2)
     assert SQRT5 * SQRT5 == 5

@@ -38,6 +38,32 @@ def test_mindet_coset_restricted(capsys):
     assert out.splitlines()[0] == "1/5"
 
 
+@pytest.mark.parametrize("literal", ["[[1,0], [0,1]]", " [[1, 0],\t[0, 1]] "])
+def test_mindet_coset_spaced_literal(capsys, literal):
+    _, expected, _ = run(
+        capsys, "mindet", "--box", "1", "--coset", "[[1,0],[0,1]]", "--ideal", "1pi"
+    )
+    rc, out, _ = run(capsys, "mindet", "--box", "1", "--coset", literal, "--ideal", "1pi")
+    assert rc == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize("box", ["0", "-1"])
+def test_mindet_rejects_an_empty_box(capsys, box):
+    rc, out, err = run(capsys, "mindet", "--box", box)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: box must be at least 1\n"
+
+
+def test_mindet_empty_coset(capsys):
+    rc, _, err = run(
+        capsys, "mindet", "--box", "1", "--coset", "[[0,0],[0,0]]", "--ideal", "2"
+    )
+    assert rc == 2
+    assert err == "error: no nonzero codeword matches the requested coset in the box\n"
+
+
 def test_mindet_coset_needs_ideal(capsys):
     rc, _, err = run(capsys, "mindet", "--box", "1", "--coset", "[[1,0],[0,1]]")
     assert rc == 2
@@ -108,6 +134,16 @@ def test_encode(capsys):
     rc, out, _ = run(capsys, "encode", "--code", "dualrep", "--msg", "1,w,w+1")
     assert rc == 0
     assert out == "0,1,w,w+1\n"
+
+
+@pytest.mark.parametrize("command", [("mindist",), ("encode", "--msg", "1")])
+def test_missing_code_file_exit_2(capsys, tmp_path, command):
+    missing = str(tmp_path / "missing")
+    rc, out, err = run(capsys, *command, "--code-file", missing)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and missing in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_encode_wrong_length(capsys):

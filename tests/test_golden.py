@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from cosetcodes import golden
 from cosetcodes.golden import (
     ALPHA,
     ALPHA_BAR,
@@ -28,6 +29,7 @@ from cosetcodes.golden import (
     mod2_det_class,
     mod2_norm_pair,
     project_mod_1pi,
+    project_mod_2,
     project_pair_mod_1pi,
     project_pair_mod_2,
     reduce_mod_1pi,
@@ -36,6 +38,7 @@ from cosetcodes.golden import (
 )
 from cosetcodes.matrices import RingMatrix
 from cosetcodes.rings import F2, F2I, F4
+from cosetcodes.verify import brute_det_floors, brute_min_det_sq
 
 ints = st.integers(min_value=-50, max_value=50)
 gaussians = st.builds(GaussianInt, ints, ints)
@@ -196,7 +199,6 @@ def test_min_abs_det_sq_box1():
     value, wit = min_abs_det_sq(1)
     assert value == Fraction(1, 5)
     assert abs_det_sq(wit) == Fraction(1, 5)
-    assert min_abs_det_sq(1, jobs=2) == (value, wit)
 
 
 def test_min_abs_det_sq_coset_restricted():
@@ -217,3 +219,76 @@ def test_scan_det_floors_box1():
         assert all(c > 0 for c in counts)
     with pytest.raises(ValueError):
         scan_det_floors("3")
+
+
+def test_scans_reject_an_empty_box():
+    for box in (0, -1):
+        with pytest.raises(ValueError, match="box must be at least 1"):
+            min_abs_det_sq(box)
+        with pytest.raises(ValueError, match="box must be at least 1"):
+            scan_det_floors("1pi", box)
+
+
+def test_empty_coset_keeps_its_message():
+    """All coordinates even at box 1 means only the zero codeword."""
+    with pytest.raises(ValueError, match="no nonzero codeword"):
+        min_abs_det_sq(1, coset=RingMatrix.zeros(F2I, 2), ideal="2")
+
+
+@pytest.mark.parametrize(
+    "ideal,keys,keyfn,representative,project",
+    [
+        ("1pi", 16, golden._key_mod_1pi, golden._codeword_from_key_1pi, project_mod_1pi),
+        ("2", 256, golden._key_mod_2, golden._codeword_from_key_2, project_mod_2),
+    ],
+    ids=["1pi", "2"],
+)
+def test_factorized_min_matches_the_brute_oracle(ideal, keys, keyfn, representative, project):
+    """Every coset at box 1: same value, same witness string, and an empty
+    coset raises the same ValueError on both routes."""
+    for key in range(keys):
+        coset = project(representative(key))
+        try:
+            m, coords = brute_min_det_sq(1, keyfn, key)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as lib:
+                min_abs_det_sq(1, coset=coset, ideal=ideal)
+            assert str(lib.value) == str(exc)
+            continue
+        value, witness = min_abs_det_sq(1, coset=coset, ideal=ideal)
+        assert value == Fraction(m, 5)
+        assert str(witness) == str(GoldenCodeword.from_ints(coords))
+
+
+def test_factorized_floors_match_the_brute_oracle():
+    for ideal in ("1pi", "2"):
+        assert scan_det_floors(ideal, 1) == brute_det_floors(ideal, 1)
+
+
+@pytest.mark.parametrize("raised", [2, 4])
+def test_factorized_floor_violations_match_the_brute_oracle(monkeypatch, raised):
+    """The true floors never fail, so raise them to exercise the violation
+    search: both routes must list the same first five violations."""
+    monkeypatch.setattr(golden, "floor_table_mod_1pi", lambda: [raised] * 16)
+    monkeypatch.setattr(golden, "floor_table_mod_2", lambda: [raised] * 256)
+    for ideal in ("1pi", "2"):
+        scan = scan_det_floors(ideal, 1)
+        assert len(scan[1]) == 5
+        assert scan == brute_det_floors(ideal, 1)
+
+
+def test_box3_results_pinned():
+    """Values the brute loops established at box 3 (7^8 - 1 codewords)."""
+    value, witness = min_abs_det_sq(3)
+    assert value == Fraction(1, 5)
+    assert str(witness) == "(-3-3i, 2i, -3+i, -2-i)"
+    assert scan_det_floors("1pi", 3) == (5_764_800, [], [390_624, 3_154_176, 2_220_000])
+    assert scan_det_floors("2", 3) == (5_764_800, [], [1_911_264, 1_633_536, 2_220_000])
+
+
+@pytest.mark.parametrize("box", [4, 5, 6])
+def test_min_abs_det_sq_reaches_box_6(box):
+    value, witness = min_abs_det_sq(box)
+    assert value == Fraction(1, 5)
+    assert abs_det_sq(witness) == value
+    assert all(abs(v) <= box for g in witness.coords() for v in (g.re, g.im))

@@ -32,6 +32,9 @@ def test_identity_and_zero():
 def test_parse_str_round_trip():
     for a in all_matrices(F2I, 2):
         assert RingMatrix.parse(F2I, str(a)) == a
+    spaced = RingMatrix.parse(F2I, " [[1, i], [0,\t1+i]]\n")
+    assert spaced == RingMatrix.parse(F2I, "[[1,i],[0,1+i]]")
+    assert RingMatrix.parse(F2, "[[1,0], [0,1]]") == RingMatrix.identity(F2, 2)
     with pytest.raises(ValueError):
         RingMatrix.parse(F2, "[[0,1],[1]]")
     with pytest.raises(ValueError):
