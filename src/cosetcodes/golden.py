@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .cyclic import matrix_to_pair, pair_to_matrix
-from .matrices import RingMatrix
+from .matrices import ENUMERATION_LIMIT, RingMatrix
 from .rings import F2, F2I, F4, F4I, RingElement, quadratic_norm
 
 
@@ -132,8 +132,6 @@ class GaussianInt:
         return cls(re_val, im_val)
 
 
-GI_ZERO = GaussianInt(0, 0)
-GI_ONE = GaussianInt(1, 0)
 GI_I = GaussianInt(0, 1)
 
 
@@ -503,13 +501,17 @@ def golden_pair_mul(
 # bits.  A norm is zero only at the zero half, so the one pair every scan
 # leaves out, the zero codeword, is the pair of two zero norms.
 
-def box_coordinates(box: int) -> range:
-    return range(-box, box + 1)
-
-
 def _check_box(box: int) -> None:
+    """Reject an empty box and one whose (2*box+1)^4 halves exceed the
+    enumeration limit; box 15 is the largest that passes."""
     if box < 1:
         raise ValueError("box must be at least 1")
+    halves = (2 * box + 1) ** 4
+    if halves > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"box {box} has {halves} half-codewords, "
+            f"over the enumeration limit {ENUMERATION_LIMIT}"
+        )
 
 
 def _half_key_1pi(h: Sequence[int]) -> int:
@@ -531,7 +533,7 @@ _Norm = tuple[int, int]
 
 def _box_halves(box: int) -> list[tuple[_Half, _Norm]]:
     """All (2*box+1)^4 halves in lexicographic order, each with its norm."""
-    return [(h, norm_ints(*h)) for h in itertools.product(box_coordinates(box), repeat=4)]
+    return [(h, norm_ints(*h)) for h in itertools.product(range(-box, box + 1), repeat=4)]
 
 
 def _offset_shells() -> Iterator[tuple[int, list[tuple[int, int]]]]:

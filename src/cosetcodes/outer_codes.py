@@ -122,7 +122,7 @@ class LinearCode:
             acc = self.alphabet.zero
             for x, hj in zip(word, h):
                 acc = acc + x * hj
-            if not _is_zero_symbol(acc):
+            if not acc.is_zero:
                 return False
         return True
 
@@ -151,10 +151,6 @@ class MappedCode:
 
     def __repr__(self) -> str:
         return f"<{self.name or 'mapped code'}: length {self.L} over {self.alphabet.name}>"
-
-
-def _is_zero_symbol(x: Symbol) -> bool:
-    return x.is_zero
 
 
 def lift_code(code: LinearCode) -> MappedCode:
@@ -203,7 +199,7 @@ class WeightKind(Enum):
 
 
 def hamming_weight(word: Iterable[Symbol]) -> int:
-    return sum(1 for x in word if not _is_zero_symbol(x))
+    return sum(1 for x in word if not x.is_zero)
 
 
 def bachoc_weight(m: RingMatrix) -> int:
@@ -257,7 +253,7 @@ def min_distance(code: LinearCode | MappedCode, kind: WeightKind = WeightKind.HA
         raise ValueError("message space too large for exhaustive distance search")
     best: int | None = None
     for cw in code.codewords():
-        if all(_is_zero_symbol(x) for x in cw):
+        if all(x.is_zero for x in cw):
             continue
         w = word_weight(cw, kind)
         if best is None or w < best:
@@ -275,6 +271,8 @@ def _rows(ring: QuotientRing, entries: Sequence[Sequence[str]]) -> tuple[tuple[R
 
 
 def repetition_code(L: int, alphabet: Alphabet) -> LinearCode:
+    if L < 1:
+        raise ValueError(f"a repetition code needs length L >= 1, got {L}")
     return LinearCode(
         alphabet=alphabet,
         L=L,
@@ -286,6 +284,8 @@ def repetition_code(L: int, alphabet: Alphabet) -> LinearCode:
 
 def parity_check_code(L: int, alphabet: Alphabet) -> LinearCode:
     """[L, L-1, 2]: codewords (x_1, ..., x_{L-1}, x_1 + ... + x_{L-1})."""
+    if L < 2:
+        raise ValueError(f"a parity-check code needs length L >= 2, got {L}")
     rows = []
     for r in range(L - 1):
         row = [alphabet.zero] * L
@@ -427,12 +427,12 @@ def named_code(name: str, L: int | None = None, ring_name: str | None = None) ->
         return inner_parity_pair_code()
     if name == "repetition":
         alphabet = get_ring(ring_name) if ring_name else MatrixSpace(F2, 2)
-        return repetition_code(L or 2, alphabet)
+        return repetition_code(2 if L is None else L, alphabet)
     if name == "parity":
         alphabet = get_ring(ring_name) if ring_name else MatrixSpace(F2, 2)
-        return parity_check_code(L or 4, alphabet)
+        return parity_check_code(4 if L is None else L, alphabet)
     if name == "matrix_parity":
-        return matrix_parity_code(L or 2)
+        return matrix_parity_code(2 if L is None else L)
     raise ValueError(
         f"unknown code {name!r}; known: dualrep, hexacode, rs16_13, rs16_14, "
         "inner_pair, repetition, parity, matrix_parity"

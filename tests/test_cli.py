@@ -56,6 +56,15 @@ def test_mindet_rejects_an_empty_box(capsys, box):
     assert err == "error: box must be at least 1\n"
 
 
+def test_mindet_refuses_a_box_over_the_enumeration_limit(capsys):
+    rc, out, err = run(capsys, "mindet", "--box", "16")
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "error: box 16 has 1185921 half-codewords, over the enumeration limit 1048576\n"
+    )
+
+
 def test_mindet_empty_coset(capsys):
     rc, _, err = run(
         capsys, "mindet", "--box", "1", "--coset", "[[0,0],[0,0]]", "--ideal", "2"
@@ -144,6 +153,18 @@ def test_missing_code_file_exit_2(capsys, tmp_path, command):
     assert out == ""
     assert err.startswith("error: ") and missing in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "code,least", [("repetition", 1), ("parity", 2), ("matrix_parity", 2)]
+)
+def test_mindist_length_zero_is_refused(capsys, code, least):
+    """--L 0 is a length, not a request for the default one."""
+    rc, out, err = run(capsys, "mindist", "--code", code, "--L", "0")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"L >= {least}, got 0" in err
+    assert err.count("\n") == 1
 
 
 def test_encode_wrong_length(capsys):

@@ -229,6 +229,16 @@ def test_scans_reject_an_empty_box():
             scan_det_floors("1pi", box)
 
 
+def test_scans_refuse_a_box_over_the_enumeration_limit():
+    """Box 16 has 33^4 = 1185921 halves, over 2^20; box 15 (31^4) is the
+    largest accepted, and is too slow to run here."""
+    message = "box 16 has 1185921 half-codewords, over the enumeration limit 1048576"
+    with pytest.raises(ValueError, match=message):
+        min_abs_det_sq(16)
+    with pytest.raises(ValueError, match=message):
+        scan_det_floors("2", 16)
+
+
 def test_empty_coset_keeps_its_message():
     """All coordinates even at box 1 means only the zero codeword."""
     with pytest.raises(ValueError, match="no nonzero codeword"):
