@@ -15,16 +15,19 @@ with entry (r, c) = sigma^c(x_{r-c}) for r >= c and sigma^c(x_{n-c+r}) above
 the diagonal.  Both are implemented verbatim so they can be checked against
 each other by exhaustion.
 
-Two literal matrix models over F2 are provided as frozen constant tables:
+Two literal matrix models over F2 share one construction.  Each is fixed by
+its two generator images, E for e and W for w, and sends
+x = sum e^j x_j to sum E^j * (sum over the set bits k of x_j of W^k):
 
-* degree 3 over F8 -> 3x3 binary matrices (a genuine ring isomorphism onto
-  its image; certified exhaustively by the verify module);
-* degree 4 over F16_ALT -> 4x4 binary matrices.  Here the generator image W4
-  is the companion matrix of x^4+x+1, which is irreducible, so the extended
-  map is an additive bijection; but W4 does NOT satisfy the reducible
-  polynomial w^4+w^2+1 that defines F16_ALT, so the map cannot be (and is
-  not) multiplicative on field parts.  The verify module reports each
-  relation separately rather than averaging them into one verdict.
+* degree 3 over F8 -> 3x3 binary matrices.  W satisfies w^3+w+1, the
+  modulus of F8, so the map is a genuine ring isomorphism onto its image
+  (certified exhaustively by the verify module);
+* degree 4 over F16_ALT -> 4x4 binary matrices.  Here W is the companion
+  matrix of x^4+x+1, which is irreducible, so the extended map is an
+  additive bijection; but W does NOT satisfy the reducible polynomial
+  w^4+w^2+1 that defines F16_ALT, so the map cannot be (and is not)
+  multiplicative on field parts.  The verify module reports each relation
+  separately rather than averaging them into one verdict.
 
 The quadratic models phi/psi ("pair_to_matrix") send a pair over a quadratic
 extension to a 2x2 matrix over the base ring using the twist j^2 = 1:
@@ -164,61 +167,55 @@ def regular_representation(x: CyclicElement) -> RingMatrix:
 
 
 # ----------------------------------------------------------------------
-# degree-3 model over F8: images in M3(F2)
+# literal models over F2: x = sum e^j x_j  ->  sum E^j * (sum over set bits k
+# of x_j of W^k), fixed by the generator images E (of e) and W (of w)
 
-# Image of the cyclic generator e (e^3 = 1).
+
+def _powers(m: RingMatrix) -> tuple[RingMatrix, ...]:
+    """I, M, ..., M^(n-1) for an n x n matrix M."""
+    out = [RingMatrix.identity(m.ring, m.n)]
+    for _ in range(m.n - 1):
+        out.append(out[-1] * m)
+    return tuple(out)
+
+
+def _literal_image(
+    x: CyclicElement, e_powers: Sequence[RingMatrix], w_powers: Sequence[RingMatrix]
+) -> RingMatrix:
+    zero = RingMatrix.zeros(F2, len(e_powers))
+    acc = zero
+    for e_j, c in zip(e_powers, x.coeffs):
+        image = zero
+        for k, w_k in enumerate(w_powers):
+            if c.mask >> k & 1:
+                image = image + w_k
+        acc = acc + e_j * image
+    return acc
+
+
+# degree 3 over F8 -> M3(F2): E^3 = I, and W is the companion matrix of
+# w^3+w+1, the modulus of F8.
 F8_E_IMAGE = RingMatrix.from_masks(F2, [[1, 0, 0], [0, 0, 1], [0, 1, 1]])
-
-
-def f8_field_image(a: RingElement) -> RingMatrix:
-    """3x3 binary image of a field coefficient a0 + a1*w + a2*w^2 in F8."""
-    if a.ring is not F8:
-        raise ValueError("f8_field_image expects an F8 element")
-    a0, a1, a2 = (a.mask >> k & 1 for k in range(3))
-    return RingMatrix.from_masks(
-        F2,
-        [
-            [a0, a1, a2],
-            [a2, a0 ^ a2, a1],
-            [a1, a1 ^ a2, a0 ^ a2],
-        ],
-    )
+F8_W_IMAGE = RingMatrix.from_masks(F2, [[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+_F8_POWERS = (_powers(F8_E_IMAGE), _powers(F8_W_IMAGE))
 
 
 def iso_f8_to_m3(x: CyclicElement) -> RingMatrix:
     """Sum of E^j * image(x_j); a ring isomorphism onto its image."""
     if x.ring is not F8:
         raise ValueError("iso_f8_to_m3 expects a degree-3 element over f8")
-    acc = RingMatrix.zeros(F2, 3)
-    power = RingMatrix.identity(F2, 3)
-    for c in x.coeffs:
-        acc = acc + power * f8_field_image(c)
-        power = power * F8_E_IMAGE
-    return acc
+    return _literal_image(x, *_F8_POWERS)
 
 
-# ----------------------------------------------------------------------
-# degree-4 model over F16_ALT: images in M4(F2)
-
+# degree 4 over F16_ALT -> M4(F2): E^4 = I, and W is the companion matrix of
+# x^4+x+1, which is not the modulus of F16_ALT (see the module docstring).
 F16_E_IMAGE = RingMatrix.from_masks(
     F2, [[1, 0, 0, 0], [0, 0, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]]
 )
 F16_W_IMAGE = RingMatrix.from_masks(
     F2, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]]
 )
-
-
-def f16_field_image(a: RingElement) -> RingMatrix:
-    """4x4 binary image of a0 + a1*w + a2*w^2 + a3*w^3, via powers of W4."""
-    if a.ring is not F16_ALT:
-        raise ValueError("f16_field_image expects an F16_ALT element")
-    acc = RingMatrix.zeros(F2, 4)
-    power = RingMatrix.identity(F2, 4)
-    for k in range(4):
-        if (a.mask >> k) & 1:
-            acc = acc + power
-        power = power * F16_W_IMAGE
-    return acc
+_F16_POWERS = (_powers(F16_E_IMAGE), _powers(F16_W_IMAGE))
 
 
 def iso_f16_to_m4(x: CyclicElement) -> RingMatrix:
@@ -230,12 +227,7 @@ def iso_f16_to_m4(x: CyclicElement) -> RingMatrix:
     """
     if x.ring is not F16_ALT:
         raise ValueError("iso_f16_to_m4 expects a degree-4 element over f16alt")
-    acc = RingMatrix.zeros(F2, 4)
-    power = RingMatrix.identity(F2, 4)
-    for c in x.coeffs:
-        acc = acc + power * f16_field_image(c)
-        power = power * F16_E_IMAGE
-    return acc
+    return _literal_image(x, *_F16_POWERS)
 
 
 # ----------------------------------------------------------------------

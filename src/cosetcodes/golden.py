@@ -111,7 +111,8 @@ class GaussianInt:
     def __repr__(self) -> str:
         return f"GaussianInt({self.re}, {self.im})"
 
-    _RE = re.compile(r"^([+-]?\d+)?(?:([+-]?\d*)i)?$")
+    # The real part must end at a sign or at the end, so "2i" is 2i, not 2+i.
+    _RE = re.compile(r"^(?:([+-]?\d+)(?=[+-]|$))?(?:([+-]?\d*)i)?$")
 
     @classmethod
     def parse(cls, text: str) -> "GaussianInt":

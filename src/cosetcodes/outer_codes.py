@@ -153,13 +153,22 @@ class MappedCode:
         return f"<{self.name or 'mapped code'}: length {self.L} over {self.alphabet.name}>"
 
 
+def _pair_target(code: LinearCode) -> MatrixSpace:
+    """M2 over the base ring of a code over a quadratic extension (f4, f4i)."""
+    if code.alphabet is not F4 and code.alphabet is not F4I:
+        raise ValueError(
+            f"lift and pairs need a code over f4 or f4i, not {code.alphabet.name}"
+        )
+    return MatrixSpace(code.alphabet.subring, 2)
+
+
 def lift_code(code: LinearCode) -> MappedCode:
     """Componentwise x -> M_x (multiplication matrix); length preserved."""
+    target = _pair_target(code)
 
     def word_map(cw: tuple[Symbol, ...]) -> tuple[Symbol, ...]:
         return tuple(multiplication_matrix(x) for x in cw)
 
-    target = MatrixSpace(code.alphabet.subring, 2)
     return MappedCode(
         base=code,
         alphabet=target,
@@ -171,6 +180,7 @@ def lift_code(code: LinearCode) -> MappedCode:
 
 def pushforward_pairs(code: LinearCode) -> MappedCode:
     """Consecutive pairs (c_1,c_2),(c_3,c_4),... -> 2x2 matrices; L halves."""
+    target = _pair_target(code)
     if code.L % 2:
         raise ValueError("pair pushforward needs even length")
 
@@ -179,7 +189,6 @@ def pushforward_pairs(code: LinearCode) -> MappedCode:
             pair_to_matrix(cw[2 * j], cw[2 * j + 1]) for j in range(len(cw) // 2)
         )
 
-    target = MatrixSpace(code.alphabet.subring, 2)
     return MappedCode(
         base=code,
         alphabet=target,
@@ -206,7 +215,7 @@ def bachoc_weight(m: RingMatrix) -> int:
     """0 for the zero matrix, 1 for invertible, 2 for nonzero singular.
 
     Defined on 2x2 matrices over F2 (the pair-model alphabet)."""
-    if m.ring is not F2 or m.n != 2:
+    if not isinstance(m, RingMatrix) or m.ring is not F2 or m.n != 2:
         raise ValueError("bachoc weight is defined on 2x2 matrices over f2")
     if m.is_zero:
         return 0

@@ -273,10 +273,10 @@ def certify_counts(failures: list[str], details: list[str]) -> None:
     details.append("f4i non-units: " + ", ".join(sorted(str(x) for x in non_units)))
 
 
-@_claim("regular_rep", "all 256^2 (n=2/f4) and 512^2 (n=3/f8) products")
+@_claim("regular_rep", "all 16^2 (n=2/f4) and 512^2 (n=3/f8) products")
 def certify_regular_rep(failures: list[str], details: list[str]) -> None:
     """rep(x*y) = rep(x)*rep(y) and injectivity, exhausted for the degree-2
-    algebra over F4 (256^ pairs) and the degree-3 algebra over F8 (512^2)."""
+    algebra over F4 (16^2 pairs) and the degree-3 algebra over F8 (512^2)."""
     for ring, n in ((F4, 2), (F8, 3)):
         mul = ring._mul
         sig = _sigma_tables(ring, n)
@@ -498,7 +498,7 @@ def certify_f_basis(failures: list[str], details: list[str]) -> None:
             details.append(f"all {len(tails)} elements with y0 = 0 map to singular matrices")
 
 
-@_claim("norm_f4i", "256 norms; 65536 products")
+@_claim("norm_f4i", "16 norms; 256 products")
 def certify_norm_f4i(failures: list[str], details: list[str]) -> None:
     """The relative norm on F4[i]: multiplicative on all 256 pairs, zero
     exactly on the four non-units, and its range is {0, 1, i} — the

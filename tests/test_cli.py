@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import contextlib
+import io
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from cosetcodes import cli
 
@@ -256,3 +261,120 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
     rc, _, err = run(capsys, "bounds", "--which", "hamming", "--delta", "0")
     assert rc == 2 and "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--code", "repetition", "--transform", "lift"),
+        ("--code", "repetition", "--ring", "f2", "--transform", "pairs"),
+        ("--code", "parity", "--ring", "f8", "--transform", "lift"),
+    ],
+    ids=["lift-m2f2", "pairs-f2", "lift-f8"],
+)
+def test_mindist_transform_needs_a_quadratic_alphabet(capsys, argv):
+    rc, out, err = run(capsys, "mindist", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "f4 or f4i" in err
+    assert err.count("\n") == 1
+
+
+# CLI fuzzing: per subcommand, each flag with the values it may take.  Every
+# valid draw stays small (no verify and no iso --check; mindet at box 1 or
+# the default 2, larger boxes refused; lengths up to 3; matrix enumeration
+# over f2 and f2i up to 2x2), so a draw runs in milliseconds.
+_CODES = ["repetition", "parity", "matrix_parity", "dualrep", "hexacode",
+          "inner_pair", "rs16_13", "nosuch"]
+_RINGS = ["f2", "f2i", "f4", "f4i", "f8", "f16", "f16alt", "nosuch"]
+_FUZZ_FLAGS = {
+    "mindet": {
+        "--box": ["-1", "0", "1", "16", "x"],
+        "--coset": ["[[1,0],[0,1]]", "[[1+i,0],[0,1]]", "[[1,0]]", "[[2]]", "junk"],
+        "--ideal": ["1pi", "2", "3"],
+        "--jobs": ["1", "2", "x"],
+        "--float": None,
+    },
+    "mindist": {
+        "--code": _CODES,
+        "--code-file": ["no-such-code-file.txt", "."],
+        "--weight": ["hamming", "bachoc", "lee", "x"],
+        "--transform": ["none", "lift", "pairs", "x"],
+        "--certified": None,
+        "--L": ["-1", "0", "1", "2", "3", "x"],
+        "--ring": _RINGS,
+    },
+    "weights": {
+        "--kind": ["hamming", "bachoc", "lee", "x"],
+        "--word": ["1,w", "1+i,i", "[[1,0],[0,1]];[[1,1],[0,0]]", "[[1,0]]", "", ",", "zz"],
+        "--ring": _RINGS,
+    },
+    "bounds": {
+        "--which": ["hamming", "bachoc", "hamming_m2f2i", "multilevel_m4",
+                    "multilevel_m2f2i", "redundancy", "rate_m2f2i", "rate_m4", "gv", "x"],
+        "--n": ["-1", "0", "2", "x"],
+        "--a-norm-sq": ["2", "0", "-1", "1/0", "x"],
+        "--delta": ["1/5", "0", "-1", "1/0", "x"],
+        "--d": ["-1", "0", "2", "9"],
+        "--ds": ["1,2,3,4", "1,2", "0,0", "x", ""],
+        "--ks": ["1,2,3,4", "1,2", "x"],
+        "--bits": ["-1", "0", "8"],
+        "--L": ["-1", "0", "1", "2", "3"],
+        "--k": ["-1", "0", "1"],
+        "--q": ["-1", "0", "1", "4"],
+        "--duplicate-d3": None,
+        "--float": None,
+        "--verbose": None,
+    },
+    "encode": {
+        "--code": _CODES,
+        "--code-file": ["no-such-code-file.txt", "."],
+        "--msg": ["1", "1,w,w+1", "[[1,0],[0,1]]", "[[1,0],[0,1]];[[0,0],[0,1]]", "", "zz"],
+        "--L": ["-1", "0", "1", "2", "3", "x"],
+        "--ring": _RINGS,
+    },
+    "enumerate": {
+        "--ring": ["f2", "f2i", "nosuch"],
+        "--n": ["-1", "0", "1", "2", "x"],
+        "--invertible": None,
+    },
+    "iso": {
+        "--which": ["f8m3", "f16m4", "m2f2_f4j", "m2f2i_f4ij", "x"],
+        "--element": ["w; 1; 0", "1; w; w^2; w^3", "w; 1", "1+iw; i", "1;2;3;4;5", "", "zz"],
+    },
+}
+_STRAYS = ["--bogus", "x", "-h", "--box"]
+
+
+@st.composite
+def _cli_argv(draw):
+    """A subcommand with each of its flags present or not, then maybe one
+    stray token at any position (which can also leave a flag without its
+    value)."""
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS) + ["bogus"]))
+    argv = [command]
+    for flag, values in _FUZZ_FLAGS.get(command, {}).items():
+        if draw(st.booleans()):
+            argv.append(flag)
+            if values:
+                argv.append(draw(st.sampled_from(values)))
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_STRAYS)))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_cli_argv())
+@example(argv=["mindist", "--code", "repetition", "--transform", "lift"])
+@example(argv=["mindist", "--code", "repetition", "--ring", "f2", "--transform", "pairs"])
+@example(argv=["mindist", "--code", "parity", "--ring", "f8", "--transform", "lift"])
+@example(argv=["mindist", "--code", "repetition", "--ring", "f2", "--weight", "bachoc"])
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -8,6 +8,7 @@ from cosetcodes.cyclic import (
     CyclicElement,
     F16_E_IMAGE,
     F16_W_IMAGE,
+    F8_W_IMAGE,
     algebra_elements,
     from_f_basis,
     iso_f8_to_m3,
@@ -118,6 +119,33 @@ def test_f16_generator_relations():
     assert W * E == E * (W * W)
     assert W ** 4 + W + eye == RingMatrix.zeros(E.ring, 4)
     assert W ** 4 + W * W + eye != RingMatrix.zeros(E.ring, 4)
+
+
+def test_f8_generator_is_a_root_of_the_f8_modulus():
+    W = F8_W_IMAGE
+    assert W ** 3 + W + RingMatrix.identity(F2, 3) == RingMatrix.zeros(F2, 3)
+
+
+@pytest.mark.parametrize("mask", range(8))
+def test_iso_f8m3_field_image_is_the_hand_formula(mask):
+    a0, a1, a2 = (mask >> k & 1 for k in range(3))
+    hand = RingMatrix.from_masks(
+        F2, [[a0, a1, a2], [a2, a0 ^ a2, a1], [a1, a1 ^ a2, a0 ^ a2]]
+    )
+    assert iso_f8_to_m3(CyclicElement(F8, [F8.element(mask), F8.zero, F8.zero])) == hand
+
+
+@pytest.mark.parametrize("mask", range(16))
+def test_iso_f16m4_of_one_coefficient_sums_the_picked_w_powers(mask):
+    picked = RingMatrix.zeros(F2, 4)
+    for k in range(4):
+        if mask >> k & 1:
+            picked = picked + F16_W_IMAGE ** k
+    for slot in range(4):
+        coeffs = [F16_ALT.zero] * 4
+        coeffs[slot] = F16_ALT.element(mask)
+        image = iso_f16_to_m4(CyclicElement(F16_ALT, coeffs))
+        assert image == F16_E_IMAGE ** slot * picked
 
 
 def test_iso_f16m4_is_injective_on_a_sample():

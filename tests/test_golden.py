@@ -62,6 +62,30 @@ def test_gaussian_conj_and_abs_sq(x, y):
     assert x.abs_sq() >= 0
 
 
+# 0 and +-1 are the parts that str() writes specially ("2i", "-i", "1+i").
+parts = st.sampled_from([0, 1, -1]) | ints
+
+
+@given(x=st.builds(GaussianInt, parts, parts))
+def test_gaussian_parse_round_trip(x):
+    assert GaussianInt.parse(str(x)) == x
+
+
+@pytest.mark.parametrize(
+    "text,re_im",
+    [("2i", (0, 2)), ("-3i", (0, -3)), ("1+12i", (1, 12)), ("i", (0, 1)),
+     ("-i", (0, -1)), ("5", (5, 0))],
+)
+def test_gaussian_parse(text, re_im):
+    assert GaussianInt.parse(text) == GaussianInt(*re_im)
+
+
+@pytest.mark.parametrize("text", ["", "1+", "i2"])
+def test_gaussian_parse_rejects(text):
+    with pytest.raises(ValueError):
+        GaussianInt.parse(text)
+
+
 @given(x=goldens, y=goldens, z=goldens)
 def test_golden_ring_axioms(x, y, z):
     assert (x * y) * z == x * (y * z)

@@ -112,6 +112,14 @@ def test_bachoc_weight_values():
     assert hamming_weight(word) == 2
 
 
+@pytest.mark.parametrize(
+    "symbol", [F2.one, RingMatrix.identity(F2, 3)], ids=["f2-element", "3x3"]
+)
+def test_bachoc_weight_rejects_other_symbols(symbol):
+    with pytest.raises(ValueError, match="2x2 matrices over f2"):
+        bachoc_weight(symbol)
+
+
 def test_lee_weight_values():
     one = F4I.one
     i_elt = F4I.parse("i")

@@ -122,7 +122,7 @@ VERIFY_ALL_PLAIN = """\
 counts: pass  [matrix spaces up to 2^16 elements; f4i]
   M2(f2i): 96 invertible of 256
   f4i non-units: (1+i)w, (1+i)w+1+i, 0, 1+i
-regular_rep: pass  [all 256^2 (n=2/f4) and 512^2 (n=3/f8) products]
+regular_rep: pass  [all 16^2 (n=2/f4) and 512^2 (n=3/f8) products]
 iso_f8m3: pass  [512 images; 512x512 additivity and multiplicativity]
   generator relation e^3 = 1 and twist verified implicitly
 iso_f16m4: pass  [4x4 generator relations; 2^16 images]
@@ -136,7 +136,7 @@ iso_m2f2i_f4ij: pass  [256 images; 65536 pair products]
 f_basis: pass  [65536 round trips; 4096 singular checks]
   (I + E)^4 = 0: the f generator is nilpotent of index <= 4
   all 4096 elements with y0 = 0 map to singular matrices
-norm_f4i: pass  [256 norms; 65536 products]
+norm_f4i: pass  [16 norms; 256 products]
   range is {0, 1, i}; 1+i is not a norm
 isometry_weights: pass  [16 phi pairs; 256 psi pairs; lee table]
   96 of 256 psi images invertible (one-unit pairs)
