@@ -30,17 +30,36 @@ single-parity codes over arbitrary alphabets, extended Reed-Solomon codes of
 length 16 over the genuine field F16 (distance certified by parity-check
 column independence, not assumed), and the two-symbol inner parity code over
 F4[i] whose 64 members satisfy x + y in (1+i)F4[i].
+
+Enumeration works on packed words.  A symbol packs into ``alphabet.dim``
+bits (its F2-dimension: ``ring.dim``, or ``n*n*ring.dim`` for M_n(ring)) as
+its index in the alphabet's enumeration order, and symbol j of a word sits at
+bits ``dim*j``; every alphabet here has characteristic 2, so adding words is
+XOR of their packings.  Each call first tabulates ``scaled[i][a]``, the
+packed word ``a * row_i``, with the public ring or matrix product; a codeword
+is then the XOR of one entry per row, visited in ``itertools.product``
+message order.  :func:`min_distance` scores a packed word by table lookups,
+one per block: one symbol for Hamming and Bachoc weights, a pair for Lee,
+and the map's block for a :class:`MappedCode` (one symbol for the lift, a
+pair for the pushforward).  Each table is filled by running the public map
+and weight functions once per block value, so the weights keep a single
+definition.  ``codewords()`` unpacks the same words into symbol tuples.
+:meth:`LinearCode.encode` keeps the object route, one multiply-add per
+symbol, so that tests can check the packed route against it.  Tables live
+only inside one call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cyclic import multiplication_matrix, pair_to_matrix
-from .matrices import RingMatrix
+from .matrices import ENUMERATION_LIMIT, RingMatrix
 from .rings import F2, F4, F4I, F16, QuotientRing, RingElement, get_ring, quadratic_norm
 
 # Message spaces larger than this are refused by the exhaustive searches.
@@ -56,6 +75,7 @@ class MatrixSpace:
         self.name = f"m{n}{ring.name}"
         self.zero = RingMatrix.zeros(ring, n)
         self.one = RingMatrix.identity(ring, n)
+        self.dim = n * n * ring.dim
         self.size = ring.size ** (n * n)
 
     def __iter__(self) -> Iterator[RingMatrix]:
@@ -104,13 +124,10 @@ class LinearCode:
 
     def codewords(self) -> Iterator[tuple[Symbol, ...]]:
         """All encodings of all messages (may repeat words over non-fields)."""
-        if self.message_space_size > MESSAGE_SPACE_LIMIT:
-            raise ValueError(
-                f"message space of {self.name or 'code'} has "
-                f"{self.message_space_size} elements, over the limit"
-            )
-        for message in itertools.product(self.alphabet, repeat=self.k):
-            yield self.encode(message)
+        return _codewords(self)
+
+    def _symbol_images(self) -> tuple[LinearCode, int, list[Symbol]]:
+        return self, self.alphabet.dim, list(self.alphabet)
 
     def contains(self, word: Sequence[Symbol]) -> bool:
         word = tuple(word)
@@ -133,21 +150,35 @@ class LinearCode:
 
 @dataclass(frozen=True)
 class MappedCode:
-    """A code pushed through a per-word symbol map into a matrix alphabet."""
+    """A code whose blocks of ``block`` consecutive symbols each map to one
+    symbol of a matrix alphabet.  ``symbol_map`` takes the ``block`` symbols
+    as arguments and sends only the zero block to zero."""
 
     base: LinearCode
     alphabet: Alphabet
-    L: int
-    word_map: Callable[[tuple[Symbol, ...]], tuple[Symbol, ...]]
+    block: int
+    symbol_map: Callable[..., Symbol]
     name: str = ""
+
+    @property
+    def L(self) -> int:
+        return self.base.L // self.block
 
     @property
     def message_space_size(self) -> int:
         return self.base.message_space_size
 
     def codewords(self) -> Iterator[tuple[Symbol, ...]]:
-        for cw in self.base.codewords():
-            yield self.word_map(cw)
+        return _codewords(self)
+
+    def _symbol_images(self) -> tuple[LinearCode, int, list[Symbol]]:
+        """(base code, bits per block, the image of every packed block)."""
+        base, width, symbols = self.base._symbol_images()
+        images = [
+            self.symbol_map(*_unpack(v, width, self.block, symbols))
+            for v in range(1 << (width * self.block))
+        ]
+        return base, width * self.block, images
 
     def __repr__(self) -> str:
         return f"<{self.name or 'mapped code'}: length {self.L} over {self.alphabet.name}>"
@@ -164,16 +195,11 @@ def _pair_target(code: LinearCode) -> MatrixSpace:
 
 def lift_code(code: LinearCode) -> MappedCode:
     """Componentwise x -> M_x (multiplication matrix); length preserved."""
-    target = _pair_target(code)
-
-    def word_map(cw: tuple[Symbol, ...]) -> tuple[Symbol, ...]:
-        return tuple(multiplication_matrix(x) for x in cw)
-
     return MappedCode(
         base=code,
-        alphabet=target,
-        L=code.L,
-        word_map=word_map,
+        alphabet=_pair_target(code),
+        block=1,
+        symbol_map=multiplication_matrix,
         name=f"lift({code.name})" if code.name else "lifted code",
     )
 
@@ -183,19 +209,74 @@ def pushforward_pairs(code: LinearCode) -> MappedCode:
     target = _pair_target(code)
     if code.L % 2:
         raise ValueError("pair pushforward needs even length")
-
-    def word_map(cw: tuple[Symbol, ...]) -> tuple[Symbol, ...]:
-        return tuple(
-            pair_to_matrix(cw[2 * j], cw[2 * j + 1]) for j in range(len(cw) // 2)
-        )
-
     return MappedCode(
         base=code,
         alphabet=target,
-        L=code.L // 2,
-        word_map=word_map,
+        block=2,
+        symbol_map=pair_to_matrix,
         name=f"pairs({code.name})" if code.name else "pair pushforward",
     )
+
+
+# ----------------------------------------------------------------------
+# packed enumeration
+
+def _pack(x: Symbol) -> int:
+    """The index of x in its alphabet's enumeration order: a ring element's
+    mask, or a matrix's entry masks read as big-endian digits."""
+    if isinstance(x, RingElement):
+        return x.mask
+    packed = 0
+    for e in x.entries:
+        packed = (packed << e.ring.dim) | e.mask
+    return packed
+
+
+def _unpack(word: int, width: int, count: int, table: Sequence) -> list:
+    """The table entries of the first ``count`` width-bit fields of word,
+    lowest first.  A shift copies the whole int, so a long word is halved
+    first; peeling its fields one by one would be quadratic in its length."""
+    if count > 64:
+        half = count // 2
+        low = word & ((1 << half * width) - 1)
+        high = word >> half * width
+        return _unpack(low, width, half, table) + _unpack(high, width, count - half, table)
+    mask = (1 << width) - 1
+    return [table[(word >> s) & mask] for s in range(0, width * count, width)]
+
+
+def _scaled_rows(code: LinearCode) -> list[list[int]]:
+    """scaled[i][a]: the packed word a * row_i, for every alphabet symbol a,
+    read from a binary string so that packing stays linear in the length."""
+    fmt = f"0{code.alphabet.dim}b"
+    symbols = list(code.alphabet)
+    return [
+        [
+            int("0" + "".join(format(_pack(a * g), fmt) for g in reversed(row)), 2)
+            for a in symbols
+        ]
+        for row in code.rows
+    ]
+
+
+def _packed_words(scaled: list[list[int]]) -> Iterator[int]:
+    """Every codeword, one entry of each row table XORed, in message order."""
+    *head, last = scaled or [[0]]  # k = 0: the empty message, the zero word
+    for parts in itertools.product(*head):
+        prefix = functools.reduce(operator.xor, parts, 0)
+        for s in last:
+            yield prefix ^ s
+
+
+def _codewords(code: LinearCode | MappedCode) -> Iterator[tuple[Symbol, ...]]:
+    base, width, images = code._symbol_images()
+    if base.message_space_size > MESSAGE_SPACE_LIMIT:
+        raise ValueError(
+            f"message space of {base.name or 'code'} has "
+            f"{base.message_space_size} elements, over the limit"
+        )
+    for word in _packed_words(_scaled_rows(base)):
+        yield tuple(_unpack(word, width, code.L, images))
 
 
 # ----------------------------------------------------------------------
@@ -260,16 +341,24 @@ def min_distance(code: LinearCode | MappedCode, kind: WeightKind = WeightKind.HA
     """Minimum weight over nonzero codewords (= distance, by linearity)."""
     if code.message_space_size > MESSAGE_SPACE_LIMIT:
         raise ValueError("message space too large for exhaustive distance search")
-    best: int | None = None
-    for cw in code.codewords():
-        if all(x.is_zero for x in cw):
-            continue
-        w = word_weight(cw, kind)
-        if best is None or w < best:
-            best = w
-    if best is None:
+    base, width, images = code._symbol_images()
+    scaled = _scaled_rows(base)
+    if not any(map(any, scaled)):
         raise ValueError("code has no nonzero codeword")
-    return best
+    # Weights are undefined by alphabet or length, never by value: the zero
+    # word raises the weight's own error wherever kind does not apply.
+    word_weight((code.alphabet.zero,) * code.L, kind)
+    group = 2 if kind is WeightKind.LEE else 1
+    table = [
+        word_weight(_unpack(v, width, group, images), kind)
+        for v in range(1 << (width * group))
+    ]
+    blocks = code.L // group
+    return min(
+        sum(_unpack(word, width * group, blocks, table))
+        for word in _packed_words(scaled)
+        if word
+    )
 
 
 # ----------------------------------------------------------------------
@@ -279,9 +368,19 @@ def _rows(ring: QuotientRing, entries: Sequence[Sequence[str]]) -> tuple[tuple[R
     return tuple(tuple(ring.parse(e) for e in row) for row in entries)
 
 
+def _check_generator_size(kind: str, L: int, k: int) -> None:
+    """Refuse a k x L generator over the enumeration limit before building it."""
+    if k * L > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"a {kind} code of length {L} has {k * L} generator entries, "
+            f"over the enumeration limit {ENUMERATION_LIMIT}"
+        )
+
+
 def repetition_code(L: int, alphabet: Alphabet) -> LinearCode:
     if L < 1:
         raise ValueError(f"a repetition code needs length L >= 1, got {L}")
+    _check_generator_size("repetition", L, 1)
     return LinearCode(
         alphabet=alphabet,
         L=L,
@@ -295,6 +394,7 @@ def parity_check_code(L: int, alphabet: Alphabet) -> LinearCode:
     """[L, L-1, 2]: codewords (x_1, ..., x_{L-1}, x_1 + ... + x_{L-1})."""
     if L < 2:
         raise ValueError(f"a parity-check code needs length L >= 2, got {L}")
+    _check_generator_size("parity-check", L, L - 1)
     rows = []
     for r in range(L - 1):
         row = [alphabet.zero] * L

@@ -172,6 +172,26 @@ def test_mindist_length_zero_is_refused(capsys, code, least):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mindist", "--code", "parity", "--ring", "f2", "--L", "100000"),
+        ("encode", "--code", "parity", "--ring", "f2", "--L", "100000", "--msg", "1"),
+    ],
+    ids=["mindist", "encode"],
+)
+def test_long_parity_code_is_refused(capsys, argv):
+    """A parity code too long to enumerate is refused before its generator
+    is built: one error line, no traceback."""
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "error: a parity-check code of length 100000 has 9999900000 generator "
+        "entries, over the enumeration limit 1048576\n"
+    )
+
+
 def test_encode_wrong_length(capsys):
     rc, _, err = run(capsys, "encode", "--code", "dualrep", "--msg", "1,w")
     assert rc == 2

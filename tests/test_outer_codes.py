@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import random
+import re
+
 import pytest
 
-from cosetcodes.cyclic import pair_to_matrix
+from cosetcodes.cyclic import multiplication_matrix, pair_to_matrix
 from cosetcodes.matrices import RingMatrix
 from cosetcodes.outer_codes import (
+    LinearCode,
     MatrixSpace,
     WeightKind,
     bachoc_weight,
@@ -26,8 +32,9 @@ from cosetcodes.outer_codes import (
     reed_solomon_code,
     repetition_code,
     rs_distance_certificate,
+    word_weight,
 )
-from cosetcodes.rings import F2, F4, F4I, F16
+from cosetcodes.rings import F2, F2I, F4, F4I, F16, RING_BY_NAME
 
 
 def test_repetition_and_parity_basics():
@@ -200,3 +207,103 @@ def test_weight_kind_names():
     assert WeightKind("hamming") is WeightKind.HAMMING
     assert WeightKind("bachoc") is WeightKind.BACHOC
     assert WeightKind("lee") is WeightKind.LEE
+
+
+# ----------------------------------------------------------------------
+# the packed enumeration against the object route (encode, word by word)
+
+
+def _permute_pairs(code, seed):
+    """The code with its coordinate pairs permuted as blocks."""
+    blocks = list(range(code.L // 2))
+    random.Random(seed).shuffle(blocks)
+    order = [2 * b + k for b in blocks for k in (0, 1)]
+
+    def permute(rows):
+        return tuple(tuple(row[j] for j in order) for row in rows)
+
+    return dataclasses.replace(
+        code, rows=permute(code.rows), parity_rows=permute(code.parity_rows)
+    )
+
+
+def _small_codes():
+    """Named codes with at most 2^16 messages (lengths kept small enough for
+    the object route), a pair-permuted copy, two long repetition codes and
+    three codes with no nonzero word, one of them with no generator row."""
+    codes = [dual_repetition_code(), hexacode(), inner_parity_pair_code()]
+    codes += [reed_solomon_code(k) for k in (1, 2, 3)]
+    for alphabet in [*RING_BY_NAME.values(), MatrixSpace(F2, 2), MatrixSpace(F2I, 2)]:
+        codes.append(repetition_code(3, alphabet))
+        codes.append(parity_check_code(3 if alphabet.size <= 16 else 2, alphabet))
+    codes.append(_permute_pairs(parity_check_code(4, F4I), seed=11))
+    # over 64 symbols (or 64 pairs), where unpacking halves the word first
+    codes += [repetition_code(131, F16), repetition_code(130, F4I)]
+    for ring, L in ((F4I, 3), (F4, 2)):
+        codes.append(LinearCode(ring, L, 1, ((ring.zero,) * L,), name=f"zero[{L}]"))
+    codes.append(LinearCode(F4, 2, 0, (), name="empty[2]"))
+    return codes
+
+
+SMALL_CODES = _small_codes()
+CODE_IDS = [f"{c.name}-{c.alphabet.name}" for c in SMALL_CODES]
+
+
+def _object_words(code):
+    return [code.encode(m) for m in itertools.product(code.alphabet, repeat=code.k)]
+
+
+def _lift_words(words):
+    return [tuple(multiplication_matrix(x) for x in w) for w in words]
+
+
+def _pair_words(words):
+    return [
+        tuple(pair_to_matrix(w[j], w[j + 1]) for j in range(0, len(w), 2))
+        for w in words
+    ]
+
+
+def _brute_min_distance(words, kind):
+    weights = [
+        word_weight(w, kind) for w in words if not all(x.is_zero for x in w)
+    ]
+    if not weights:
+        raise ValueError("code has no nonzero codeword")
+    return min(weights)
+
+
+@pytest.mark.parametrize("code", SMALL_CODES, ids=CODE_IDS)
+def test_packed_route_matches_object_route(code):
+    """codewords() equals encode over itertools.product, for the code and
+    for each transform it admits, and min_distance equals the brute minimum
+    of the weight over those words for every weight kind; where the brute
+    minimum raises, min_distance raises the same type with the same
+    message."""
+    words = _object_words(code)
+    assert list(code.codewords()) == words
+    variants = [(code, words)]
+    if code.alphabet in (F4, F4I):
+        variants.append((lift_code(code), _lift_words(words)))
+        if code.L % 2 == 0:
+            variants.append((pushforward_pairs(code), _pair_words(words)))
+    for variant, mapped in variants:
+        assert list(variant.codewords()) == mapped
+        for kind in WeightKind:
+            try:
+                want = _brute_min_distance(mapped, kind)
+            except ValueError as exc:
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    min_distance(variant, kind)
+            else:
+                assert min_distance(variant, kind) == want, (variant, kind)
+
+
+def test_generator_size_is_refused_before_building():
+    """k*L generator entries over the enumeration limit (2^20) are refused
+    before any row is allocated."""
+    with pytest.raises(ValueError, match="1049600 generator entries"):
+        parity_check_code(1025, F2)
+    assert parity_check_code(1024, F2).k == 1023
+    with pytest.raises(ValueError, match="over the enumeration limit"):
+        repetition_code(2**20 + 1, F2)

@@ -165,7 +165,9 @@ delta_min_rep2: pass  [4096 mod-(1+i) tuples and 256 mod-(2) tuples over the box
 
 
 @pytest.mark.parametrize(
-    "fmt,expected", [((), VERIFY_ALL_TSV), (("--format", "plain"), VERIFY_ALL_PLAIN)]
+    "fmt,expected",
+    [((), VERIFY_ALL_TSV), (("--format", "plain"), VERIFY_ALL_PLAIN)],
+    ids=["tsv", "plain"],
 )
 def test_verify_all_stdout_is_pinned(claim_result, monkeypatch, capsys, fmt, expected):
     """Every space, witness, detail line and the claim order (definition
