@@ -196,11 +196,9 @@ def bachoc_bound(delta, d_b: int) -> Fraction:
 
 
 def hamming_bound_m2f2i(delta, d: int) -> Fraction:
-    """min(16, d^2) * delta for the ideal-(2) coset construction."""
-    delta = _check_positive_delta(delta)
-    if d < 1:
-        raise ValueError("distance must be >= 1")
-    return min(16 * delta, Fraction(d * d) * delta)
+    """min(16, d^2) * delta for the ideal-(2) coset construction: the
+    Hamming bound with |2|^2 = 4 over n = 2."""
+    return hamming_bound(2, 4, delta, d)
 
 
 def multilevel_min_m4(

@@ -110,40 +110,40 @@ def _cmd_weights(args) -> int:
     return 0
 
 
+# --which name -> (bound function, its CLI parameters in call order)
+_BOUNDS = {
+    "hamming": (bounds.hamming_bound, ("n", "a_norm_sq", "delta", "d")),
+    "bachoc": (bounds.bachoc_bound, ("delta", "d")),
+    "hamming_m2f2i": (bounds.hamming_bound_m2f2i, ("delta", "d")),
+    "multilevel_m4": (bounds.multilevel_bound_m4, ("ds", "delta", "duplicate_d3")),
+    "multilevel_m2f2i": (bounds.multilevel_min_m2f2i, ("ds",)),
+    "redundancy": (bounds.normalized_redundancy, ("bits", "L", "n")),
+    "rate_m2f2i": (bounds.rate_m2f2i, ("L", "k")),
+    "rate_m4": (bounds.multilevel_rate_m4, ("ks", "L")),
+    "gv": (bounds.gv_bound, ("q", "L", "d")),
+}
+
+
 def _cmd_bounds(args) -> int:
-    which = args.which
-    if which == "hamming":
-        value = bounds.hamming_bound(args.n, _parse_fraction(args.a_norm_sq), _parse_fraction(args.delta), args.d)
-        inputs = (("n", str(args.n)), ("a_norm_sq", args.a_norm_sq), ("delta", args.delta), ("d", str(args.d)))
-    elif which == "bachoc":
-        value = bounds.bachoc_bound(_parse_fraction(args.delta), args.d)
-        inputs = (("delta", args.delta), ("d", str(args.d)))
-    elif which == "hamming_m2f2i":
-        value = bounds.hamming_bound_m2f2i(_parse_fraction(args.delta), args.d)
-        inputs = (("delta", args.delta), ("d", str(args.d)))
-    elif which == "multilevel_m4":
-        ds = _parse_int_list(args.ds, 4)
-        value = bounds.multilevel_bound_m4(*ds, _parse_fraction(args.delta), args.duplicate_d3)
-        inputs = (("ds", args.ds), ("delta", args.delta), ("duplicate_d3", str(args.duplicate_d3).lower()))
-    elif which == "multilevel_m2f2i":
-        ds = _parse_int_list(args.ds, 2)
-        value = bounds.multilevel_min_m2f2i(*ds)
-        inputs = (("ds", args.ds),)
-    elif which == "redundancy":
-        value = bounds.normalized_redundancy(args.bits, args.L, args.n)
-        inputs = (("bits", str(args.bits)), ("L", str(args.L)), ("n", str(args.n)))
-    elif which == "rate_m2f2i":
-        value = bounds.rate_m2f2i(args.L, args.k)
-        inputs = (("L", str(args.L)), ("k", str(args.k)))
-    elif which == "rate_m4":
-        ks = _parse_int_list(args.ks, 4)
-        value = bounds.multilevel_rate_m4(ks, args.L)
-        inputs = (("ks", args.ks), ("L", str(args.L)))
-    else:  # gv
-        value = bounds.gv_bound(args.q, args.L, args.d)
-        inputs = (("q", str(args.q)), ("L", str(args.L)), ("d", str(args.d)))
+    function, params = _BOUNDS[args.which]
+    given = [getattr(args, name) for name in params]
+    values = []
+    for name, v in zip(params, given):
+        if name in ("a_norm_sq", "delta"):
+            values.append(_parse_fraction(v))
+        elif name == "ds":  # one positional distance per level
+            values += _parse_int_list(v, 2 if args.which == "multilevel_m2f2i" else 4)
+        elif name == "ks":
+            values.append(_parse_int_list(v, 4))
+        else:
+            values.append(v)
+    value = function(*values)
     if args.verbose:
-        print(bounds.BoundReport(which, inputs, value).format(args.float))
+        inputs = tuple(
+            (name, str(v).lower() if isinstance(v, bool) else str(v))
+            for name, v in zip(params, given)
+        )
+        print(bounds.BoundReport(args.which, inputs, value).format(args.float))
     else:
         _print_value(value, args.float)
     return 0
@@ -280,14 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_weights)
 
     p = sub.add_parser("bounds", help="evaluate one determinant/rate bound exactly")
-    p.add_argument(
-        "--which",
-        required=True,
-        choices=[
-            "hamming", "bachoc", "hamming_m2f2i", "multilevel_m4",
-            "multilevel_m2f2i", "redundancy", "rate_m2f2i", "rate_m4", "gv",
-        ],
-    )
+    p.add_argument("--which", required=True, choices=list(_BOUNDS))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--a-norm-sq", dest="a_norm_sq", default="2")
     p.add_argument("--delta", default="1/5")

@@ -17,7 +17,7 @@ with exact integer arithmetic; |det(X)|^2 is always |z|^2 / 5 for the
 Gaussian integer z = N_ab - i*N_cd.  The box scans therefore never visit the
 (2B+1)^8 codewords: they search for close pairs among the norms of the
 (2B+1)^4 half-codewords (a, b) and (c, d), in one process, with the same
-lexicographic-first witness a full loop would report.  The brute loops live
+lexicographic-first witness a full loop would report.  The brute loop lives
 on in the verify module as the independent oracle.
 
 Cosets come from reducing the coordinates modulo the ideals (1+i) and (2) of
@@ -29,13 +29,20 @@ matrices whose invertibility class dictates an exact floor on |det|^2:
     ideal (2):    classify u = N(x0bar) + i*N(x1bar) in F2[i];
                   u = 0 -> 4/5,  u nonzero non-unit -> 2/5,  u unit -> 1/5
 
+Each coset has one residue key, x0bar.mask | x1bar.mask << ring.dim for its
+pair over F4 or F4[i].  It is also the word of coordinate parities: mod (1+i)
+bit k is the parity of re + im of the k-th of (a, b, c, d), mod 2 bit k is
+the parity of the k-th of the eight integer coordinates.  The floor tables
+are indexed by it, and the verify oracle keys every codeword of its box by it.
+
 The i-twist in u is forced by the algebra: the codeword algebra has e^2 = i
 while the 2x2 pair model uses j^2 = 1, and reducing the determinant identity
 mod 2 gives det(X) = i*N(x0bar) + N(x1bar) up to units — NOT the pair-model
 determinant N(x0bar) + N(x1bar).  Grouping the norm pairs by u is exactly
 what makes the floors true; grouping by bare norm equality does not (the
 codeword (1,0,1,0) has norm pair (1,1) and |det|^2 = 2/5).  The verify
-module checks both groupings exhaustively and reports the difference.
+module checks the u grouping exhaustively over a box and reports that
+counterexample to the other.
 """
 
 from __future__ import annotations
@@ -385,6 +392,16 @@ def mod2_norm_pair(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
     return quadratic_norm(x0), quadratic_norm(x1)
 
 
+def _mod2_pair_class(x0: RingElement, x1: RingElement) -> ProjectionClass:
+    """Unit class of u = N(x0) + i*N(x1) for a pair over F4[i]."""
+    u = quadratic_norm(x0) + F2I.gen_i * quadratic_norm(x1)
+    if u.is_zero:
+        return ProjectionClass.ZERO
+    if u.is_unit:
+        return ProjectionClass.UNIT
+    return ProjectionClass.NON_UNIT
+
+
 def mod2_det_class(cw: GoldenCodeword) -> ProjectionClass:
     """Unit class of u = N(x0bar) + i*N(x1bar), i.e. of det(X) mod 2.
 
@@ -392,13 +409,7 @@ def mod2_det_class(cw: GoldenCodeword) -> ProjectionClass:
     the ideal-(2) case are exact (see the module docstring for why the bare
     norm-equality grouping is not determinant-compatible).
     """
-    n0, n1 = mod2_norm_pair(cw)
-    u = n0 + F2I.gen_i * n1
-    if u.is_zero:
-        return ProjectionClass.ZERO
-    if u.is_unit:
-        return ProjectionClass.UNIT
-    return ProjectionClass.NON_UNIT
+    return _mod2_pair_class(*project_pair_mod_2(cw))
 
 
 # Floors on m = 5*|det|^2 keyed by class, for both ideals.
@@ -426,48 +437,21 @@ def _key_mod_2(coords: Sequence[int]) -> int:
     return key
 
 
-def _codeword_from_key_1pi(key: int) -> GoldenCodeword:
-    return GoldenCodeword.from_ints(
-        [key & 1, 0, (key >> 1) & 1, 0, (key >> 2) & 1, 0, (key >> 3) & 1, 0]
-    )
-
-
-def _codeword_from_key_2(key: int) -> GoldenCodeword:
-    return GoldenCodeword.from_ints([(key >> pos) & 1 for pos in range(8)])
-
+# The floor tables list the pairs in residue-key order: x1 outer, x0 inner.
 
 def floor_table_mod_1pi() -> list[int]:
     """floor on m = 5*|det|^2, indexed by the 4-bit mod-(1+i) residue key."""
-    table = []
-    for key in range(16):
-        cls = classify_projection(project_mod_1pi(_codeword_from_key_1pi(key)))
-        table.append(FLOOR_BY_CLASS[cls])
-    return table
+    return [
+        FLOOR_BY_CLASS[classify_projection(pair_to_matrix(x0, x1))]
+        for x1 in F4
+        for x0 in F4
+    ]
 
 
 def floor_table_mod_2() -> list[int]:
     """floor on m, indexed by the 8-bit coordinate-parity key, via the
     determinant-compatible norm classification."""
-    table = []
-    for key in range(256):
-        cls = mod2_det_class(_codeword_from_key_2(key))
-        table.append(FLOOR_BY_CLASS[cls])
-    return table
-
-
-def equal_norms_floor_table_mod_2() -> list[int]:
-    """The naive grouping (equal norms -> 4, distinct nonzero -> 2, one zero
-    -> 1).  Kept only so the oracle can exhibit its counterexample."""
-    table = []
-    for key in range(256):
-        n0, n1 = mod2_norm_pair(_codeword_from_key_2(key))
-        if n0 == n1:
-            table.append(4)
-        elif (not n0.is_zero) and (not n1.is_zero):
-            table.append(2)
-        else:
-            table.append(1)
-    return table
+    return [FLOOR_BY_CLASS[_mod2_pair_class(x0, x1)] for x1 in F4I for x0 in F4I]
 
 
 # ----------------------------------------------------------------------
@@ -555,14 +539,10 @@ def _offset_shells() -> Iterator[tuple[int, list[tuple[int, int]]]]:
 
 
 def _coset_key(coset: RingMatrix, ideal: str) -> int:
-    """The residue key (as ``_key_mod_1pi`` / ``_key_mod_2``) shared by the
-    codewords that project onto ``coset``."""
-    ring, width = (F4, 1) if ideal == "1pi" else (F4I, 2)
-    parts = [p for x in matrix_to_pair(coset, ring) for p in ring.w_components(x)]
-    key = 0
-    for pos, part in enumerate(parts):
-        key |= part.mask << (width * pos)
-    return key
+    """The residue key of the codewords that project onto ``coset``."""
+    ring = F4 if ideal == "1pi" else F4I
+    x0, x1 = matrix_to_pair(coset, ring)
+    return x0.mask | x1.mask << ring.dim
 
 
 def min_abs_det_sq(

@@ -246,17 +246,24 @@ def _unpack(word: int, width: int, count: int, table: Sequence) -> list:
 
 
 def _scaled_rows(code: LinearCode) -> list[list[int]]:
-    """scaled[i][a]: the packed word a * row_i, for every alphabet symbol a,
-    read from a binary string so that packing stays linear in the length."""
-    fmt = f"0{code.alphabet.dim}b"
+    """scaled[i][a]: the packed word a * row_i, for every alphabet symbol a.
+
+    Packing is F2-linear and a -> a * g is additive, so each table is the
+    XOR span of the products by the ``dim`` one-bit symbols, built in index
+    order.  A product is read from a binary string so that packing stays
+    linear in the length."""
+    dim = code.alphabet.dim
+    fmt = f"0{dim}b"
     symbols = list(code.alphabet)
-    return [
-        [
-            int("0" + "".join(format(_pack(a * g), fmt) for g in reversed(row)), 2)
-            for a in symbols
-        ]
-        for row in code.rows
-    ]
+    scaled = []
+    for row in code.rows:
+        table = [0]
+        for bit in range(dim):
+            a = symbols[1 << bit]
+            v = int("0" + "".join(format(_pack(a * g), fmt) for g in reversed(row)), 2)
+            table += [t ^ v for t in table]
+        scaled.append(table)
+    return scaled
 
 
 def _packed_words(scaled: list[list[int]]) -> Iterator[int]:
@@ -484,13 +491,8 @@ def rs_distance_certificate(code: LinearCode) -> int:
     r = code.L - code.k
     if r == 0:
         return 1
-    for g in code.rows:
-        for h in code.parity_rows:
-            acc = code.alphabet.zero
-            for x, y in zip(g, h):
-                acc = acc + x * y
-            if not acc.is_zero:
-                raise ArithmeticError(f"{code.name}: stored parity rows do not check G")
+    if not all(code.check_parity(g) for g in code.rows):
+        raise ArithmeticError(f"{code.name}: stored parity rows do not check G")
     cols = [tuple(code.parity_rows[m][j] for m in range(r)) for j in range(code.L)]
     for subset in itertools.combinations(range(code.L), r):
         minor = RingMatrix(

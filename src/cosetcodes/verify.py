@@ -22,7 +22,10 @@ as ``FAILURE:`` lines.  A scan that stops at its first counterexample is a
 generator of failure messages handed to :func:`_first_failure`.
 
 The Golden box claims check the library's norm-factorized searches against
-brute loops over all 390,624 nonzero codewords of the +/-2 coordinate box;
+one brute pass, :func:`brute_box_scan`, over all 390,624 nonzero codewords of
+the +/-2 coordinate box.  The pass keys each codeword by its residue key,
+computed from all eight coordinates and not from the library's half keys,
+and returns the floor check, the class sizes and every coset's minimum;
 any disagreement in value, witness, violations or class sizes fails the claim.
 """
 
@@ -197,50 +200,43 @@ def _sigma_tables(ring, n: int) -> list[list[int]]:
 
 
 # ----------------------------------------------------------------------
-# brute-force Golden box scans (oracle-local: the library searches over
-# half-codeword norms, these loops visit every codeword of the box)
+# brute-force Golden box scan (oracle-local: the library searches over
+# half-codeword norms, this loop visits every codeword of the box)
 
-def brute_min_det_sq(
-    box: int, keyfn: Callable[[Sequence[int]], int] | None = None, key: int = 0
-) -> tuple[int, tuple[int, ...]]:
-    """(m, coords) for the lexicographic-first nonzero codeword of the box
-    that minimizes m = 5*|det|^2; with ``keyfn``, only codewords whose
-    residue key is ``key`` count."""
-    best_m: int | None = None
-    best: tuple[int, ...] | None = None
-    for coords in itertools.product(range(-box, box + 1), repeat=8):
-        if keyfn is not None and keyfn(coords) != key:
-            continue
-        if not any(coords):
-            continue
-        m = det_sq_times5(coords)
-        if best_m is None or m < best_m:
-            best_m, best = m, coords
-    if best_m is None:
-        raise ValueError("no nonzero codeword matches the requested coset in the box")
-    return best_m, best
+_Minimizer = tuple[int, tuple[int, ...]]
 
 
-def brute_det_floors(ideal: str, box: int) -> tuple[int, list[tuple[int, ...]], list[int]]:
-    """(nonzero codewords checked, the first five floor violations in
-    lexicographic order, class sizes for floors 4/2/1) over the box."""
+def brute_box_scan(
+    ideal: str, box: int
+) -> tuple[int, list[tuple[int, ...]], list[int], list[_Minimizer | None]]:
+    """One loop over the nonzero codewords of the box for ideal "1pi" or "2".
+
+    Returns what ``scan_det_floors`` returns (codewords checked, the first
+    five floor violations in lexicographic order, class sizes for floors
+    4/2/1), then per residue key the lexicographic-first (m, coords) that
+    minimizes m = 5*|det|^2 in that coset, or None for a coset with no
+    nonzero codeword in the box."""
     if ideal == "1pi":
         table, keyfn = golden.floor_table_mod_1pi(), golden._key_mod_1pi
     else:
         table, keyfn = golden.floor_table_mod_2(), golden._key_mod_2
-    floor_index = {4: 0, 2: 1, 1: 2}
-    checked = 0
     violations: list[tuple[int, ...]] = []
-    counts = [0, 0, 0]
+    key_counts = [0] * len(table)
+    best: list[_Minimizer | None] = [None] * len(table)
     for coords in itertools.product(range(-box, box + 1), repeat=8):
         if not any(coords):
             continue
-        checked += 1
-        floor = table[keyfn(coords)]
-        counts[floor_index[floor]] += 1
-        if det_sq_times5(coords) < floor and len(violations) < 5:
+        key = keyfn(coords)
+        key_counts[key] += 1
+        m = det_sq_times5(coords)
+        if m < table[key] and len(violations) < 5:
             violations.append(coords)
-    return checked, violations, counts
+        if best[key] is None or m < best[key][0]:
+            best[key] = (m, coords)
+    counts = [0, 0, 0]
+    for floor, count in zip(table, key_counts):
+        counts[(4, 2, 1).index(floor)] += count
+    return sum(key_counts), violations, counts, best
 
 
 # ----------------------------------------------------------------------
@@ -822,7 +818,7 @@ def certify_golden_mindet(failures: list[str], details: list[str]) -> str:
         failures.append(f"min |det|^2 over box 2 is {value}, expected 1/5")
     if abs_det_sq(witness) != value:
         failures.append(f"witness {witness} does not attain the minimum")
-    m, coords = brute_min_det_sq(2)
+    m, coords = min(b for b in brute_box_scan("1pi", 2)[3] if b is not None)
     brute = (Fraction(m, 5), GoldenCodeword.from_ints(coords))
     if brute != (value, witness):
         failures.append(
@@ -838,7 +834,7 @@ def _floor_scan(ideal: str, failures: list[str], details: list[str]) -> None:
     scan = scan_det_floors(ideal, 2)
     checked, violations, counts = scan
     failures.extend(f"floor violated at {v}" for v in violations)
-    brute = brute_det_floors(ideal, 2)
+    brute = brute_box_scan(ideal, 2)[:3]
     if scan != brute:
         failures.append(f"factorized floor scan {scan} disagrees with the brute loop {brute}")
     details.append(
@@ -847,7 +843,7 @@ def _floor_scan(ideal: str, failures: list[str], details: list[str]) -> None:
     )
 
 
-# The brute loops visit all (2*2+1)^8 - 1 nonzero codewords of the box.
+# The brute pass visits all (2*2+1)^8 - 1 nonzero codewords of the box.
 _FLOOR_SPACE = "390624 nonzero codewords in the +/-2 box"
 
 # Determinant floors for the ideal (1+i) over the +/-2 box: projection
@@ -864,11 +860,12 @@ def certify_det_floors_2(failures: list[str], details: list[str]) -> None:
     that rules out the naive equal-norms grouping."""
     _floor_scan("2", failures, details)
 
-    # defect of the naive grouping, exhibited on a tiny codeword
-    naive = golden.equal_norms_floor_table_mod_2()
+    # defect of the naive grouping (equal norms -> 4, distinct nonzero -> 2,
+    # one zero -> 1), exhibited on a tiny codeword
     cw = (1, 0, 0, 0, 1, 0, 0, 0)  # (a,b,c,d) = (1,0,1,0); norm pair (1,1)
+    n0, n1 = golden.mod2_norm_pair(GoldenCodeword.from_ints(cw))
+    floor = 4 if n0 == n1 else 2 if not (n0.is_zero or n1.is_zero) else 1
     m = det_sq_times5(cw)
-    floor = naive[golden._key_mod_2(cw)]
     if m < floor:
         details.append(
             f"equal-norms grouping fails: codeword (1, 0, 1, 0) has "
@@ -933,16 +930,16 @@ DEFAULT_REPRESENTATIVES = (
 def brute_delta_min(
     code: LinearCode | MappedCode,
     ideal: str,
-    coord_set: Sequence[GaussianInt] = DEFAULT_REPRESENTATIVES,
     limit: int = 2_000_000,
 ) -> tuple[SqrtVal, tuple[GoldenCodeword, ...], bool]:
     """Exact minimum of det(sum X_i X_i^dagger) over nonzero tuples whose
     blockwise projections form a codeword of ``code``.
 
     ``code`` lives over 2x2 matrices (M2(F2) for ideal "1pi", M2(F2[i]) for
-    ideal "2"); inner coordinates range over ``coord_set`` per Gaussian
-    coordinate.  Returns (minimum, first witness tuple in enumeration order,
-    and whether the per-tuple superadditivity cross-check held everywhere).
+    ideal "2"); inner coordinates range over ``DEFAULT_REPRESENTATIVES`` per
+    Gaussian coordinate.  Returns (minimum, first witness tuple in
+    enumeration order, and whether the per-tuple superadditivity cross-check
+    held everywhere).
     """
     if ideal == "1pi":
         keyfn = golden._key_mod_1pi
@@ -952,8 +949,7 @@ def brute_delta_min(
         raise ValueError("ideal must be '1pi' or '2'")
 
     by_key: dict[int, list[GoldenCodeword]] = {}
-    coords = list(coord_set)
-    for tup in itertools.product(coords, repeat=4):
+    for tup in itertools.product(DEFAULT_REPRESENTATIVES, repeat=4):
         cw = GoldenCodeword(*tup)
         ints = []
         for g in tup:

@@ -116,9 +116,25 @@ def test_bounds_values(capsys, argv, expected):
 
 
 def test_bounds_verbose_line(capsys):
-    rc, out, _ = run(capsys, "bounds", "--which", "hamming", "--verbose")
-    assert rc == 0
-    assert out == "hamming\tn=2 a_norm_sq=2 delta=1/5 d=2\t4/5\n"
+    """The --verbose line of every bound: its name, its CLI parameters in
+    call order as given (booleans lower-cased), and its value."""
+    cases = [
+        ((), "hamming\tn=2 a_norm_sq=2 delta=1/5 d=2\t4/5"),
+        ((), "bachoc\tdelta=1/5 d=2\t2/5"),
+        ((), "hamming_m2f2i\tdelta=1/5 d=2\t4/5"),
+        (("--ds", "1,2,3,4", "--duplicate-d3"),
+         "multilevel_m4\tds=1,2,3,4 delta=1/5 duplicate_d3=true\t1/5"),
+        (("--ds", "2,3"), "multilevel_m2f2i\tds=2,3\t4"),
+        (("--bits", "8", "--L", "3"), "redundancy\tbits=8 L=3 n=2\t4/3"),
+        (("--L", "4", "--k", "2"), "rate_m2f2i\tL=4 k=2\t1/2"),
+        (("--ks", "1,2,3,4", "--L", "5"), "rate_m4\tks=1,2,3,4 L=5\t1/2"),
+        (("--L", "5", "--d", "3"), "gv\tq=4 L=5 d=3\t512/53"),
+    ]
+    for extra, line in cases:
+        which = line.split("\t")[0]
+        rc, out, _ = run(capsys, "bounds", "--which", which, "--verbose", *extra)
+        assert rc == 0
+        assert out == line + "\n"
 
 
 @pytest.mark.parametrize(

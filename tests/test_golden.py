@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from cosetcodes import golden
+from cosetcodes.cyclic import pair_to_matrix
 from cosetcodes.golden import (
     ALPHA,
     ALPHA_BAR,
@@ -24,12 +26,10 @@ from cosetcodes.golden import (
     floor_table_mod_2,
     golden_norm,
     golden_pair_mul,
-    equal_norms_floor_table_mod_2,
     min_abs_det_sq,
     mod2_det_class,
     mod2_norm_pair,
     project_mod_1pi,
-    project_mod_2,
     project_pair_mod_1pi,
     project_pair_mod_2,
     reduce_mod_1pi,
@@ -37,8 +37,8 @@ from cosetcodes.golden import (
     scan_det_floors,
 )
 from cosetcodes.matrices import RingMatrix
-from cosetcodes.rings import F2, F2I, F4
-from cosetcodes.verify import brute_det_floors, brute_min_det_sq
+from cosetcodes.rings import F2, F2I, F4, F4I
+from cosetcodes.verify import brute_box_scan
 
 ints = st.integers(min_value=-50, max_value=50)
 gaussians = st.builds(GaussianInt, ints, ints)
@@ -207,16 +207,15 @@ def test_mod2_class_of_the_equal_norms_counterexample():
 def test_floor_tables():
     t1 = floor_table_mod_1pi()
     t2 = floor_table_mod_2()
-    lit = equal_norms_floor_table_mod_2()
     assert len(t1) == 16 and len(t2) == 256
     assert t1[0] == 4 and t2[0] == 4  # the zero coset keeps the 4/5 floor
     assert set(t1) == {4, 2, 1} and set(t2) == {4, 2, 1}
     assert FLOOR_BY_CLASS[ProjectionClass.ZERO] == 4
     assert FLOOR_BY_CLASS[ProjectionClass.NON_UNIT] == 2
     assert FLOOR_BY_CLASS[ProjectionClass.UNIT] == 1
-    # the literal (equal-norms) grouping disagrees exactly where the
-    # counterexample lives: parity key of (1,0,0,0,1,0,0,0) is 1 + 16
-    assert lit[17] == 4 and t2[17] == 2
+    # the parity key of the equal-norms counterexample (1,0,0,0,1,0,0,0)
+    # is 1 + 16
+    assert t2[17] == 2
 
 
 def test_min_abs_det_sq_box1():
@@ -270,25 +269,42 @@ def test_empty_coset_keeps_its_message():
 
 
 @pytest.mark.parametrize(
-    "ideal,keys,keyfn,representative,project",
+    "ideal,ring,keyfn,project",
     [
-        ("1pi", 16, golden._key_mod_1pi, golden._codeword_from_key_1pi, project_mod_1pi),
-        ("2", 256, golden._key_mod_2, golden._codeword_from_key_2, project_mod_2),
+        ("1pi", F4, golden._key_mod_1pi, project_pair_mod_1pi),
+        ("2", F4I, golden._key_mod_2, project_pair_mod_2),
     ],
     ids=["1pi", "2"],
 )
-def test_factorized_min_matches_the_brute_oracle(ideal, keys, keyfn, representative, project):
-    """Every coset at box 1: same value, same witness string, and an empty
-    coset raises the same ValueError on both routes."""
-    for key in range(keys):
-        coset = project(representative(key))
-        try:
-            m, coords = brute_min_det_sq(1, keyfn, key)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as lib:
+def test_one_residue_key(ideal, ring, keyfn, project):
+    """The oracle's coordinate key of every codeword in the +/-1 box is
+    x0.mask | x1.mask << ring.dim of its projected pair, and the library
+    keys the coset of every pair the same way."""
+    for coords in itertools.product(range(-1, 2), repeat=8):
+        x0, x1 = project(GoldenCodeword.from_ints(coords))
+        assert keyfn(coords) == x0.mask | x1.mask << ring.dim
+    for x0 in ring:
+        for x1 in ring:
+            key = golden._coset_key(pair_to_matrix(x0, x1), ideal)
+            assert key == x0.mask | x1.mask << ring.dim
+
+
+@pytest.mark.parametrize("ideal,ring", [("1pi", F4), ("2", F4I)], ids=["1pi", "2"])
+def test_factorized_min_matches_the_brute_oracle(ideal, ring):
+    """Every coset at box 1, against one oracle pass: same value, same
+    witness string; the coset the box leaves empty (mod 2, all coordinates
+    even) is refused by the library."""
+    minima = brute_box_scan(ideal, 1)[3]
+    pairs = [(x0, x1) for x1 in ring for x0 in ring]  # residue-key order
+    assert len(minima) == len(pairs)
+    assert minima.count(None) == (1 if ideal == "2" else 0)
+    for (x0, x1), best in zip(pairs, minima):
+        coset = pair_to_matrix(x0, x1)
+        if best is None:
+            with pytest.raises(ValueError, match="no nonzero codeword matches"):
                 min_abs_det_sq(1, coset=coset, ideal=ideal)
-            assert str(lib.value) == str(exc)
             continue
+        m, coords = best
         value, witness = min_abs_det_sq(1, coset=coset, ideal=ideal)
         assert value == Fraction(m, 5)
         assert str(witness) == str(GoldenCodeword.from_ints(coords))
@@ -296,7 +312,7 @@ def test_factorized_min_matches_the_brute_oracle(ideal, keys, keyfn, representat
 
 def test_factorized_floors_match_the_brute_oracle():
     for ideal in ("1pi", "2"):
-        assert scan_det_floors(ideal, 1) == brute_det_floors(ideal, 1)
+        assert scan_det_floors(ideal, 1) == brute_box_scan(ideal, 1)[:3]
 
 
 @pytest.mark.parametrize("raised", [2, 4])
@@ -308,7 +324,7 @@ def test_factorized_floor_violations_match_the_brute_oracle(monkeypatch, raised)
     for ideal in ("1pi", "2"):
         scan = scan_det_floors(ideal, 1)
         assert len(scan[1]) == 5
-        assert scan == brute_det_floors(ideal, 1)
+        assert scan == brute_box_scan(ideal, 1)[:3]
 
 
 def test_box3_results_pinned():

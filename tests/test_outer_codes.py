@@ -307,3 +307,20 @@ def test_generator_size_is_refused_before_building():
     assert parity_check_code(1024, F2).k == 1023
     with pytest.raises(ValueError, match="over the enumeration limit"):
         repetition_code(2**20 + 1, F2)
+
+
+def test_scaled_rows_take_one_product_per_basis_symbol(monkeypatch):
+    """A row table is the XOR span of the products by the 4 one-bit symbols
+    of M2(F2), so the search makes 4 matrix products per generator entry,
+    not one per alphabet symbol (16)."""
+    calls = 0
+    product = RingMatrix.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return product(self, other)
+
+    monkeypatch.setattr(RingMatrix, "__mul__", counted)
+    assert min_distance(repetition_code(50, MatrixSpace(F2, 2))) == 50
+    assert calls <= 4 * 50
