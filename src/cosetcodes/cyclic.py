@@ -37,10 +37,24 @@ extension to a 2x2 matrix over the base ring using the twist j^2 = 1:
 The f-basis change rewrites a degree-4 element in powers of the nilpotent
 f = 1 + e (f^4 = 0); the transition matrix is Pascal's triangle mod 2 and is
 its own inverse.
+
+Everything here computes on element masks: a CyclicElement keeps its
+coefficients as masks, sigma and products read the ring's multiplication
+table ``ring._mul``, the pair maps split a mask into its two subring halves,
+and the twisted pair product reads the relative conjugation from a mask
+table built once from ``rings.quadratic_conj``.  Element objects are checked
+where they come in (the constructors, the pair maps' arguments) and rebuilt
+where they go out (``coeffs``, ``to_f_basis``, ``matrix_to_pair``,
+``twisted_pair_mul``).  In ``_literal_image`` the product E^j * image(x_j)
+is still one RingMatrix product per coefficient and call, so the verify
+module's XOR-of-basis-images reconstruction of the degree-4 map stays an
+independent second route.  The ``rings.*_calls`` counters of the benchmark
+therefore no longer see these inner loops either.
 """
 
 from __future__ import annotations
 
+from operator import xor
 from typing import Sequence
 
 from .matrices import RingMatrix
@@ -57,39 +71,61 @@ from .rings import (
 )
 
 
-def _sq(x: RingElement) -> RingElement:
-    # sigma as plain squaring; well defined on every ring here, an
-    # automorphism only on the genuine fields (see rings.frobenius).
-    return x * x
+def _sigma_powers(ring: QuotientRing, x: int, count: int) -> list[int]:
+    """Masks of x, sigma(x), ..., sigma^(count-1)(x) with sigma as plain
+    squaring; well defined on every ring here, an automorphism only on the
+    genuine fields (see rings.frobenius)."""
+    mul = ring._mul
+    out = [x]
+    for _ in range(count - 1):
+        x = mul[x][x]
+        out.append(x)
+    return out
 
 
-def _sigma_pow(x: RingElement, k: int) -> RingElement:
-    for _ in range(k):
-        x = _sq(x)
-    return x
+def _coefficient_masks(ring: QuotientRing, coeffs: Sequence[RingElement]) -> tuple[int, ...]:
+    """The masks of ring.w_deg coefficients, each checked to lie in ring."""
+    coeffs = tuple(coeffs)
+    if len(coeffs) != ring.w_deg:
+        raise ValueError(
+            f"need {ring.w_deg} coefficients for degree-{ring.w_deg} algebra "
+            f"over {ring.name}, got {len(coeffs)}"
+        )
+    for c in coeffs:
+        if not isinstance(c, RingElement) or c.ring is not ring:
+            raise ValueError(f"coefficient {c!r} not in {ring.name}")
+    return tuple([c.mask for c in coeffs])
 
 
 class CyclicElement:
-    """x_0 + e*x_1 + ... + e^(n-1)*x_{n-1} with coefficients in one ring."""
+    """x_0 + e*x_1 + ... + e^(n-1)*x_{n-1} with coefficients in one ring.
 
-    __slots__ = ("ring", "coeffs")
+    The coefficients are kept as element masks, ``masks``; ``coeffs``
+    rebuilds the element objects on demand.
+    """
+
+    __slots__ = ("ring", "masks")
 
     def __init__(self, ring: QuotientRing, coeffs: Sequence[RingElement]):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != ring.w_deg:
-            raise ValueError(
-                f"need {ring.w_deg} coefficients for degree-{ring.w_deg} algebra "
-                f"over {ring.name}, got {len(coeffs)}"
-            )
-        for c in coeffs:
-            if c.ring is not ring:
-                raise ValueError(f"coefficient {c!r} not in {ring.name}")
         self.ring = ring
-        self.coeffs = coeffs
+        self.masks = _coefficient_masks(ring, coeffs)
+
+    @classmethod
+    def _of(cls, ring: QuotientRing, masks: tuple[int, ...]) -> "CyclicElement":
+        """Wrap coefficient masks that are already known to be valid."""
+        x = object.__new__(cls)
+        x.ring = ring
+        x.masks = masks
+        return x
+
+    @property
+    def coeffs(self) -> tuple[RingElement, ...]:
+        elements = self.ring.elements
+        return tuple(elements[m] for m in self.masks)
 
     @property
     def n(self) -> int:
-        return len(self.coeffs)
+        return len(self.masks)
 
     def _coerce(self, other: "CyclicElement") -> "CyclicElement":
         if not isinstance(other, CyclicElement):
@@ -100,41 +136,39 @@ class CyclicElement:
 
     def __add__(self, other: "CyclicElement") -> "CyclicElement":
         other = self._coerce(other)
-        return CyclicElement(
-            self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        return CyclicElement._of(
+            self.ring, tuple(a ^ b for a, b in zip(self.masks, other.masks))
         )
 
     __sub__ = __add__
 
     def __mul__(self, other: "CyclicElement") -> "CyclicElement":
+        """(x * y)_m = sum over j+k = m (mod n) of sigma^k(x_j) * y_k."""
         other = self._coerce(other)
+        ring = self.ring
+        mul = ring._mul
         n = self.n
-        zero = self.ring.zero
-        out = [zero] * n
-        for j in range(n):
-            xj = self.coeffs[j]
-            if xj.is_zero:
+        out = [0] * n
+        for j, xj in enumerate(self.masks):
+            if not xj:
                 continue
-            for k in range(n):
-                yk = other.coeffs[k]
-                if yk.is_zero:
-                    continue
-                out[(j + k) % n] = out[(j + k) % n] + _sigma_pow(xj, k) * yk
-        return CyclicElement(self.ring, out)
+            for k, (sx, yk) in enumerate(zip(_sigma_powers(ring, xj, n), other.masks)):
+                out[(j + k) % n] ^= mul[sx][yk]
+        return CyclicElement._of(ring, tuple(out))
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return not any(self.masks)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, CyclicElement)
             and other.ring is self.ring
-            and other.coeffs == self.coeffs
+            and other.masks == self.masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring.name, tuple(c.mask for c in self.coeffs)))
+        return hash((self.ring.name, self.masks))
 
     def __str__(self) -> str:
         return "; ".join(str(c) for c in self.coeffs)
@@ -154,16 +188,13 @@ class CyclicElement:
 
 
 def regular_representation(x: CyclicElement) -> RingMatrix:
-    """Left-regular representation of x as an n x n matrix over its field."""
+    """Left-regular representation of x as an n x n matrix over its field:
+    entry (r, c) is sigma^c(x_{r-c mod n})."""
     n = x.n
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            idx = (r - c) % n
-            row.append(_sigma_pow(x.coeffs[idx], c))
-        rows.append(row)
-    return RingMatrix(x.ring, rows)
+    powers = [_sigma_powers(x.ring, m, n) for m in x.masks]
+    return RingMatrix._of(
+        x.ring, n, tuple(powers[(r - c) % n][c] for r in range(n) for c in range(n))
+    )
 
 
 # ----------------------------------------------------------------------
@@ -182,15 +213,15 @@ def _powers(m: RingMatrix) -> tuple[RingMatrix, ...]:
 def _literal_image(
     x: CyclicElement, e_powers: Sequence[RingMatrix], w_powers: Sequence[RingMatrix]
 ) -> RingMatrix:
-    zero = RingMatrix.zeros(F2, len(e_powers))
-    acc = zero
-    for e_j, c in zip(e_powers, x.coeffs):
-        image = zero
+    n = len(e_powers)
+    acc = (0,) * (n * n)
+    for e_j, c in zip(e_powers, x.masks):
+        image = (0,) * (n * n)
         for k, w_k in enumerate(w_powers):
-            if c.mask >> k & 1:
-                image = image + w_k
-        acc = acc + e_j * image
-    return acc
+            if c >> k & 1:
+                image = tuple(map(xor, image, w_k.masks))
+        acc = tuple(map(xor, acc, (e_j * RingMatrix._of(F2, n, image)).masks))
+    return RingMatrix._of(F2, n, acc)
 
 
 # degree 3 over F8 -> M3(F2): E^3 = I, and W is the companion matrix of
@@ -235,29 +266,35 @@ def iso_f16_to_m4(x: CyclicElement) -> RingMatrix:
 
 _PAIR_TARGET = {F4: F2, F4I: F2I}
 
+# sigma of the pair algebra, the relative conjugation, as a table on masks
+_CONJ_MASKS = {ring: [quadratic_conj(x).mask for x in ring] for ring in _PAIR_TARGET}
+
+
+def _split(ring: QuotientRing, m: int) -> tuple[int, int]:
+    """Masks (a, b) of the subring components of x = a + b*w."""
+    span = ring._i_span
+    return m & ((1 << span) - 1), m >> span
+
 
 def pair_to_matrix(x: RingElement, y: RingElement) -> RingMatrix:
     """(a+bw, c+dw) -> [[a+d, b+c], [b+c+d, a+b+d]] over the base ring."""
     ring = x.ring
     if y.ring is not ring or ring not in _PAIR_TARGET:
         raise ValueError("pair_to_matrix expects two elements of f4 or f4i")
-    a, b = ring.w_components(x)
-    c, d = ring.w_components(y)
-    return RingMatrix(
-        _PAIR_TARGET[ring],
-        [[a + d, b + c], [b + c + d, a + b + d]],
-    )
+    a, b = _split(ring, x.mask)
+    c, d = _split(ring, y.mask)
+    return RingMatrix._of(_PAIR_TARGET[ring], 2, (a ^ d, b ^ c, b ^ c ^ d, a ^ b ^ d))
 
 
 def matrix_to_pair(m: RingMatrix, ring: QuotientRing) -> tuple[RingElement, RingElement]:
     """Inverse of pair_to_matrix; ring is the quadratic extension (f4 or f4i)."""
     if ring not in _PAIR_TARGET or m.ring is not _PAIR_TARGET[ring] or m.n != 2:
         raise ValueError("matrix_to_pair expects a 2x2 matrix over the base ring")
-    y11, y12 = m[0, 0], m[0, 1]
-    y21, y22 = m[1, 0], m[1, 1]
-    x = ring.from_w_components(y11 + y12 + y21, y11 + y22)
-    y = ring.from_w_components(y11 + y12 + y22, y12 + y21)
-    return x, y
+    y11, y12, y21, y22 = m.masks
+    span = ring._i_span
+    x = (y11 ^ y12 ^ y21) | (y11 ^ y22) << span
+    y = (y11 ^ y12 ^ y22) | (y12 ^ y21) << span
+    return ring.elements[x], ring.elements[y]
 
 
 def twisted_pair_mul(
@@ -274,7 +311,18 @@ def twisted_pair_mul(
     """
     a, b = x
     c, d = y
-    return (a * c + b * quadratic_conj(d), a * d + b * quadratic_conj(c))
+    ring = getattr(a, "ring", None)
+    if ring not in _PAIR_TARGET:
+        raise ValueError("twisted_pair_mul expects pairs over f4 or f4i")
+    for e in (a, b, c, d):
+        if not isinstance(e, RingElement) or e.ring is not ring:
+            raise ValueError(f"element {e!r} does not belong to {ring.name}")
+    am, bm = ring._mul[a.mask], ring._mul[b.mask]
+    conj = _CONJ_MASKS[ring]
+    return (
+        ring.elements[am[c.mask] ^ bm[conj[d.mask]]],
+        ring.elements[am[d.mask] ^ bm[conj[c.mask]]],
+    )
 
 
 def multiplication_matrix(x: RingElement) -> RingMatrix:
@@ -286,27 +334,17 @@ def multiplication_matrix(x: RingElement) -> RingMatrix:
     ring = x.ring
     if ring not in _PAIR_TARGET:
         raise ValueError("multiplication_matrix expects an element of f4 or f4i")
-    a, b = ring.w_components(x)
-    return RingMatrix(_PAIR_TARGET[ring], [[a, b], [b, a + b]])
+    a, b = _split(ring, x.mask)
+    return RingMatrix._of(_PAIR_TARGET[ring], 2, (a, b, b, a ^ b))
 
 
 # ----------------------------------------------------------------------
 # f-basis (powers of the nilpotent f = 1 + e) for the degree-4 algebra
 
-# Pascal's triangle mod 2 for n = 4; self-inverse over F2.
-_PASCAL4 = ((1, 1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 1))
-
-
-def _pascal_apply(coeffs: Sequence[RingElement]) -> list[RingElement]:
-    zero = coeffs[0].ring.zero
-    out = []
-    for row in _PASCAL4:
-        acc = zero
-        for bit, c in zip(row, coeffs):
-            if bit:
-                acc = acc + c
-        out.append(acc)
-    return out
+def _pascal_apply(masks: Sequence[int]) -> tuple[int, ...]:
+    # Pascal's triangle mod 2 for n = 4; self-inverse over F2.
+    x0, x1, x2, x3 = masks
+    return (x0 ^ x1 ^ x2 ^ x3, x1 ^ x3, x2 ^ x3, x3)
 
 
 def to_f_basis(x: CyclicElement) -> tuple[RingElement, ...]:
@@ -316,14 +354,15 @@ def to_f_basis(x: CyclicElement) -> tuple[RingElement, ...]:
     """
     if x.n != 4:
         raise ValueError("f-basis is defined for the degree-4 algebra")
-    return tuple(_pascal_apply(x.coeffs))
+    elements = x.ring.elements
+    return tuple(elements[m] for m in _pascal_apply(x.masks))
 
 
 def from_f_basis(ring: QuotientRing, coeffs: Sequence[RingElement]) -> CyclicElement:
     """Rebuild x from f-basis coefficients (the transform is an involution)."""
     if len(coeffs) != 4:
         raise ValueError("f-basis needs exactly 4 coefficients")
-    return CyclicElement(ring, _pascal_apply(coeffs))
+    return CyclicElement._of(ring, _pascal_apply(_coefficient_masks(ring, coeffs)))
 
 
 def algebra_elements(ring: QuotientRing):
@@ -331,5 +370,5 @@ def algebra_elements(ring: QuotientRing):
     coefficient masks (last coefficient fastest)."""
     import itertools
 
-    for coeffs in itertools.product(ring.elements, repeat=ring.w_deg):
-        yield CyclicElement(ring, coeffs)
+    for masks in itertools.product(range(ring.size), repeat=ring.w_deg):
+        yield CyclicElement._of(ring, masks)

@@ -43,6 +43,12 @@ what makes the floors true; grouping by bare norm equality does not (the
 codeword (1,0,1,0) has norm pair (1,1) and |det|^2 = 2/5).  The verify
 module checks the u grouping exhaustively over a box and reports that
 counterexample to the other.
+
+``GaussianInt``, ``GoldenInt`` and ``GoldenCodeword`` are the public types;
+the hot paths compute on plain ints inside them.  ``GoldenInt.__mul__`` and
+``golden_pair_mul`` share one kernel on the four integer coordinates of an
+element of Z[i][theta], and the pair projections read each half's residue
+key, which is the mask of its reduction, straight from the coordinates.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Sequence
 
 from .cyclic import matrix_to_pair, pair_to_matrix
@@ -143,6 +150,31 @@ class GaussianInt:
 GI_I = GaussianInt(0, 1)
 
 
+# An element u + v*theta of Z[i, theta] as the ints (u.re, u.im, v.re, v.im),
+# and a half-codeword (a, b) as the ints (a.re, a.im, b.re, b.im).
+_GoldenInts = tuple[int, int, int, int]
+_Half = tuple[int, int, int, int]
+
+
+def _golden_mul(x: _GoldenInts, y: _GoldenInts) -> _GoldenInts:
+    """(u1 + v1 t)(u2 + v2 t) = u1u2 + v1v2 + (u1v2 + v1u2 + v1v2) t."""
+    ar, ai, br, bi = x
+    cr, ci, dr, di = y
+    vvr, vvi = br * dr - bi * di, br * di + bi * dr
+    return (
+        ar * cr - ai * ci + vvr,
+        ar * ci + ai * cr + vvi,
+        ar * dr - ai * di + br * cr - bi * ci + vvr,
+        ar * di + ai * dr + br * ci + bi * cr + vvi,
+    )
+
+
+def _golden_sigma(x: _GoldenInts) -> _GoldenInts:
+    """theta -> 1 - theta: u + v*theta -> (u + v) - v*theta."""
+    ur, ui, vr, vi = x
+    return (ur + vr, ui + vi, -vr, -vi)
+
+
 class GoldenInt:
     """Exact element u + v*theta of Z[i, theta], theta^2 = theta + 1."""
 
@@ -152,6 +184,14 @@ class GoldenInt:
         self.u = u
         self.v = v
 
+    @classmethod
+    def _of(cls, x: _GoldenInts) -> "GoldenInt":
+        ur, ui, vr, vi = x
+        return cls(GaussianInt(ur, ui), GaussianInt(vr, vi))
+
+    def _ints(self) -> _GoldenInts:
+        return (self.u.re, self.u.im, self.v.re, self.v.im)
+
     def __add__(self, other: "GoldenInt") -> "GoldenInt":
         return GoldenInt(self.u + other.u, self.v + other.v)
 
@@ -159,12 +199,7 @@ class GoldenInt:
         return GoldenInt(self.u - other.u, self.v - other.v)
 
     def __mul__(self, other: "GoldenInt") -> "GoldenInt":
-        # (u1 + v1 t)(u2 + v2 t) = u1u2 + v1v2 + (u1v2 + v1u2 + v1v2) t
-        vv = self.v * other.v
-        return GoldenInt(
-            self.u * other.u + vv,
-            self.u * other.v + self.v * other.u + vv,
-        )
+        return GoldenInt._of(_golden_mul(self._ints(), other._ints()))
 
     def galois_conj(self) -> "GoldenInt":
         """theta -> 1 - theta."""
@@ -342,6 +377,27 @@ def reduce_mod_2(g: GaussianInt) -> RingElement:
     return F2I.elements[(g.re & 1) | ((g.im & 1) << 1)]
 
 
+def _halves(cw: GoldenCodeword) -> tuple[_Half, _Half]:
+    """The integer coordinates of the halves (a, b) and (c, d)."""
+    a, b, c, d = cw.a, cw.b, cw.c, cw.d
+    return (a.re, a.im, b.re, b.im), (c.re, c.im, d.re, d.im)
+
+
+# The residue key of a half is the mask of its reduction: mod (1+i) bit 0 is
+# the parity of re + im of its first Gaussian coordinate and bit 1 that of
+# its second (F4 = F2 + F2*w), mod 2 the four bits are the parities of its
+# integer coordinates (F4[i] = F2[i] + F2[i]*w).
+
+def _half_key_1pi(h: Sequence[int]) -> int:
+    ar, ai, br, bi = h
+    return ((ar + ai) & 1) | ((br + bi) & 1) << 1
+
+
+def _half_key_2(h: Sequence[int]) -> int:
+    ar, ai, br, bi = h
+    return (ar & 1) | (ai & 1) << 1 | (br & 1) << 2 | (bi & 1) << 3
+
+
 def project_pair_mod_1pi(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
     """(x0, x1) reduced coordinatewise into F4 = F2[w] (theta -> w).
 
@@ -352,9 +408,8 @@ def project_pair_mod_1pi(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
     same coset partition (conjugation permutes F4 coordinatewise); the
     multiplicative version and its mod-2 failure are certified in verify.
     """
-    x0 = F4.from_w_components(reduce_mod_1pi(cw.a), reduce_mod_1pi(cw.b))
-    x1 = F4.from_w_components(reduce_mod_1pi(cw.c), reduce_mod_1pi(cw.d))
-    return x0, x1
+    left, right = _halves(cw)
+    return F4.elements[_half_key_1pi(left)], F4.elements[_half_key_1pi(right)]
 
 
 def project_pair_mod_2(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
@@ -365,9 +420,8 @@ def project_pair_mod_2(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
     (e^2 = i in the algebra but j^2 = 1 in the pair model, and i is not 1
     mod 2); the exact failure locus is certified in verify.
     """
-    x0 = F4I.from_w_components(reduce_mod_2(cw.a), reduce_mod_2(cw.b))
-    x1 = F4I.from_w_components(reduce_mod_2(cw.c), reduce_mod_2(cw.d))
-    return x0, x1
+    left, right = _halves(cw)
+    return F4I.elements[_half_key_2(left)], F4I.elements[_half_key_2(right)]
 
 
 def project_mod_1pi(cw: GoldenCodeword) -> RingMatrix:
@@ -464,11 +518,13 @@ def golden_pair_mul(
 
         = (x0 y0 + i sigma(x1) y1) + e (sigma(x0) y1 + x1 y0).
     """
-    x0, x1 = x
-    y0, y1 = y
-    first = x0 * y0 + _gi_times_golden(GI_I, x1.galois_conj() * y1)
-    second = x0.galois_conj() * y1 + x1 * y0
-    return first, second
+    x0, x1 = x[0]._ints(), x[1]._ints()
+    y0, y1 = y[0]._ints(), y[1]._ints()
+    p0, p1, p2, p3 = _golden_mul(x0, y0)
+    q0, q1, q2, q3 = _golden_mul(_golden_sigma(x1), y1)
+    first = (p0 - q1, p1 + q0, p2 - q3, p3 + q2)  # p + i*q
+    second = map(add, _golden_mul(_golden_sigma(x0), y1), _golden_mul(x1, y0))
+    return GoldenInt._of(first), GoldenInt._of(tuple(second))
 
 
 # ----------------------------------------------------------------------
@@ -499,20 +555,9 @@ def _check_box(box: int) -> None:
         )
 
 
-def _half_key_1pi(h: Sequence[int]) -> int:
-    ar, ai, br, bi = h
-    return ((ar + ai) & 1) | ((br + bi) & 1) << 1
-
-
-def _half_key_2(h: Sequence[int]) -> int:
-    ar, ai, br, bi = h
-    return (ar & 1) | (ai & 1) << 1 | (br & 1) << 2 | (bi & 1) << 3
-
-
 # ideal -> (half-key function, key bits per half)
 _HALF_KEYS = {"1pi": (_half_key_1pi, 2), "2": (_half_key_2, 4)}
 
-_Half = tuple[int, int, int, int]
 _Norm = tuple[int, int]
 
 

@@ -9,6 +9,14 @@ Gaussian elimination would silently go wrong on a zero divisor.
 Invertibility over a commutative ring is ``det(M) is a unit``, not
 ``det(M) != 0``; the two differ over F2[i] and friends and the difference is
 load-bearing downstream (projection classes, Bachoc weights).
+
+A matrix stores its entries as element masks, not as element objects: sums
+XOR the masks, products and determinants read rows of the ring's
+multiplication table ``ring._mul``.  Element objects appear only at the
+boundary: the constructors and ``parse`` check and take them, while
+``__getitem__``, ``row``, ``entries``, ``det`` and ``str`` hand them out.
+The ``rings.*_calls`` counters of the benchmark therefore no longer see the
+matrix inner loops.
 """
 
 from __future__ import annotations
@@ -25,12 +33,16 @@ ENUMERATION_LIMIT = 2**20
 
 
 class RingMatrix:
-    """An immutable n x n matrix over one :class:`QuotientRing`."""
+    """An immutable n x n matrix over one :class:`QuotientRing`.
 
-    __slots__ = ("ring", "n", "entries")
+    The entries are kept as one row-major tuple of element masks, ``masks``;
+    ``entries`` rebuilds the element objects on demand.
+    """
+
+    __slots__ = ("ring", "n", "masks")
 
     def __init__(self, ring: QuotientRing, rows: Iterable[Iterable[RingElement]]):
-        entries: list[RingElement] = []
+        masks: list[int] = []
         rows = [list(r) for r in rows]
         n = len(rows)
         if not 1 <= n <= 4:
@@ -41,27 +53,32 @@ class RingMatrix:
             for x in row:
                 if not isinstance(x, RingElement) or x.ring is not ring:
                     raise ValueError(f"entry {x!r} does not belong to {ring.name}")
-                entries.append(x)
+                masks.append(x.mask)
         self.ring = ring
         self.n = n
-        self.entries = tuple(entries)
+        self.masks = tuple(masks)
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
+    def _of(cls, ring: QuotientRing, n: int, masks: tuple[int, ...]) -> "RingMatrix":
+        """Wrap n*n row-major masks that are already known to be valid."""
+        m = object.__new__(cls)
+        m.ring = ring
+        m.n = n
+        m.masks = masks
+        return m
+
+    @classmethod
     def zeros(cls, ring: QuotientRing, n: int) -> "RingMatrix":
-        z = ring.zero
-        return cls(ring, [[z] * n for _ in range(n)])
+        return cls.from_masks(ring, [[0] * n for _ in range(n)])
 
     @classmethod
     def identity(cls, ring: QuotientRing, n: int) -> "RingMatrix":
-        return cls(
-            ring,
-            [
-                [ring.one if r == c else ring.zero for c in range(n)]
-                for r in range(n)
-            ],
+        one = ring.one.mask
+        return cls.from_masks(
+            ring, [[one if r == c else 0 for c in range(n)] for r in range(n)]
         )
 
     @classmethod
@@ -82,19 +99,25 @@ class RingMatrix:
     # ------------------------------------------------------------------
     # access
 
+    @property
+    def entries(self) -> tuple[RingElement, ...]:
+        elements = self.ring.elements
+        return tuple(elements[m] for m in self.masks)
+
     def __getitem__(self, rc: tuple[int, int]) -> RingElement:
         r, c = rc
-        return self.entries[r * self.n + c]
+        return self.ring.elements[self.masks[r * self.n + c]]
 
     def row(self, r: int) -> tuple[RingElement, ...]:
-        return self.entries[r * self.n : (r + 1) * self.n]
+        elements = self.ring.elements
+        return tuple(elements[m] for m in self.masks[r * self.n : (r + 1) * self.n])
 
     @property
     def is_zero(self) -> bool:
-        return all(x.is_zero for x in self.entries)
+        return not any(self.masks)
 
     # ------------------------------------------------------------------
-    # arithmetic
+    # arithmetic: XOR of masks for sums, rows of ring._mul for products
 
     def _check_compatible(self, other: "RingMatrix") -> None:
         if not isinstance(other, RingMatrix):
@@ -104,36 +127,45 @@ class RingMatrix:
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
         self._check_compatible(other)
-        n = self.n
-        pairs = zip(self.entries, other.entries)
-        flat = [a + b for a, b in pairs]
-        return RingMatrix(self.ring, [flat[r * n : (r + 1) * n] for r in range(n)])
+        return RingMatrix._of(
+            self.ring, self.n, tuple(a ^ b for a, b in zip(self.masks, other.masks))
+        )
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other: "RingMatrix") -> "RingMatrix":
         self._check_compatible(other)
         n = self.n
-        rows = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                acc = self.ring.zero
-                for k in range(n):
-                    acc = acc + self.entries[r * n + k] * other.entries[k * n + c]
-                row.append(acc)
-            rows.append(row)
-        return RingMatrix(self.ring, rows)
+        mul = self.ring._mul
+        a, b = self.masks, other.masks
+        ks = range(n)
+        out: list[int] = []
+        # row r of the product is the XOR over k of a[r, k] * (row k of b)
+        for r in range(0, n * n, n):
+            acc = [0] * n
+            for k in ks:
+                x = a[r + k]
+                if x:
+                    row = mul[x]
+                    for c in ks:
+                        acc[c] ^= row[b[k * n + c]]
+            out += acc
+        return RingMatrix._of(self.ring, n, tuple(out))
 
     def scale(self, s: RingElement) -> "RingMatrix":
-        n = self.n
-        flat = [s * x for x in self.entries]
-        return RingMatrix(self.ring, [flat[r * n : (r + 1) * n] for r in range(n)])
+        if not isinstance(s, RingElement):
+            raise TypeError(f"cannot scale a RingMatrix by {type(s).__name__}")
+        if s.ring is not self.ring:
+            raise ValueError(
+                f"elements of different rings: {s.ring.name} vs {self.ring.name}"
+            )
+        row = self.ring._mul[s.mask]
+        return RingMatrix._of(self.ring, self.n, tuple(row[m] for m in self.masks))
 
     def transpose(self) -> "RingMatrix":
         n = self.n
-        return RingMatrix(
-            self.ring, [[self.entries[c * n + r] for c in range(n)] for r in range(n)]
+        return RingMatrix._of(
+            self.ring, n, tuple(self.masks[c * n + r] for r in range(n) for c in range(n))
         )
 
     def __pow__(self, exponent: int) -> "RingMatrix":
@@ -158,21 +190,25 @@ class RingMatrix:
         Signs are irrelevant in characteristic 2, which keeps the expansion
         a plain XOR-accumulation of products.
         """
-        return self._det(list(range(self.n)), list(range(self.n)))
+        return self.ring.elements[self._det(list(range(self.n)), list(range(self.n)))]
 
-    def _det(self, rows: list[int], cols: list[int]) -> RingElement:
-        n = len(rows)
-        if n == 1:
-            return self[rows[0], cols[0]]
-        acc = self.ring.zero
-        r0 = rows[0]
+    def _det(self, rows: list[int], cols: list[int]) -> int:
+        """Mask of the minor on the given rows and columns, expanded along
+        its first row."""
+        m, n, mul = self.masks, self.n, self.ring._mul
+        r0 = rows[0] * n
+        if len(rows) == 1:
+            return m[r0 + cols[0]]
+        if len(rows) == 2:
+            r1 = rows[1] * n
+            c0, c1 = cols
+            return mul[m[r0 + c0]][m[r1 + c1]] ^ mul[m[r0 + c1]][m[r1 + c0]]
+        acc = 0
         rest = rows[1:]
         for j, c in enumerate(cols):
-            pivot = self[r0, c]
-            if pivot.is_zero:
-                continue
-            minor_cols = cols[:j] + cols[j + 1 :]
-            acc = acc + pivot * self._det(rest, minor_cols)
+            pivot = m[r0 + c]
+            if pivot:
+                acc ^= mul[pivot][self._det(rest, cols[:j] + cols[j + 1 :])]
         return acc
 
     @property
@@ -187,11 +223,11 @@ class RingMatrix:
             isinstance(other, RingMatrix)
             and other.ring is self.ring
             and other.n == self.n
-            and other.entries == self.entries
+            and other.masks == self.masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring.name, self.n, tuple(x.mask for x in self.entries)))
+        return hash((self.ring.name, self.n, self.masks))
 
     def __str__(self) -> str:
         rows = []
@@ -212,8 +248,10 @@ def all_matrices(ring: QuotientRing, n: int) -> Iterator[RingMatrix]:
             f"matrix space {ring.name}^({n}x{n}) has {total} elements, "
             f"over the enumeration limit {ENUMERATION_LIMIT}"
         )
-    for flat in itertools.product(ring.elements, repeat=n * n):
-        yield RingMatrix(ring, [flat[r * n : (r + 1) * n] for r in range(n)])
+    if not 1 <= n <= 4:
+        raise ValueError("only sizes 1x1 through 4x4 are supported")
+    for masks in itertools.product(range(ring.size), repeat=n * n):
+        yield RingMatrix._of(ring, n, masks)
 
 
 def count_invertible(ring: QuotientRing, n: int) -> int:

@@ -83,6 +83,15 @@ class MatrixSpace:
 
         return all_matrices(self.ring, self.n)
 
+    def element(self, index: int) -> RingMatrix:
+        """The matrix at ``index`` in enumeration order, whose entry masks
+        are the big-endian ``ring.dim``-bit digits of index."""
+        width, n = self.ring.dim, self.n
+        digits = [
+            index >> width * (n * n - 1 - t) & ((1 << width) - 1) for t in range(n * n)
+        ]
+        return RingMatrix.from_masks(self.ring, [digits[r * n : (r + 1) * n] for r in range(n)])
+
     def __repr__(self) -> str:
         return f"<matrix alphabet {self.name}, {self.size} elements>"
 
@@ -226,9 +235,10 @@ def _pack(x: Symbol) -> int:
     mask, or a matrix's entry masks read as big-endian digits."""
     if isinstance(x, RingElement):
         return x.mask
+    width = x.ring.dim
     packed = 0
-    for e in x.entries:
-        packed = (packed << e.ring.dim) | e.mask
+    for m in x.masks:
+        packed = (packed << width) | m
     return packed
 
 
@@ -254,12 +264,11 @@ def _scaled_rows(code: LinearCode) -> list[list[int]]:
     linear in the length."""
     dim = code.alphabet.dim
     fmt = f"0{dim}b"
-    symbols = list(code.alphabet)
+    symbols = [code.alphabet.element(1 << bit) for bit in range(dim)]
     scaled = []
     for row in code.rows:
         table = [0]
-        for bit in range(dim):
-            a = symbols[1 << bit]
+        for a in symbols:
             v = int("0" + "".join(format(_pack(a * g), fmt) for g in reversed(row)), 2)
             table += [t ^ v for t in table]
         scaled.append(table)

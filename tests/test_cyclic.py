@@ -226,3 +226,88 @@ def test_f_basis_round_trip_and_e_image():
 def test_algebra_elements_counts():
     assert len(set(algebra_elements(F4))) == 16
     assert len(set(algebra_elements(F8))) == 512
+
+
+# ----------------------------------------------------------------------
+# the mask kernels against an element-level reference
+
+
+def _ref_conj(x):
+    a, b = x.ring.w_components(x)
+    return x.ring.from_w_components(a + b, b)
+
+
+def _ref_pair_to_matrix(x, y):
+    a, b = x.ring.w_components(x)
+    c, d = y.ring.w_components(y)
+    return (a + d, b + c, b + c + d, a + b + d)
+
+
+def _ref_matrix_to_pair(m, ring):
+    y11, y12, y21, y22 = m.entries
+    return (
+        ring.from_w_components(y11 + y12 + y21, y11 + y22),
+        ring.from_w_components(y11 + y12 + y22, y12 + y21),
+    )
+
+
+def _ref_twisted(p, q):
+    (a, b), (c, d) = p, q
+    return (a * c + b * _ref_conj(d), a * d + b * _ref_conj(c))
+
+
+def _ref_cyclic_mul(x, y):
+    """(x * y)_m = sum over j+k = m (mod n) of sigma^k(x_j) * y_k."""
+    n = x.n
+    out = [x.ring.zero] * n
+    for j, xj in enumerate(x.coeffs):
+        for k, yk in enumerate(y.coeffs):
+            s = xj
+            for _ in range(k):
+                s = s * s
+            out[(j + k) % n] = out[(j + k) % n] + s * yk
+    return CyclicElement(x.ring, out)
+
+
+@pytest.mark.parametrize("ring", [F4, F4I], ids=lambda r: r.name)
+def test_pair_kernels_match_the_element_route(ring):
+    pairs = [(x, y) for x in ring for y in ring]
+    for p in pairs:
+        m = pair_to_matrix(*p)
+        assert m.entries == _ref_pair_to_matrix(*p)
+        assert matrix_to_pair(m, ring) == _ref_matrix_to_pair(m, ring)
+        for q in pairs:
+            assert twisted_pair_mul(p, q) == _ref_twisted(p, q)
+
+
+@pytest.mark.parametrize("ring", [F4, F8, F16_ALT], ids=lambda r: r.name)
+def test_cyclic_kernels_match_the_element_route(ring):
+    rng = random.Random(ring.name)
+    n = ring.w_deg
+    sample = [CyclicElement(ring, rng.choices(ring.elements, k=n)) for _ in range(16)]
+    for x in sample:
+        rep = regular_representation(x)
+        for r in range(n):
+            for c in range(n):
+                s = x.coeffs[(r - c) % n]
+                for _ in range(c):
+                    s = s * s
+                assert rep[r, c] == s
+        if n == 4:
+            x0, x1, x2, x3 = x.coeffs
+            assert to_f_basis(x) == (x0 + x1 + x2 + x3, x1 + x3, x2 + x3, x3)
+        for y in sample:
+            assert x * y == _ref_cyclic_mul(x, y)
+
+
+def test_cyclic_boundary_checks():
+    with pytest.raises(ValueError, match="not in f4"):
+        CyclicElement(F4, [1, 2])
+    with pytest.raises(ValueError):
+        elt(F4, "1; w") * elt(F4I, "1; w")
+    with pytest.raises(ValueError):
+        twisted_pair_mul((F4.one, F4.zero), (F4I.one, F4I.zero))
+    with pytest.raises(ValueError):
+        twisted_pair_mul((F4.one, F4I.zero), (F4.one, F4.zero))
+    with pytest.raises(ValueError):
+        from_f_basis(F16_ALT, [F4.zero] * 4)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from cosetcodes.golden import (
     ALPHA,
     ALPHA_BAR,
     FLOOR_BY_CLASS,
+    GI_I,
     GaussianInt,
     GoldenCodeword,
     GoldenInt,
@@ -342,3 +344,55 @@ def test_min_abs_det_sq_reaches_box_6(box):
     assert value == Fraction(1, 5)
     assert abs_det_sq(witness) == value
     assert all(abs(v) <= box for g in witness.coords() for v in (g.re, g.im))
+
+
+# ----------------------------------------------------------------------
+# the int kernels against the GaussianInt formulas
+
+_WINDOW = [
+    GoldenInt(GaussianInt(ur, ui), GaussianInt(vr, vi))
+    for ur, ui, vr, vi in itertools.product(range(-2, 3), repeat=4)
+]
+
+
+def _ref_golden_mul(x, y):
+    vv = x.v * y.v
+    return GoldenInt(x.u * y.u + vv, x.u * y.v + x.v * y.u + vv)
+
+
+def _ref_pair_mul(x, y):
+    """(x0 + e x1)(y0 + e y1) = (x0 y0 + i sigma(x1) y1) + e (sigma(x0) y1 + x1 y0)."""
+    (x0, x1), (y0, y1) = x, y
+    t = _ref_golden_mul(x1.galois_conj(), y1)
+    first = _ref_golden_mul(x0, y0) + GoldenInt(GI_I * t.u, GI_I * t.v)
+    second = _ref_golden_mul(x0.galois_conj(), y1) + _ref_golden_mul(x1, y0)
+    return first, second
+
+
+def test_golden_kernels_match_the_gaussian_route():
+    rng = random.Random(29)
+    ys = rng.sample(_WINDOW, 16)
+    for x in _WINDOW:
+        for y in ys:
+            assert x * y == _ref_golden_mul(x, y)
+    for _ in range(2000):
+        x = tuple(rng.choices(_WINDOW, k=2))
+        y = tuple(rng.choices(_WINDOW, k=2))
+        assert golden_pair_mul(x, y) == _ref_pair_mul(x, y)
+
+
+def test_projections_match_the_reduction_route():
+    rng = random.Random(31)
+    box1 = itertools.product(range(-1, 2), repeat=8)
+    box2 = [[rng.randint(-2, 2) for _ in range(8)] for _ in range(2000)]
+    for coords in itertools.chain(box1, box2):
+        cw = GoldenCodeword.from_ints(coords)
+        a, b, c, d = cw.coords()
+        assert project_pair_mod_1pi(cw) == (
+            F4.from_w_components(reduce_mod_1pi(a), reduce_mod_1pi(b)),
+            F4.from_w_components(reduce_mod_1pi(c), reduce_mod_1pi(d)),
+        )
+        assert project_pair_mod_2(cw) == (
+            F4I.from_w_components(reduce_mod_2(a), reduce_mod_2(b)),
+            F4I.from_w_components(reduce_mod_2(c), reduce_mod_2(d)),
+        )

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import itertools
+import random
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from cosetcodes.matrices import (
     ENUMERATION_LIMIT,
@@ -9,7 +14,7 @@ from cosetcodes.matrices import (
     count_invertible,
     matrix_space_size,
 )
-from cosetcodes.rings import F2, F2I, F4, F16
+from cosetcodes.rings import F2, F2I, F4, F4I, F16, RING_BY_NAME
 
 
 def m2(ring, text):
@@ -126,8 +131,118 @@ def test_enumeration_limit_guard():
     assert matrix_space_size(F16, 4) > ENUMERATION_LIMIT
     with pytest.raises(ValueError):
         next(all_matrices(F16, 4))
+    for n in (-1, 0):
+        with pytest.raises(ValueError, match="only sizes"):
+            next(all_matrices(F2, n))
 
 
 def test_from_masks():
     a = RingMatrix.from_masks(F4, [[0, 1], [2, 3]])
     assert a == m2(F4, "[[0,1],[w,w+1]]")
+
+
+# ----------------------------------------------------------------------
+# the mask kernels against an element-level reference: every entry is a
+# RingElement and every sum and product goes through the element operators
+
+
+def _ref_add(a, b):
+    return [x + y for x, y in zip(a.entries, b.entries)]
+
+
+def _ref_mul(a, b):
+    n = a.n
+    out = []
+    for r in range(n):
+        for c in range(n):
+            acc = a.ring.zero
+            for k in range(n):
+                acc = acc + a[r, k] * b[k, c]
+            out.append(acc)
+    return out
+
+
+def _ref_det_leibniz(a):
+    """Sum over all permutations of the products a[r, p(r)]; signs vanish in
+    characteristic 2."""
+    acc = a.ring.zero
+    for perm in itertools.permutations(range(a.n)):
+        term = a.ring.one
+        for r, c in enumerate(perm):
+            term = term * a[r, c]
+        acc = acc + term
+    return acc
+
+
+def test_mask_kernels_match_the_element_route_on_all_m2f2i_pairs():
+    ms = list(all_matrices(F2I, 2))
+    for a in ms:
+        assert a.det() == a[0, 0] * a[1, 1] + a[0, 1] * a[1, 0]
+        for b in ms:
+            assert list((a + b).entries) == _ref_add(a, b)
+            assert list((a * b).entries) == _ref_mul(a, b)
+
+
+@pytest.mark.parametrize("ring", list(RING_BY_NAME.values()), ids=list(RING_BY_NAME))
+@pytest.mark.parametrize("n", [3, 4])
+def test_mask_kernels_match_the_element_route_on_samples(ring, n):
+    rng = random.Random(f"{ring.name}-{n}")
+
+    def sample():
+        return RingMatrix(ring, [rng.choices(ring.elements, k=n) for _ in range(n)])
+
+    for _ in range(40):
+        a, b, s = sample(), sample(), rng.choice(ring.elements)
+        assert list((a + b).entries) == _ref_add(a, b)
+        assert list((a * b).entries) == _ref_mul(a, b)
+        assert a.det() == _ref_det_leibniz(a)
+        assert a.scale(s).entries == tuple(s * x for x in a.entries)
+        assert a.transpose().entries == tuple(a[c, r] for r in range(n) for c in range(n))
+        assert a**3 == a * a * a
+        assert hash(a) == hash((ring.name, n, tuple(x.mask for x in a.entries)))
+
+
+def test_boundary_checks():
+    a = RingMatrix.identity(F4, 2)
+    with pytest.raises(ValueError):
+        a.scale(F2.one)
+    with pytest.raises(ValueError):
+        a.scale(F4I.one)
+    with pytest.raises(TypeError):
+        a.scale(1)
+    with pytest.raises(ValueError):
+        RingMatrix(F4, [[F4.one, F2.one], [F4.zero, F4.one]])
+    with pytest.raises(ValueError):
+        RingMatrix(F4, [[1, 0], [0, 1]])
+
+
+_spaces = st.text(alphabet=" \t\n", max_size=2)
+
+
+@st.composite
+def _spaced_literal(draw, ring, n):
+    """A random n x n matrix over the ring and its str() with random
+    whitespace around the brackets, the rows and the entries."""
+    masks = draw(st.lists(st.integers(0, ring.size - 1), min_size=n * n, max_size=n * n))
+    m = RingMatrix.from_masks(ring, [masks[r * n : (r + 1) * n] for r in range(n)])
+
+    def pad(text):
+        return draw(_spaces) + text + draw(_spaces)
+
+    rows = [
+        pad("[" + ",".join(pad(str(x)) for x in m.row(r)) + "]") for r in range(n)
+    ]
+    return m, pad("[" + ",".join(rows) + "]")
+
+
+@pytest.mark.parametrize("ring", list(RING_BY_NAME.values()), ids=list(RING_BY_NAME))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_parse_str_round_trip_with_whitespace(ring, n):
+    @given(_spaced_literal(ring, n))
+    @settings(max_examples=25, deadline=None)
+    def round_trip(case):
+        m, text = case
+        assert RingMatrix.parse(ring, str(m)) == m
+        assert RingMatrix.parse(ring, text) == m
+
+    round_trip()

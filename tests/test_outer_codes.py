@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from cosetcodes import outer_codes
 from cosetcodes.cyclic import multiplication_matrix, pair_to_matrix
 from cosetcodes.matrices import RingMatrix
 from cosetcodes.outer_codes import (
@@ -324,3 +325,25 @@ def test_scaled_rows_take_one_product_per_basis_symbol(monkeypatch):
     monkeypatch.setattr(RingMatrix, "__mul__", counted)
     assert min_distance(repetition_code(50, MatrixSpace(F2, 2))) == 50
     assert calls <= 4 * 50
+
+
+@pytest.mark.parametrize("ring", [F2, F2I], ids=lambda r: r.name)
+def test_matrix_space_element_is_the_enumeration_index(ring):
+    space = MatrixSpace(ring, 2)
+    for index, m in enumerate(space):
+        assert space.element(index) == m
+        assert outer_codes._pack(m) == index
+
+
+def test_scaled_rows_do_not_enumerate_the_alphabet(monkeypatch):
+    """The row tables need only the dim one-bit symbols, not all 256
+    matrices of M2(F2[i])."""
+    code = repetition_code(2, MatrixSpace(F2I, 2))
+    symbols = list(code.alphabet)
+    want = [[outer_codes._pack(a) * (1 + (1 << 8)) for a in symbols]]
+
+    def refuse(self):
+        raise AssertionError("the alphabet was enumerated")
+
+    monkeypatch.setattr(MatrixSpace, "__iter__", refuse)
+    assert outer_codes._scaled_rows(code) == want
