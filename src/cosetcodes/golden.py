@@ -485,10 +485,17 @@ def _key_mod_1pi(coords: Sequence[int]) -> int:
 
 
 def _key_mod_2(coords: Sequence[int]) -> int:
-    key = 0
-    for pos, v in enumerate(coords):
-        key |= (v & 1) << pos
-    return key
+    ar, ai, br, bi, cr, ci, dr, di = coords
+    return (
+        (ar & 1)
+        | (ai & 1) << 1
+        | (br & 1) << 2
+        | (bi & 1) << 3
+        | (cr & 1) << 4
+        | (ci & 1) << 5
+        | (dr & 1) << 6
+        | (di & 1) << 7
+    )
 
 
 # The floor tables list the pairs in residue-key order: x1 outer, x0 inner.

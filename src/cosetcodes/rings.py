@@ -39,11 +39,13 @@ class RingElement:
     this package exists to rule out).
     """
 
-    __slots__ = ("ring", "mask")
+    __slots__ = ("ring", "mask", "_hash")
 
     def __init__(self, ring: QuotientRing, mask: int):
         self.ring = ring
         self.mask = mask
+        # elements are interned, so the hash is computed once
+        self._hash = hash((ring.name, mask))
 
     def _coerce(self, other: object) -> "RingElement":
         if not isinstance(other, RingElement):
@@ -106,7 +108,7 @@ class RingElement:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring.name, self.mask))
+        return self._hash
 
     def __str__(self) -> str:
         return self.ring.format_element(self)

@@ -21,6 +21,17 @@ claim's witness is its first failure, and the later ones follow the details
 as ``FAILURE:`` lines.  A scan that stops at its first counterexample is a
 generator of failure messages handed to :func:`_first_failure`.
 
+The algebra claims ``regular_rep`` and ``iso_f8m3`` scan every pair (x, y),
+x outer and y inner, on ints: an element is its index in
+``itertools.product`` order, which packs its coefficient masks, and a matrix
+is one int of packed rows.  For each x the scan builds small tables from the
+live ``ring._mul`` (rebuilt on every call, never cached): per-coefficient
+term tables give the index of x*y for every y, per-scalar row tables give
+rep(x)rep(y), and a span table of image(y)'s rows gives image(x)image(y).
+Each pair still gets its own product and its own matrix product, compared
+on their own; no pair is inferred from others by linearity, and the first
+failing pair in scan order is the one reported.
+
 The Golden box claims check the library's norm-factorized searches against
 one brute pass, :func:`brute_box_scan`, over all 390,624 nonzero codewords of
 the +/-2 coordinate box.  The pass keys each codeword by its residue key,
@@ -136,20 +147,12 @@ def _first_failure(failures: list[str], messages: Iterable[str]) -> None:
 # packed binary-matrix helpers (oracle-local, independent of RingMatrix)
 
 def _packed(m: RingMatrix) -> int:
-    """The bit rows of ``_rows_packed`` in one int, row r at bit n*r."""
-    return sum(row << (m.n * r) for r, row in enumerate(_rows_packed(m)))
+    """The bit rows of ``_rows_packed`` in one int, row 0 highest."""
+    return _pack(_rows_packed(m), m.n)
 
 
 def _rows_packed(m: RingMatrix) -> tuple[int, ...]:
-    n = m.n
-    out = []
-    for r in range(n):
-        mask = 0
-        for c in range(n):
-            if not m[r, c].is_zero:
-                mask |= 1 << c
-        out.append(mask)
-    return tuple(out)
+    return tuple(sum(1 << c for c in range(m.n) if m[r, c]) for r in range(m.n))
 
 
 def _bmatmul(a_rows: Sequence[int], b_rows: Sequence[int]) -> tuple[int, ...]:
@@ -168,25 +171,32 @@ def _bmatmul(a_rows: Sequence[int], b_rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _cyclic_mul_masks(
-    x: Sequence[int],
-    y: Sequence[int],
-    sig: Sequence[Sequence[int]],
-    mul: Sequence[Sequence[int]],
-) -> tuple[int, ...]:
-    """Oracle-local cyclic-algebra product on coefficient masks (gamma = 1);
-    written independently of CyclicElement.__mul__ on purpose."""
+def _pack(masks: Iterable[int], bits: int) -> int:
+    """The masks side by side in one int, ``bits`` bits each, first highest:
+    a coefficient tuple packs to its index in ``itertools.product`` order."""
+    out = 0
+    for m in masks:
+        out = out << bits | m
+    return out
+
+
+def _cyclic_products(ring, x: Sequence[int]) -> list[int]:
+    """Index of x*y for every y, in product order (gamma = 1).
+
+    Coefficient s of x*y is the sum over k of sigma^k(x_{s-k}) * y_k, so the
+    index is the XOR over k of ``term[y_k]``, where ``term[b]`` packs those
+    products for y_k = b; the sums over y_0..y_k are shared by every y with
+    that prefix.  Oracle-local: written independently of
+    CyclicElement.__mul__ on purpose."""
     n = len(x)
-    out = [0] * n
-    for j in range(n):
-        xj = x[j]
-        if not xj:
-            continue
-        for k in range(n):
-            yk = y[k]
-            if yk:
-                out[(j + k) % n] ^= mul[sig[k][xj]][yk]
-    return tuple(out)
+    sig = _sigma_tables(ring, n)
+    out = [0]
+    for k in range(n):
+        term = [0] * ring.size
+        for s in range(n):
+            term = [t << ring.dim | v for t, v in zip(term, ring._mul[sig[k][x[(s - k) % n]]])]
+        out = [p ^ t for p in out for t in term]
+    return out
 
 
 def _sigma_tables(ring, n: int) -> list[list[int]]:
@@ -274,46 +284,49 @@ def certify_regular_rep(failures: list[str], details: list[str]) -> None:
     """rep(x*y) = rep(x)*rep(y) and injectivity, exhausted for the degree-2
     algebra over F4 (16^2 pairs) and the degree-3 algebra over F8 (512^2)."""
     for ring, n in ((F4, 2), (F8, 3)):
-        mul = ring._mul
+        d = ring.dim
         sig = _sigma_tables(ring, n)
         elems = list(itertools.product(range(ring.size), repeat=n))
-
-        def rep_masks(x: tuple[int, ...]) -> tuple[int, ...]:
-            return tuple(
-                sig[c][x[(r - c) % n]] for r in range(n) for c in range(n)
-            )
-
-        reps = {x: rep_masks(x) for x in elems}
-        if len(set(reps.values())) != len(elems):
+        # rows[i]: the rows of rep(elems[i]), each packed like an element;
+        # entry (r, c) is sigma^c(x_{r-c}); reps[i] packs the rows in turn
+        rows = [
+            [_pack([sig[c][x[(r - c) % n]] for c in range(n)], d) for r in range(n)]
+            for x in elems
+        ]
+        reps = [_pack(rs, n * d) for rs in rows]
+        if len(set(reps)) != len(elems):
             failures.append(f"regular rep over {ring.name} is not injective")
 
         # spot-check the mask-level rep against the object-level one
         _first_failure(failures, (
             f"mask/object rep mismatch at {x} over {ring.name}"
             for x in elems[:: max(1, len(elems) // 16)]
-            if tuple(
-                e.mask
-                for e in regular_representation(
-                    CyclicElement(ring, [ring.elements[m] for m in x])
-                ).entries
-            ) != reps[x]
+            if _pack(regular_representation(
+                CyclicElement(ring, [ring.elements[m] for m in x])
+            ).masks, d) != reps[_pack(x, d)]
         ))
 
-        def matmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-            out = []
-            for r in range(n):
-                for c in range(n):
-                    acc = 0
-                    for k in range(n):
-                        acc ^= mul[a[r * n + k]][b[k * n + c]]
-                    out.append(acc)
-            return tuple(out)
+        # smul[a][i]: a times each entry of the row packed as index i;
+        # cols[k][i]: row k of rep(elems[i])
+        smul = [[_pack([row[m] for m in e], d) for e in elems] for row in ring._mul]
+        cols = list(zip(*rows))
+
+        def products(rx: list[int]) -> list[int]:
+            """rep(x)rep(y) for every y, packed: row r is the XOR over k of
+            entry (r, k) of rep(x) times row k of rep(y)."""
+            out = [0] * len(elems)
+            for row in rx:
+                out = [m << n * d for m in out]
+                for a, col in zip(elems[row], cols):
+                    table = smul[a]
+                    out = [m ^ table[v] for m, v in zip(out, col)]
+            return out
 
         _first_failure(failures, (
             f"rep(x*y) != rep(x)rep(y) at {(x, y)} over {ring.name}"
-            for x, rx in reps.items()
-            for y, ry in reps.items()
-            if reps[_cyclic_mul_masks(x, y, sig, mul)] != matmul(rx, ry)
+            for x, rx in zip(elems, rows)
+            for y, xy, m in zip(elems, _cyclic_products(ring, x), products(rx))
+            if reps[xy] != m
         ))
 
 
@@ -321,33 +334,36 @@ def certify_regular_rep(failures: list[str], details: list[str]) -> None:
 def certify_iso_f8m3(failures: list[str], details: list[str]) -> None:
     """The degree-3 map into M3(F2): bijective onto its image, additive and
     multiplicative on all 512 x 512 pairs, identity preserved."""
-    mul = F8._mul
-    sig = _sigma_tables(F8, 3)
-    images = {
-        x: _rows_packed(iso_f8_to_m3(CyclicElement(F8, [F8.elements[m] for m in x])))
-        for x in itertools.product(range(8), repeat=3)
-    }
+    elems = list(itertools.product(range(8), repeat=3))
+    rows = [
+        _rows_packed(iso_f8_to_m3(CyclicElement(F8, [F8.elements[m] for m in x])))
+        for x in elems
+    ]
+    packed = [_pack(rs, 3) for rs in rows]
+    # spans[i][v]: the XOR of the rows of image(elems[i]) picked out by v
+    spans = [_bmatmul(range(8), rs) for rs in rows]
 
-    if len(set(images.values())) != 512:
+    if len(set(packed)) != 512:
         failures.append("f8m3 images are not distinct (not injective)")
-    if images[(1, 0, 0)] != (0b001, 0b010, 0b100):
+    if rows[64] != (0b001, 0b010, 0b100):  # 64 is the index of (1, 0, 0)
         failures.append("f8m3 does not send 1 to the identity")
 
     # additivity: the map is linear over F2, so XOR of packed images must
-    # match the image of the coefficient-wise XOR
+    # match the image of the coefficient-wise XOR, whose index is ix ^ iy
     _first_failure(failures, (
-        f"additivity fails at {x}, {y}"
-        for x, ix in images.items()
-        for y, iy in images.items()
-        if images[(x[0] ^ y[0], x[1] ^ y[1], x[2] ^ y[2])]
-        != (ix[0] ^ iy[0], ix[1] ^ iy[1], ix[2] ^ iy[2])
+        f"additivity fails at {elems[ix]}, {elems[iy]}"
+        for ix, px in enumerate(packed)
+        for iy, py in enumerate(packed)
+        if packed[ix ^ iy] != px ^ py
     ))
     if not failures:
+        # row r of image(x)image(y) is the span of image(y)'s rows picked
+        # out by row r of image(x)
         _first_failure(failures, (
             f"multiplicativity fails at {x}, {y}"
-            for x, ix in images.items()
-            for y, iy in images.items()
-            if images[_cyclic_mul_masks(x, y, sig, mul)] != _bmatmul(ix, iy)
+            for x, (r0, r1, r2) in zip(elems, rows)
+            for y, xy, s in zip(elems, _cyclic_products(F8, x), spans)
+            if packed[xy] != s[r0] << 6 | s[r1] << 3 | s[r2]
         ))
     details.append("generator relation e^3 = 1 and twist verified implicitly")
 

@@ -291,6 +291,22 @@ def test_one_residue_key(ideal, ring, keyfn, project):
             assert key == x0.mask | x1.mask << ring.dim
 
 
+def test_key_mod_2_matches_the_bitwise_loop():
+    """The one-expression mod-2 key is the full-coordinate parity key: bit
+    pos is the parity of coordinate pos, negative coordinates included."""
+
+    def loop_key(coords):
+        key = 0
+        for pos, v in enumerate(coords):
+            key |= (v & 1) << pos
+        return key
+
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        coords = tuple(rng.randint(-5, 5) for _ in range(8))
+        assert golden._key_mod_2(coords) == loop_key(coords)
+
+
 @pytest.mark.parametrize("ideal,ring", [("1pi", F4), ("2", F4I)], ids=["1pi", "2"])
 def test_factorized_min_matches_the_brute_oracle(ideal, ring):
     """Every coset at box 1, against one oracle pass: same value, same

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from cosetcodes.matrices import RingMatrix
 from cosetcodes.rings import (
     F2,
     F2I,
@@ -193,3 +194,17 @@ def test_registry_names():
     assert set(RING_BY_NAME) == {"f2", "f4", "f8", "f16", "f16alt", "f2i", "f4i"}
     for name, ring in RING_BY_NAME.items():
         assert get_ring(name) is ring
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+def test_cached_hash_keeps_its_value(ring):
+    """An element computes its hash once; the value is still that of
+    (ring name, mask), and matrix hashes over the ring are unchanged."""
+    for e in ring:
+        assert hash(e) == hash((e.ring.name, e.mask))
+    top = ring.elements[-1]
+    for m in (
+        RingMatrix.identity(ring, 2),
+        RingMatrix(ring, [[top, ring.one], [ring.zero, top]]),
+    ):
+        assert hash(m) == hash((ring.name, 2, tuple(x.mask for x in m.entries)))

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from cosetcodes import cli, verify
+from cosetcodes.cyclic import CyclicElement
 from cosetcodes.outer_codes import MatrixSpace, repetition_code
-from cosetcodes.rings import F2
+from cosetcodes.rings import F2, F8
 
 ALL_CLAIMS = list(verify.CLAIMS)
 
@@ -187,3 +188,42 @@ def test_failing_claim_report(monkeypatch, capsys):
     assert rep.details[-1] == "FAILURE: M2(f2i) invertible count = 0, expected 96"
     assert cli.main(["verify", "--claim", "counts"]) == 1
     assert capsys.readouterr().out == "counts\tfail\tM2(f2) invertible count != 6\n"
+
+
+@pytest.fixture
+def flipped_f8(monkeypatch):
+    """F8 with bit 0 of the products 3*5 and 5*3 flipped, on a copy of the
+    multiplication table; the original table is restored afterwards."""
+    table = [row[:] for row in F8._mul]
+    table[3][5] ^= 1
+    table[5][3] ^= 1
+    monkeypatch.setattr(F8, "_mul", table)
+
+
+def test_regular_rep_finds_a_planted_table_defect(flipped_f8):
+    rep = verify.run_claim("regular_rep")
+    assert not rep.passed
+    assert rep.witness == "rep(x*y) != rep(x)rep(y) at ((0, 0, 3), (0, 0, 3)) over f8"
+
+
+def test_iso_f8m3_finds_a_planted_table_defect(flipped_f8):
+    rep = verify.run_claim("iso_f8m3")
+    assert not rep.passed
+    assert rep.witness == "multiplicativity fails at (0, 0, 3), (0, 3, 0)"
+
+
+def test_iso_f8m3_finds_two_swapped_images(monkeypatch):
+    """The images of (5, 0, 0) and (6, 0, 0) trade places; the map stays a
+    bijection, so the first failure is additivity, in scan order."""
+    real = verify.iso_f8_to_m3
+    swap = {(5, 0, 0): 6, (6, 0, 0): 5}
+
+    def swapped(x):
+        if x.masks in swap:
+            x = CyclicElement(F8, [F8.elements[swap[x.masks]], F8.zero, F8.zero])
+        return real(x)
+
+    monkeypatch.setattr(verify, "iso_f8_to_m3", swapped)
+    rep = verify.run_claim("iso_f8m3")
+    assert not rep.passed
+    assert rep.witness == "additivity fails at (0, 0, 1), (5, 0, 0)"
