@@ -364,11 +364,3 @@ def from_f_basis(ring: QuotientRing, coeffs: Sequence[RingElement]) -> CyclicEle
         raise ValueError("f-basis needs exactly 4 coefficients")
     return CyclicElement._of(ring, _pascal_apply(_coefficient_masks(ring, coeffs)))
 
-
-def algebra_elements(ring: QuotientRing):
-    """All ring.size^n elements of the degree-n algebra, lexicographic by
-    coefficient masks (last coefficient fastest)."""
-    import itertools
-
-    for masks in itertools.product(range(ring.size), repeat=ring.w_deg):
-        yield CyclicElement._of(ring, masks)

@@ -44,16 +44,18 @@ codeword (1,0,1,0) has norm pair (1,1) and |det|^2 = 2/5).  The verify
 module checks the u grouping exhaustively over a box and reports that
 counterexample to the other.
 
-``GaussianInt``, ``GoldenInt`` and ``GoldenCodeword`` are the public types;
-the hot paths compute on plain ints inside them.  ``GoldenInt.__mul__`` and
-``golden_pair_mul`` share one kernel on the four integer coordinates of an
-element of Z[i][theta], and the pair projections read each half's residue
-key, which is the mask of its reduction, straight from the coordinates.
+``GaussianInt``, ``GoldenInt`` and ``GoldenCodeword`` are the public types.
+A codeword is also the algebra element x0 + e*x1 with x0 = a + b*theta,
+x1 = c + d*theta and e^2 = i, and ``golden_pair_mul`` multiplies codewords
+as such.  It shares one int kernel with ``GoldenInt.__mul__``, and the pair
+projections read each half's residue key, the mask of its reduction,
+straight from the coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -325,10 +327,9 @@ def det_complex(cw: GoldenCodeword) -> complex:
     def ev(x: GoldenInt, t: float) -> complex:
         return complex(x.u.re, x.u.im) + complex(x.v.re, x.v.im) * t
 
-    a0 = ev(GoldenInt(cw.a, cw.b), theta)
-    a0c = ev(GoldenInt(cw.a, cw.b), theta_bar)
-    a1 = ev(GoldenInt(cw.c, cw.d), theta)
-    a1c = ev(GoldenInt(cw.c, cw.d), theta_bar)
+    x0, x1 = cw.x0(), cw.x1()
+    a0, a0c = ev(x0, theta), ev(x0, theta_bar)
+    a1, a1c = ev(x1, theta), ev(x1, theta_bar)
     alpha = 1 + 1j - 1j * theta
     alpha_bar = 1 + 1j * theta
     m00 = alpha * a0 / sqrt5
@@ -516,22 +517,20 @@ def floor_table_mod_2() -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# the algebra product carried by the coordinate pairs (e^2 = i)
+# the algebra product of codewords (e^2 = i)
 
-def golden_pair_mul(
-    x: tuple[GoldenInt, GoldenInt], y: tuple[GoldenInt, GoldenInt]
-) -> tuple[GoldenInt, GoldenInt]:
-    """(x0 + e x1)(y0 + e y1) with e^2 = i, l e = e sigma(l):
+def golden_pair_mul(x: GoldenCodeword, y: GoldenCodeword) -> GoldenCodeword:
+    """Multiply two codewords as algebra elements x0 + e x1, with e^2 = i
+    and l e = e sigma(l):
 
-        = (x0 y0 + i sigma(x1) y1) + e (sigma(x0) y1 + x1 y0).
+        x y = (x0 y0 + i sigma(x1) y1) + e (sigma(x0) y1 + x1 y0).
     """
-    x0, x1 = x[0]._ints(), x[1]._ints()
-    y0, y1 = y[0]._ints(), y[1]._ints()
+    (x0, x1), (y0, y1) = _halves(x), _halves(y)
     p0, p1, p2, p3 = _golden_mul(x0, y0)
     q0, q1, q2, q3 = _golden_mul(_golden_sigma(x1), y1)
     first = (p0 - q1, p1 + q0, p2 - q3, p3 + q2)  # p + i*q
     second = map(add, _golden_mul(_golden_sigma(x0), y1), _golden_mul(x1, y0))
-    return GoldenInt._of(first), GoldenInt._of(tuple(second))
+    return GoldenCodeword.from_ints(first + tuple(second))
 
 
 # ----------------------------------------------------------------------
@@ -574,20 +573,12 @@ def _box_halves(box: int) -> list[tuple[_Half, _Norm]]:
 
 
 def _offset_shells() -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """(t, every (dx, dy) with dx^2 + dy^2 = t) for t = 0, 1, 2, 4, 5, 8, ...
-
-    Offsets come in square blocks |dx|, |dy| <= k, which hold every offset of
-    norm at most k^2; k doubles each time a block is used up."""
-    done, k = -1, 1
-    while True:
-        shells: dict[int, list[tuple[int, int]]] = {}
-        for dx in range(-k, k + 1):
-            for dy in range(-k, k + 1):
-                t = dx * dx + dy * dy
-                if done < t <= k * k:
-                    shells.setdefault(t, []).append((dx, dy))
-        yield from sorted(shells.items())
-        done, k = k * k, 2 * k
+    """(t, every (dx, dy) with dx^2 + dy^2 = t) for t = 0, 1, 2, 4, 5, 8, ..."""
+    for t in itertools.count():
+        k = math.isqrt(t)
+        span = range(-k, k + 1)
+        if shell := [(dx, dy) for dx in span for dy in span if dx * dx + dy * dy == t]:
+            yield t, shell
 
 
 def _coset_key(coset: RingMatrix, ideal: str) -> int:

@@ -84,7 +84,7 @@ class RingMatrix:
     @classmethod
     def from_masks(cls, ring: QuotientRing, rows: Iterable[Iterable[int]]) -> "RingMatrix":
         """Build from integer masks; handy for literal tables over F2."""
-        return cls(ring, [[ring.elements[m] for m in row] for row in rows])
+        return cls(ring, [[ring.element(m) for m in row] for row in rows])
 
     @classmethod
     def parse(cls, ring: QuotientRing, text: str) -> "RingMatrix":

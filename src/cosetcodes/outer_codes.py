@@ -86,6 +86,8 @@ class MatrixSpace:
     def element(self, index: int) -> RingMatrix:
         """The matrix at ``index`` in enumeration order, whose entry masks
         are the big-endian ``ring.dim``-bit digits of index."""
+        if not 0 <= index < self.size:
+            raise ValueError(f"index {index} is not an element of {self.name}")
         width, n = self.ring.dim, self.n
         digits = [
             index >> width * (n * n - 1 - t) & ((1 << width) - 1) for t in range(n * n)
@@ -462,29 +464,20 @@ def matrix_parity_code(L: int) -> LinearCode:
     return parity_check_code(L, MatrixSpace(F2, 2))
 
 
-def reed_solomon_code(k: int, L: int = 16) -> LinearCode:
-    """Extended Reed-Solomon [L, k, L-k+1] over F16, L <= 16.
+def reed_solomon_code(k: int) -> LinearCode:
+    """Extended Reed-Solomon [16, k, 17-k] over F16.
 
-    Evaluation code of polynomials of degree < k at L fixed points (all of
-    F16 for L = 16, in the ring's enumeration order).  Parity rows are the
-    Vandermonde power rows used by the distance certificate.
+    Evaluation code of polynomials of degree < k at all 16 points of F16, in
+    the ring's enumeration order.  Parity rows are the Vandermonde power rows
+    used by the distance certificate.
     """
-    if not 1 <= k <= L <= 16:
-        raise ValueError("need 1 <= k <= L <= 16")
-    points = F16.elements[:L]
-    rows = tuple(
-        tuple(p**deg for p in points) for deg in range(k)
-    )
-    parity = tuple(
-        tuple(p**m for p in points) for m in range(L - k)
-    )
+    if not 1 <= k <= 16:
+        raise ValueError("need 1 <= k <= 16")
+    points = F16.elements
+    rows = tuple(tuple(p**deg for p in points) for deg in range(k))
+    parity = tuple(tuple(p**m for p in points) for m in range(16 - k))
     return LinearCode(
-        alphabet=F16,
-        L=L,
-        k=k,
-        rows=rows,
-        parity_rows=parity,
-        name=f"rs[{L},{k}]",
+        alphabet=F16, L=16, k=k, rows=rows, parity_rows=parity, name=f"rs[16,{k}]"
     )
 
 
@@ -572,6 +565,8 @@ def load_code(text: str, name: str = "") -> LinearCode:
         raise ValueError(f"header must be 'ring L k', got {lines[0]!r}")
     ring = get_ring(header[0])
     L, k = int(header[1]), int(header[2])
+    if L < 0 or k < 0:
+        raise ValueError(f"header L and k must not be negative, got {lines[0]!r}")
     if len(lines) != 1 + k:
         raise ValueError(f"expected {k} generator rows, found {len(lines) - 1}")
     rows = []

@@ -235,6 +235,8 @@ class QuotientRing:
     # element access
 
     def element(self, mask: int) -> RingElement:
+        if not 0 <= mask < self.size:
+            raise ValueError(f"mask {mask} is not an element of {self.name}")
         return self.elements[mask]
 
     def __iter__(self) -> Iterator[RingElement]:

@@ -745,25 +745,13 @@ def certify_projection_compat(failures: list[str], details: list[str]) -> None:
     _first_failure(failures, window_failures())
 
     # pair-level multiplicativity: project(x *_golden y) vs twisted product
-    def pairs_from_bits(bits: tuple[int, ...]) -> tuple[GoldenInt, GoldenInt]:
-        vals = [GaussianInt(bits[2 * k], bits[2 * k + 1]) for k in range(4)]
-        return (GoldenInt(vals[0], vals[1]), GoldenInt(vals[2], vals[3]))
-
-    def project_1pi(p: tuple[GoldenInt, GoldenInt]):
-        cw = GoldenCodeword(p[0].u, p[0].v, p[1].u, p[1].v)
-        return golden.project_pair_mod_1pi(cw)
-
-    def project_2(p: tuple[GoldenInt, GoldenInt]):
-        cw = GoldenCodeword(p[0].u, p[0].v, p[1].u, p[1].v)
-        return golden.project_pair_mod_2(cw)
-
     conj4 = {e: quadratic_conj(e) for e in F4}
     conj4i = {e: quadratic_conj(e) for e in F4I}
 
-    elements = [pairs_from_bits(b) for b in itertools.product(range(2), repeat=8)]
-    raw1 = [project_1pi(p) for p in elements]
+    elements = [GoldenCodeword.from_ints(b) for b in itertools.product(range(2), repeat=8)]
+    raw1 = [golden.project_pair_mod_1pi(x) for x in elements]
     hom1 = [(p0, conj4[p1]) for p0, p1 in raw1]
-    hom2 = [(p0, conj4i[p1]) for p0, p1 in (project_2(p) for p in elements)]
+    hom2 = [(p0, conj4i[p1]) for p0, p1 in map(golden.project_pair_mod_2, elements)]
     raw_mismatch: str | None = None
     raw_mismatches = 0
     mod2_mismatch: str | None = None
@@ -775,27 +763,27 @@ def certify_projection_compat(failures: list[str], details: list[str]) -> None:
             x1_unit = hom2[ix][1].is_unit
             for iy, y in enumerate(elements):
                 z = golden_pair_mul(x, y)
-                rz1 = project_1pi(z)
+                rz1 = golden.project_pair_mod_1pi(z)
                 if (rz1[0], conj4[rz1[1]]) != twisted_pair_mul(hom1[ix], hom1[iy]):
                     yield (
                         f"conjugated mod-(1+i) multiplicativity fails at "
-                        f"x=({x[0]},{x[1]}), y=({y[0]},{y[1]})"
+                        f"x=({x.x0()},{x.x1()}), y=({y.x0()},{y.x1()})"
                     )
                 if rz1 != twisted_pair_mul(raw1[ix], raw1[iy]):
                     raw_mismatches += 1
                     if raw_mismatch is None:
-                        raw_mismatch = f"x=({x[0]}, {x[1]}), y=({y[0]}, {y[1]})"
-                rz2 = project_2(z)
+                        raw_mismatch = f"x=({x.x0()}, {x.x1()}), y=({y.x0()}, {y.x1()})"
+                rz2 = golden.project_pair_mod_2(z)
                 differs = (rz2[0], conj4i[rz2[1]]) != twisted_pair_mul(hom2[ix], hom2[iy])
                 if differs != (x1_unit and hom2[iy][1].is_unit):
                     yield (
                         f"mod-2 failure locus breaks the both-units rule at "
-                        f"x=({x[0]},{x[1]}), y=({y[0]},{y[1]})"
+                        f"x=({x.x0()},{x.x1()}), y=({y.x0()},{y.x1()})"
                     )
                 if differs:
                     mod2_mismatches += 1
                     if mod2_mismatch is None:
-                        mod2_mismatch = f"x=({x[0]}, {x[1]}), y=({y[0]}, {y[1]})"
+                        mod2_mismatch = f"x=({x.x0()}, {x.x1()}), y=({y.x0()}, {y.x1()})"
 
     _first_failure(failures, product_failures())
 

@@ -176,6 +176,16 @@ def test_missing_code_file_exit_2(capsys, tmp_path, command):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("header", ["f4 -1 0", "f4 2 -1"])
+def test_negative_code_file_header_exit_2(capsys, tmp_path, header):
+    path = tmp_path / "code.txt"
+    path.write_text(header + "\n")
+    rc, out, err = run(capsys, "mindist", "--code-file", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: header L and k must not be negative, got '{header}'\n"
+
+
 @pytest.mark.parametrize(
     "code,least", [("repetition", 1), ("parity", 2), ("matrix_parity", 2)]
 )

@@ -9,7 +9,6 @@ from cosetcodes.cyclic import (
     F16_E_IMAGE,
     F16_W_IMAGE,
     F8_W_IMAGE,
-    algebra_elements,
     from_f_basis,
     iso_f8_to_m3,
     iso_f16_to_m4,
@@ -221,11 +220,6 @@ def test_f_basis_round_trip_and_e_image():
             F16_ALT, [F16_ALT.element(rng.randrange(16)) for _ in range(4)]
         )
         assert from_f_basis(F16_ALT, to_f_basis(x)) == x
-
-
-def test_algebra_elements_counts():
-    assert len(set(algebra_elements(F4))) == 16
-    assert len(set(algebra_elements(F8))) == 512
 
 
 # ----------------------------------------------------------------------

@@ -152,18 +152,15 @@ def test_matrix_det_is_the_det_numerator():
 def test_golden_pair_mul_e_squared_is_i():
     zero = GoldenInt(GaussianInt(0, 0), GaussianInt(0, 0))
     one = GoldenInt(GaussianInt(1, 0), GaussianInt(0, 0))
-    e_sq = golden_pair_mul((zero, one), (zero, one))
-    assert e_sq == (GoldenInt(GaussianInt(0, 1), GaussianInt(0, 0)), zero)
+    e = GoldenCodeword(zero.u, zero.v, one.u, one.v)
+    e_sq = golden_pair_mul(e, e)
+    assert (e_sq.x0(), e_sq.x1()) == (GoldenInt(GaussianInt(0, 1), GaussianInt(0, 0)), zero)
 
 
 @given(coords8, coords8, coords8)
 @settings(max_examples=40)
 def test_golden_pair_mul_associative(t1, t2, t3):
-    def pair(t):
-        cw = GoldenCodeword.from_ints(t)
-        return (cw.x0(), cw.x1())
-
-    x, y, z = pair(t1), pair(t2), pair(t3)
+    x, y, z = map(GoldenCodeword.from_ints, (t1, t2, t3))
     assert golden_pair_mul(golden_pair_mul(x, y), z) == golden_pair_mul(
         x, golden_pair_mul(y, z)
     )
@@ -385,6 +382,11 @@ def _ref_pair_mul(x, y):
     return first, second
 
 
+def _codeword(pair):
+    x0, x1 = pair
+    return GoldenCodeword(x0.u, x0.v, x1.u, x1.v)
+
+
 def test_golden_kernels_match_the_gaussian_route():
     rng = random.Random(29)
     ys = rng.sample(_WINDOW, 16)
@@ -394,7 +396,8 @@ def test_golden_kernels_match_the_gaussian_route():
     for _ in range(2000):
         x = tuple(rng.choices(_WINDOW, k=2))
         y = tuple(rng.choices(_WINDOW, k=2))
-        assert golden_pair_mul(x, y) == _ref_pair_mul(x, y)
+        z = golden_pair_mul(_codeword(x), _codeword(y))
+        assert (z.x0(), z.x1()) == _ref_pair_mul(x, y)
 
 
 def test_projections_match_the_reduction_route():

@@ -141,6 +141,14 @@ def test_from_masks():
     assert a == m2(F4, "[[0,1],[w,w+1]]")
 
 
+@pytest.mark.parametrize(
+    "rows", [[[-1, 0], [0, -1]], [[2, 0], [0, 1]]], ids=["negative", "too-large"]
+)
+def test_from_masks_refuses_masks_out_of_range(rows):
+    with pytest.raises(ValueError, match="is not an element of f2"):
+        RingMatrix.from_masks(F2, rows)
+
+
 # ----------------------------------------------------------------------
 # the mask kernels against an element-level reference: every entry is a
 # RingElement and every sum and product goes through the element operators

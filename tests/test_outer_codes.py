@@ -204,6 +204,19 @@ def test_dump_load_round_trip():
         load_code("f4 4 1\n1 1 1\n")
 
 
+@pytest.mark.parametrize("header", ["f4 -1 0", "f4 2 -1"])
+def test_load_code_refuses_a_negative_header(header):
+    with pytest.raises(ValueError, match=f"^header L and k must not be negative, got '{header}'$"):
+        load_code(header + "\n")
+
+
+def test_reed_solomon_code_has_length_16():
+    assert [reed_solomon_code(k).L for k in (1, 16)] == [16, 16]
+    for k in (0, 17):
+        with pytest.raises(ValueError, match="need 1 <= k <= 16"):
+            reed_solomon_code(k)
+
+
 def test_weight_kind_names():
     assert WeightKind("hamming") is WeightKind.HAMMING
     assert WeightKind("bachoc") is WeightKind.BACHOC
@@ -333,6 +346,12 @@ def test_matrix_space_element_is_the_enumeration_index(ring):
     for index, m in enumerate(space):
         assert space.element(index) == m
         assert outer_codes._pack(m) == index
+
+
+@pytest.mark.parametrize("index", [-1, 16])
+def test_matrix_space_element_refuses_indices_out_of_range(index):
+    with pytest.raises(ValueError, match=f"index {index} is not an element of m2f2"):
+        MatrixSpace(F2, 2).element(index)
 
 
 def test_scaled_rows_do_not_enumerate_the_alphabet(monkeypatch):

@@ -114,6 +114,13 @@ def test_parse_rejects_garbage():
         get_ring("f32")
 
 
+@pytest.mark.parametrize("mask", [-1, 4])
+def test_element_refuses_masks_out_of_range(mask):
+    """A negative mask must not wrap round to the end of the element list."""
+    with pytest.raises(ValueError, match=f"mask {mask} is not an element of f4"):
+        F4.element(mask)
+
+
 def test_parse_accepts_spaces_powers_and_order():
     assert F4I.parse("iw + 1") == F4I.parse("1+iw")
     assert F8.parse("w^2+w") == F8.parse("w + w^2")

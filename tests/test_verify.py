@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cosetcodes import cli, verify
+from cosetcodes import cli, golden, verify
 from cosetcodes.cyclic import CyclicElement
 from cosetcodes.outer_codes import MatrixSpace, repetition_code
 from cosetcodes.rings import F2, F8
@@ -227,3 +227,35 @@ def test_iso_f8m3_finds_two_swapped_images(monkeypatch):
     rep = verify.run_claim("iso_f8m3")
     assert not rep.passed
     assert rep.witness == "additivity fails at (0, 0, 1), (5, 0, 0)"
+
+
+def _reversed_pair(monkeypatch, name):
+    """Make golden.<name> return its pair in reverse order."""
+    real = getattr(golden, name)
+    monkeypatch.setattr(golden, name, lambda cw: real(cw)[::-1])
+
+
+def test_projection_compat_finds_a_reversed_1pi_pair(monkeypatch):
+    """The scan stops at its first product failure, before any mod-2
+    mismatch is counted, so the mod-2 summary reports a failure too."""
+    _reversed_pair(monkeypatch, "project_pair_mod_1pi")
+    rep = verify.run_claim("projection_compat")
+    assert not rep.passed
+    assert rep.witness == (
+        "conjugated mod-(1+i) multiplicativity fails at "
+        "x=((0)+(0)t,(0)+(i)t), y=((0)+(0)t,(0)+(i)t)"
+    )
+    assert rep.details[-1] == (
+        "FAILURE: mod-2 multiplicativity unexpectedly holds — "
+        "the e^2 = i twist should break it"
+    )
+
+
+def test_projection_compat_finds_a_reversed_mod2_pair(monkeypatch):
+    _reversed_pair(monkeypatch, "project_pair_mod_2")
+    rep = verify.run_claim("projection_compat")
+    assert not rep.passed
+    assert rep.witness == (
+        "mod-2 failure locus breaks the both-units rule at "
+        "x=((0)+(0)t,(0)+(i)t), y=((0)+(0)t,(0)+(i)t)"
+    )
