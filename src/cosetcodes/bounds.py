@@ -36,7 +36,6 @@ lattice layer, d's are minimum distances of the outer codes):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -168,7 +167,6 @@ class SqrtVal:
 
 
 SQRT2 = SqrtVal(0, 1, 2)
-SQRT5 = SqrtVal(0, 1, 5)
 
 
 def _check_positive_delta(delta: Fraction) -> Fraction:
@@ -272,17 +270,3 @@ def gv_bound(q: int, L: int, d: int) -> Fraction:
         raise ValueError("need q >= 2, L >= 1, 1 <= d <= L+1")
     denom = sum(math.comb(L, j) * (q - 1) ** j for j in range(d))
     return Fraction(q**L, denom)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One evaluated bound, for the CLI's delimited output."""
-
-    name: str
-    inputs: tuple[tuple[str, str], ...]
-    value: Fraction | SqrtVal
-
-    def format(self, as_float: bool = False) -> str:
-        val = float(self.value) if as_float else self.value
-        inputs = " ".join(f"{k}={v}" for k, v in self.inputs)
-        return f"{self.name}\t{inputs}\t{val}"

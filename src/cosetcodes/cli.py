@@ -138,14 +138,15 @@ def _cmd_bounds(args) -> int:
         else:
             values.append(v)
     value = function(*values)
+    if args.float:
+        value = float(value)
     if args.verbose:
-        inputs = tuple(
-            (name, str(v).lower() if isinstance(v, bool) else str(v))
+        inputs = " ".join(
+            f"{name}={str(v).lower() if isinstance(v, bool) else v}"
             for name, v in zip(params, given)
         )
-        print(bounds.BoundReport(args.which, inputs, value).format(args.float))
-    else:
-        _print_value(value, args.float)
+        value = f"{args.which}\t{inputs}\t{value}"
+    print(value)
     return 0
 
 

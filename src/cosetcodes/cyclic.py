@@ -74,7 +74,7 @@ from .rings import (
 def _sigma_powers(ring: QuotientRing, x: int, count: int) -> list[int]:
     """Masks of x, sigma(x), ..., sigma^(count-1)(x) with sigma as plain
     squaring; well defined on every ring here, an automorphism only on the
-    genuine fields (see rings.frobenius)."""
+    genuine fields (on F16_ALT and the F2[i]-rings it is not injective)."""
     mul = ring._mul
     out = [x]
     for _ in range(count - 1):
@@ -288,7 +288,12 @@ def pair_to_matrix(x: RingElement, y: RingElement) -> RingMatrix:
 
 def matrix_to_pair(m: RingMatrix, ring: QuotientRing) -> tuple[RingElement, RingElement]:
     """Inverse of pair_to_matrix; ring is the quadratic extension (f4 or f4i)."""
-    if ring not in _PAIR_TARGET or m.ring is not _PAIR_TARGET[ring] or m.n != 2:
+    if (
+        not isinstance(m, RingMatrix)
+        or ring not in _PAIR_TARGET
+        or m.ring is not _PAIR_TARGET[ring]
+        or m.n != 2
+    ):
         raise ValueError("matrix_to_pair expects a 2x2 matrix over the base ring")
     y11, y12, y21, y22 = m.masks
     span = ring._i_span

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -126,27 +125,6 @@ class GaussianInt:
 
     def __repr__(self) -> str:
         return f"GaussianInt({self.re}, {self.im})"
-
-    # The real part must end at a sign or at the end, so "2i" is 2i, not 2+i.
-    _RE = re.compile(r"^(?:([+-]?\d+)(?=[+-]|$))?(?:([+-]?\d*)i)?$")
-
-    @classmethod
-    def parse(cls, text: str) -> "GaussianInt":
-        s = text.replace(" ", "")
-        m = cls._RE.match(s)
-        if not m or not s:
-            raise ValueError(f"cannot parse Gaussian integer {text!r}")
-        re_part, im_part = m.groups()
-        re_val = int(re_part) if re_part else 0
-        if im_part is None:
-            im_val = 0
-        elif im_part in ("", "+"):
-            im_val = 1
-        elif im_part == "-":
-            im_val = -1
-        else:
-            im_val = int(im_part)
-        return cls(re_val, im_val)
 
 
 GI_I = GaussianInt(0, 1)

@@ -152,22 +152,6 @@ class RingMatrix:
             out += acc
         return RingMatrix._of(self.ring, n, tuple(out))
 
-    def scale(self, s: RingElement) -> "RingMatrix":
-        if not isinstance(s, RingElement):
-            raise TypeError(f"cannot scale a RingMatrix by {type(s).__name__}")
-        if s.ring is not self.ring:
-            raise ValueError(
-                f"elements of different rings: {s.ring.name} vs {self.ring.name}"
-            )
-        row = self.ring._mul[s.mask]
-        return RingMatrix._of(self.ring, self.n, tuple(row[m] for m in self.masks))
-
-    def transpose(self) -> "RingMatrix":
-        n = self.n
-        return RingMatrix._of(
-            self.ring, n, tuple(self.masks[c * n + r] for r in range(n) for c in range(n))
-        )
-
     def __pow__(self, exponent: int) -> "RingMatrix":
         if exponent < 0:
             raise ValueError("negative matrix powers are not supported")

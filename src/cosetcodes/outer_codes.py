@@ -59,7 +59,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cyclic import multiplication_matrix, pair_to_matrix
-from .matrices import ENUMERATION_LIMIT, RingMatrix
+from .matrices import ENUMERATION_LIMIT, RingMatrix, all_matrices
 from .rings import F2, F4, F4I, F16, QuotientRing, RingElement, get_ring, quadratic_norm
 
 # Message spaces larger than this are refused by the exhaustive searches.
@@ -79,8 +79,6 @@ class MatrixSpace:
         self.size = ring.size ** (n * n)
 
     def __iter__(self) -> Iterator[RingMatrix]:
-        from .matrices import all_matrices
-
         return all_matrices(self.ring, self.n)
 
     def element(self, index: int) -> RingMatrix:
@@ -578,12 +576,3 @@ def load_code(text: str, name: str = "") -> LinearCode:
     return LinearCode(
         alphabet=ring, L=L, k=k, rows=tuple(rows), name=name or "custom"
     )
-
-
-def dump_code(code: LinearCode) -> str:
-    if not isinstance(code.alphabet, QuotientRing):
-        raise ValueError("only ring-alphabet codes have a file form")
-    lines = [f"{code.alphabet.name} {code.L} {code.k}"]
-    for row in code.rows:
-        lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"

@@ -370,18 +370,6 @@ def get_ring(name: str) -> QuotientRing:
 # ----------------------------------------------------------------------
 # maps
 
-def frobenius(x: RingElement) -> RingElement:
-    """x -> x^2, the field automorphism generating Gal(F_{2^n}/F2).
-
-    Restricted to actual fields: on F16_ALT or F2[i]-type rings squaring is
-    still well defined but is not an automorphism, and silently treating it
-    as one hides real bugs.  Use ``x * x`` directly if that is what you mean.
-    """
-    if not x.ring.is_field:
-        raise ValueError(f"frobenius needs a field, {x.ring.name} is not one")
-    return x * x
-
-
 def quadratic_norm(x: RingElement) -> RingElement:
     """Relative norm a^2 + a*b + b^2 of x = a + b*w down to the subring.
 

@@ -216,6 +216,16 @@ def _sigma_tables(ring, n: int) -> list[list[int]]:
 _Minimizer = tuple[int, tuple[int, ...]]
 
 
+def _ideal_key_and_floors(ideal: str) -> tuple[Callable, Callable[[], list[int]]]:
+    """The full-coordinate residue key function and the floor table builder
+    of ideal "1pi" or "2", looked up in golden at call time."""
+    if ideal == "1pi":
+        return golden._key_mod_1pi, golden.floor_table_mod_1pi
+    if ideal == "2":
+        return golden._key_mod_2, golden.floor_table_mod_2
+    raise ValueError("ideal must be '1pi' or '2'")
+
+
 def brute_box_scan(
     ideal: str, box: int
 ) -> tuple[int, list[tuple[int, ...]], list[int], list[_Minimizer | None]]:
@@ -226,10 +236,10 @@ def brute_box_scan(
     4/2/1), then per residue key the lexicographic-first (m, coords) that
     minimizes m = 5*|det|^2 in that coset, or None for a coset with no
     nonzero codeword in the box."""
-    if ideal == "1pi":
-        table, keyfn = golden.floor_table_mod_1pi(), golden._key_mod_1pi
-    else:
-        table, keyfn = golden.floor_table_mod_2(), golden._key_mod_2
+    keyfn, floors = _ideal_key_and_floors(ideal)
+    if box < 1:
+        raise ValueError("box must be at least 1")
+    table = floors()
     violations: list[tuple[int, ...]] = []
     key_counts = [0] * len(table)
     best: list[_Minimizer | None] = [None] * len(table)
@@ -923,18 +933,16 @@ def _eq2_holds(delta: SqrtVal, ms: Sequence[int]) -> bool:
     raise ValueError("the exact cross-check is implemented for L <= 2")
 
 
-DEFAULT_REPRESENTATIVES = (
-    GaussianInt(0, 0),
-    GaussianInt(1, 0),
-    GaussianInt(0, 1),
-    GaussianInt(1, 1),
-)
+# The representatives 0, 1, i, 1+i of a Gaussian coordinate, as (re, im).
+DEFAULT_REPRESENTATIVES = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+# brute_delta_min refuses to examine more tuples than this.
+DELTA_MIN_TUPLE_LIMIT = 2_000_000
 
 
 def brute_delta_min(
-    code: LinearCode | MappedCode,
-    ideal: str,
-    limit: int = 2_000_000,
+    code: LinearCode | MappedCode, ideal: str
 ) -> tuple[SqrtVal, tuple[GoldenCodeword, ...], bool]:
     """Exact minimum of det(sum X_i X_i^dagger) over nonzero tuples whose
     blockwise projections form a codeword of ``code``.
@@ -945,20 +953,14 @@ def brute_delta_min(
     enumeration order, and whether the per-tuple superadditivity cross-check
     held everywhere).
     """
-    if ideal == "1pi":
-        keyfn = golden._key_mod_1pi
-    elif ideal == "2":
-        keyfn = golden._key_mod_2
-    else:
-        raise ValueError("ideal must be '1pi' or '2'")
-
-    by_key: dict[int, list[GoldenCodeword]] = {}
-    for tup in itertools.product(DEFAULT_REPRESENTATIVES, repeat=4):
-        cw = GoldenCodeword(*tup)
-        ints = []
-        for g in tup:
-            ints.extend((g.re, g.im))
-        by_key.setdefault(keyfn(ints), []).append(cw)
+    keyfn = _ideal_key_and_floors(ideal)[0]
+    # each inner codeword with its m = 5*|det|^2, grouped by residue key
+    by_key: dict[int, list[tuple[GoldenCodeword, int]]] = {}
+    for pairs in itertools.product(DEFAULT_REPRESENTATIVES, repeat=4):
+        coords = sum(pairs, ())
+        by_key.setdefault(keyfn(coords), []).append(
+            (GoldenCodeword.from_ints(coords), det_sq_times5(coords))
+        )
 
     best: SqrtVal | None = None
     best_witness: tuple[GoldenCodeword, ...] | None = None
@@ -975,19 +977,18 @@ def brute_delta_min(
         if not candidate_lists:
             continue
         for tup in itertools.product(*candidate_lists):
-            if all(cw.is_zero for cw in tup):
+            words, ms = zip(*tup)
+            if all(cw.is_zero for cw in words):
                 continue
             examined += 1
-            if examined > limit:
-                raise ValueError(f"brute force exceeded {limit} tuples")
-            delta = _hermitian_sum_det(tup)
-            if len(tup) <= 2:
-                ms = [det_sq_times5([g for c in cw.coords() for g in (c.re, c.im)]) for cw in tup]
-                if not _eq2_holds(delta, ms):
-                    eq2_all = False
+            if examined > DELTA_MIN_TUPLE_LIMIT:
+                raise ValueError(f"brute force exceeded {DELTA_MIN_TUPLE_LIMIT} tuples")
+            delta = _hermitian_sum_det(words)
+            if len(ms) <= 2 and not _eq2_holds(delta, ms):
+                eq2_all = False
             if best is None or delta < best:
                 best = delta
-                best_witness = tup
+                best_witness = words
     if best is None or best_witness is None:
         raise ValueError("no nonzero tuple projects into the code")
     return best, best_witness, eq2_all

@@ -9,8 +9,6 @@ import hypothesis.strategies as st
 
 from cosetcodes.bounds import (
     SQRT2,
-    SQRT5,
-    BoundReport,
     SqrtVal,
     bachoc_bound,
     gv_bound,
@@ -37,7 +35,7 @@ def test_sqrtval_basics():
     with pytest.raises(ValueError):
         x.as_fraction()
     with pytest.raises(ValueError):
-        SQRT2 + SQRT5
+        SQRT2 + SqrtVal(0, 1, 5)
 
 
 @pytest.mark.parametrize("d", [0, -1, -5])
@@ -48,7 +46,7 @@ def test_sqrtval_rejects_nonpositive_radicand(d):
 
 def test_sqrt2_squares_to_2():
     assert SQRT2 * SQRT2 == SqrtVal(2, 0, 2)
-    assert SQRT5 * SQRT5 == 5
+    assert SqrtVal(0, 1, 5) * SqrtVal(0, 1, 5) == 5
     # sqrt2 is irrational: no rational ever equals it
     assert SQRT2 != Fraction(141421356, 100000000)
 
@@ -120,10 +118,3 @@ def test_gv_bound():
     assert gv_bound(2, 4, 1) == 16  # no distance constraint at all
     with pytest.raises(ValueError):
         gv_bound(4, 6, 0)
-
-
-def test_bound_report_format():
-    rep = BoundReport("hamming", (("n", "2"), ("d", "2")), Fraction(4, 5))
-    line = rep.format()
-    assert line.split("\t") == ["hamming", "n=2 d=2", "4/5"]
-    assert rep.format(as_float=True).endswith("\t0.8")

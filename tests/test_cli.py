@@ -117,9 +117,11 @@ def test_bounds_values(capsys, argv, expected):
 
 def test_bounds_verbose_line(capsys):
     """The --verbose line of every bound: its name, its CLI parameters in
-    call order as given (booleans lower-cased), and its value."""
+    call order as given (booleans lower-cased), and its value, exact or
+    under --float a decimal."""
     cases = [
         ((), "hamming\tn=2 a_norm_sq=2 delta=1/5 d=2\t4/5"),
+        (("--float",), "hamming\tn=2 a_norm_sq=2 delta=1/5 d=2\t0.8"),
         ((), "bachoc\tdelta=1/5 d=2\t2/5"),
         ((), "hamming_m2f2i\tdelta=1/5 d=2\t4/5"),
         (("--ds", "1,2,3,4", "--duplicate-d3"),

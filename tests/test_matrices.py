@@ -14,7 +14,7 @@ from cosetcodes.matrices import (
     count_invertible,
     matrix_space_size,
 )
-from cosetcodes.rings import F2, F2I, F4, F4I, F16, RING_BY_NAME
+from cosetcodes.rings import F2, F2I, F4, F16, RING_BY_NAME
 
 
 def m2(ring, text):
@@ -81,8 +81,7 @@ def test_det_multiplicative_m2():
 
 def test_det_transpose_m3f2():
     for a in all_matrices(F2, 3):
-        t = a.transpose()
-        assert t.transpose() == a
+        t = RingMatrix(F2, [[a[r, c] for r in range(3)] for c in range(3)])
         assert t.det() == a.det()
 
 
@@ -100,9 +99,6 @@ def test_pow_and_scale():
     assert a ** 0 == RingMatrix.identity(F2, 2)
     assert a ** 2 == a * a
     assert a ** 2 == RingMatrix.identity(F2, 2)  # unipotent, char 2
-    s = F4.parse("w")
-    b = RingMatrix.identity(F4, 2).scale(s)
-    assert b[0, 0] == s and b[0, 1].is_zero
 
 
 def test_invertibility_counts():
@@ -200,24 +196,15 @@ def test_mask_kernels_match_the_element_route_on_samples(ring, n):
         return RingMatrix(ring, [rng.choices(ring.elements, k=n) for _ in range(n)])
 
     for _ in range(40):
-        a, b, s = sample(), sample(), rng.choice(ring.elements)
+        a, b = sample(), sample()
         assert list((a + b).entries) == _ref_add(a, b)
         assert list((a * b).entries) == _ref_mul(a, b)
         assert a.det() == _ref_det_leibniz(a)
-        assert a.scale(s).entries == tuple(s * x for x in a.entries)
-        assert a.transpose().entries == tuple(a[c, r] for r in range(n) for c in range(n))
         assert a**3 == a * a * a
         assert hash(a) == hash((ring.name, n, tuple(x.mask for x in a.entries)))
 
 
 def test_boundary_checks():
-    a = RingMatrix.identity(F4, 2)
-    with pytest.raises(ValueError):
-        a.scale(F2.one)
-    with pytest.raises(ValueError):
-        a.scale(F4I.one)
-    with pytest.raises(TypeError):
-        a.scale(1)
     with pytest.raises(ValueError):
         RingMatrix(F4, [[F4.one, F2.one], [F4.zero, F4.one]])
     with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from cosetcodes.rings import (
     F16,
     F16_ALT,
     RING_BY_NAME,
-    frobenius,
     get_ring,
     quadratic_conj,
     quadratic_norm,
@@ -135,23 +134,6 @@ def test_w_components_round_trip(ring):
         a, b = ring.w_components(x)
         assert a.ring is ring.subring and b.ring is ring.subring
         assert ring.from_w_components(a, b) == x
-
-
-def test_frobenius_is_an_automorphism_on_f16():
-    for x in F16:
-        for y in F16:
-            assert frobenius(x * y) == frobenius(x) * frobenius(y)
-            assert frobenius(x + y) == frobenius(x) + frobenius(y)
-    # fixed field of x -> x^2 is exactly the prime field
-    fixed = [x for x in F16 if frobenius(x) == x]
-    assert len(fixed) == 2
-
-
-def test_frobenius_refuses_non_fields():
-    with pytest.raises(ValueError):
-        frobenius(F4I.one)
-    with pytest.raises(ValueError):
-        frobenius(F16_ALT.gen_w)
 
 
 def test_quadratic_norm_f4():

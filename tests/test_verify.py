@@ -80,12 +80,33 @@ def test_run_claim_rejects_unknown_names():
         verify.run_claim("nosuch")
 
 
-def test_brute_delta_min_guards():
+def test_brute_delta_min_guards(monkeypatch):
     code = repetition_code(2, MatrixSpace(F2, 2))
     with pytest.raises(ValueError):
         verify.brute_delta_min(code, "7")
+    monkeypatch.setattr(verify, "DELTA_MIN_TUPLE_LIMIT", 10)
     with pytest.raises(ValueError):
-        verify.brute_delta_min(code, "1pi", limit=10)
+        verify.brute_delta_min(code, "1pi")
+
+
+@pytest.mark.parametrize(
+    "ideal,box,message",
+    [("x", 1, "ideal must be '1pi' or '2'"), ("1pi", 0, "box must be at least 1"),
+     ("2", -1, "box must be at least 1")],
+)
+def test_brute_box_scan_refuses_bad_input(ideal, box, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify.brute_box_scan(ideal, box)
+
+
+def test_a_ring_alphabet_is_refused_as_a_coset():
+    """A coset must be a 2x2 matrix; a ring element gets the ValueError of
+    matrix_to_pair on both routes that reach it, not an AttributeError."""
+    message = "^matrix_to_pair expects a 2x2 matrix over the base ring$"
+    with pytest.raises(ValueError, match=message):
+        verify.brute_delta_min(repetition_code(2, F2), "1pi")
+    with pytest.raises(ValueError, match=message):
+        golden.min_abs_det_sq(1, coset=F2.one, ideal="1pi")
 
 
 def test_brute_delta_min_value(claim_result):
