@@ -11,33 +11,11 @@ in ``details`` with explicit witnesses.
 
 The TSV surface is one line per claim:  ``claim<TAB>pass|fail<TAB>witness``.
 
-A claim is a body ``certify_x(failures, details)`` under ``@_claim(name,
-space)``.  The body appends one message to ``failures`` per check that does
-not hold and one line to ``details`` per informational finding, and may
-return the witness a passing report shows.  The decorator registers the
-claim in ``CLAIMS`` in definition order and turns the body into a
-zero-argument function that times it and builds its report: a failing
-claim's witness is its first failure, and the later ones follow the details
-as ``FAILURE:`` lines.  A scan that stops at its first counterexample is a
-generator of failure messages handed to :func:`_first_failure`.
-
-The algebra claims ``regular_rep`` and ``iso_f8m3`` scan every pair (x, y),
-x outer and y inner, on ints: an element is its index in
-``itertools.product`` order, which packs its coefficient masks, and a matrix
-is one int of packed rows.  For each x the scan builds small tables from the
-live ``ring._mul`` (rebuilt on every call, never cached): per-coefficient
-term tables give the index of x*y for every y, per-scalar row tables give
-rep(x)rep(y), and a span table of image(y)'s rows gives image(x)image(y).
-Each pair still gets its own product and its own matrix product, compared
-on their own; no pair is inferred from others by linearity, and the first
-failing pair in scan order is the one reported.
-
-The Golden box claims check the library's norm-factorized searches against
-one brute pass, :func:`brute_box_scan`, over all 390,624 nonzero codewords of
-the +/-2 coordinate box.  The pass keys each codeword by its residue key,
-computed from all eight coordinates and not from the library's half keys,
-and returns the floor check, the class sizes and every coset's minimum;
-any disagreement in value, witness, violations or class sizes fails the claim.
+Each claim is a body under ``@_claim``, registered in ``CLAIMS``.  The
+algebra claims scan every pair on packed ints, and the Golden box claims
+compare the library's factorized searches with :func:`brute_box_scan`, one
+pass over every nonzero codeword of the box whose determinant identity
+``golden_mindet`` proves on a grid; notes above each part say how.
 """
 
 from __future__ import annotations
@@ -108,6 +86,16 @@ class OracleReport:
         return f"{self.claim}\t{'pass' if self.passed else 'fail'}\t{self.witness}"
 
 
+# A claim is a body ``certify_x(failures, details)`` under ``@_claim(name,
+# space)``.  The body appends one message to ``failures`` per check that does
+# not hold and one line to ``details`` per informational finding, and may
+# return the witness a passing report shows.  The decorator registers the
+# claim in ``CLAIMS`` in definition order and turns the body into a
+# zero-argument function that times it and builds its report: a failing
+# claim's witness is its first failure, and the later ones follow the details
+# as ``FAILURE:`` lines.  A scan that stops at its first counterexample is a
+# generator of failure messages handed to ``_first_failure``.
+
 # Every claim, in definition order; filled by @_claim.
 CLAIMS: dict[str, Callable[[], OracleReport]] = {}
 
@@ -145,6 +133,17 @@ def _first_failure(failures: list[str], messages: Iterable[str]) -> None:
 
 # ----------------------------------------------------------------------
 # packed binary-matrix helpers (oracle-local, independent of RingMatrix)
+#
+# The algebra claims ``regular_rep`` and ``iso_f8m3`` scan every pair (x, y),
+# x outer and y inner, on ints: an element is its index in
+# ``itertools.product`` order, which packs its coefficient masks, and a matrix
+# is one int of packed rows.  For each x the scan builds small tables from the
+# live ``ring._mul`` (rebuilt on every call, never cached): per-coefficient
+# term tables give the index of x*y for every y, per-scalar row tables give
+# rep(x)rep(y), and a span table of image(y)'s rows gives image(x)image(y).
+# Each pair still gets its own product and its own matrix product, compared
+# on their own; no pair is inferred from others by linearity, and the first
+# failing pair in scan order is the one reported.
 
 def _packed(m: RingMatrix) -> int:
     """The bit rows of ``_rows_packed`` in one int, row 0 highest."""
@@ -211,7 +210,22 @@ def _sigma_tables(ring, n: int) -> list[list[int]]:
 
 # ----------------------------------------------------------------------
 # brute-force Golden box scan (oracle-local: the library searches over
-# half-codeword norms, this loop visits every codeword of the box)
+# half-codeword norms, this pass visits every codeword of the box)
+#
+# Both routes score a codeword through 5*det X = (2+i)(N_ab - i*N_cd), where
+# N_ab and N_cd are the norms of its halves (a, b) and (c, d).  The oracle
+# proves that identity instead of sharing it: both sides are Z[i]-valued
+# polynomials of degree <= 2 in each integer coordinate, and such a
+# polynomial is zero once it vanishes on the 3^8 points of {-1, 0, 1}^8.
+# ``golden_mindet`` compares ``det_numerator``, the full symbolic 2x2
+# expansion, with the norm form there, once per run.
+#
+# The pass tabulates each of the (2*box+1)^4 halves once as a left half
+# (a, b) and once as a right half (c, d): its norm and the full-coordinate
+# key of the codeword that pads it with zeros (the oracle's own
+# ``_key_mod_*``, never the library's half keys).  It then visits every
+# pair, left half outer and right half inner, which is lexicographic
+# codeword order, and gives each codeword its own m and its own key.
 
 _Minimizer = tuple[int, tuple[int, ...]]
 
@@ -229,7 +243,7 @@ def _ideal_key_and_floors(ideal: str) -> tuple[Callable, Callable[[], list[int]]
 def brute_box_scan(
     ideal: str, box: int
 ) -> tuple[int, list[tuple[int, ...]], list[int], list[_Minimizer | None]]:
-    """One loop over the nonzero codewords of the box for ideal "1pi" or "2".
+    """One pass over the nonzero codewords of the box for ideal "1pi" or "2".
 
     Returns what ``scan_det_floors`` returns (codewords checked, the first
     five floor violations in lexicographic order, class sizes for floors
@@ -240,19 +254,27 @@ def brute_box_scan(
     if box < 1:
         raise ValueError("box must be at least 1")
     table = floors()
+    norm = golden.norm_ints
+    pad = (0,) * 4
+    halves = list(itertools.product(range(-box, box + 1), repeat=4))
+    left = [(h, *norm(*h), keyfn(h + pad)) for h in halves]
+    right = [(h, *norm(*h), keyfn(pad + h)) for h in halves]
+    zero = halves.index(pad)
+    nonzero_right = right[:zero] + right[zero + 1:]
     violations: list[tuple[int, ...]] = []
     key_counts = [0] * len(table)
     best: list[_Minimizer | None] = [None] * len(table)
-    for coords in itertools.product(range(-box, box + 1), repeat=8):
-        if not any(coords):
-            continue
-        key = keyfn(coords)
-        key_counts[key] += 1
-        m = det_sq_times5(coords)
-        if m < table[key] and len(violations) < 5:
-            violations.append(coords)
-        if best[key] is None or m < best[key][0]:
-            best[key] = (m, coords)
+    for hl, p, q, kl in left:
+        for hr, r, s, kr in right if any(hl) else nonzero_right:
+            zr, zi = p + s, q - r  # N_ab - i*N_cd
+            m = zr * zr + zi * zi
+            key = kl | kr
+            key_counts[key] += 1
+            if m < table[key] and len(violations) < 5:
+                violations.append(hl + hr)
+            b = best[key]
+            if b is None or m < b[0]:
+                best[key] = (m, hl + hr)
     counts = [0, 0, 0]
     for floor, count in zip(table, key_counts):
         counts[(4, 2, 1).index(floor)] += count
@@ -265,8 +287,7 @@ def brute_box_scan(
 @_claim("counts", "matrix spaces up to 2^16 elements; f4i")
 def certify_counts(failures: list[str], details: list[str]) -> None:
     """Cardinalities and unit counts of the quotient alphabets."""
-    expected_sizes = {(F2, 2): 2**4, (F4, 3): 4**9, (F2, 4): 2**16}
-    for (ring, n), want in expected_sizes.items():
+    for ring, n, want in ((F2, 2, 2**4), (F4, 3, 4**9), (F2, 4, 2**16)):
         got = matrix_space_size(ring, n)
         if got != want:
             failures.append(f"|M{n}({ring.name})| = {got}, expected {want}")
@@ -559,7 +580,7 @@ def certify_isometry_weights(failures: list[str], details: list[str]) -> None:
     for x in F4:
         for y in F4:
             wb = outer_codes.bachoc_weight(pair_to_matrix(x, y))
-            wh = (0 if x.is_zero else 1) + (0 if y.is_zero else 1)
+            wh = (not x.is_zero) + (not y.is_zero)
             if wb != wh:
                 failures.append(f"isometry fails at ({x}, {y}): {wb} != {wh}")
 
@@ -583,17 +604,12 @@ def certify_isometry_weights(failures: list[str], details: list[str]) -> None:
     else:
         details.append("96 of 256 psi images invertible (one-unit pairs)")
 
-    lee_table = {
-        ("1", "1"): 4,
-        ("1", "i"): 2,
-        ("0", "1"): 1,
-        ("0", "i"): 1,
-        ("0", "0"): 0,
-    }
-    for (nx, ny), want in lee_table.items():
-        # realize the norm pair with concrete elements: norm(1)=1,
-        # norm(1+iw)=i, norm(0)=0
-        realize = {"0": F4I.zero, "1": F4I.one, "i": F4I.parse("1+iw")}
+    # the Lee table on norm pairs, each realized with concrete elements:
+    # norm(1)=1, norm(1+iw)=i, norm(0)=0
+    realize = {"0": F4I.zero, "1": F4I.one, "i": F4I.parse("1+iw")}
+    for nx, ny, want in (
+        ("1", "1", 4), ("1", "i", 2), ("0", "1", 1), ("0", "i", 1), ("0", "0", 0)
+    ):
         got = lee_weight(realize[nx], realize[ny])
         if got != want:
             failures.append(f"lee weight on norm pair ({nx},{ny}) = {got}, want {want}")
@@ -767,6 +783,9 @@ def certify_projection_compat(failures: list[str], details: list[str]) -> None:
     mod2_mismatch: str | None = None
     mod2_mismatches = 0
 
+    def at(x: GoldenCodeword, y: GoldenCodeword, sep: str) -> str:
+        return f"x=({x.x0()}{sep}{x.x1()}), y=({y.x0()}{sep}{y.x1()})"
+
     def product_failures() -> Iterator[str]:
         nonlocal raw_mismatch, raw_mismatches, mod2_mismatch, mod2_mismatches
         for ix, x in enumerate(elements):
@@ -775,25 +794,19 @@ def certify_projection_compat(failures: list[str], details: list[str]) -> None:
                 z = golden_pair_mul(x, y)
                 rz1 = golden.project_pair_mod_1pi(z)
                 if (rz1[0], conj4[rz1[1]]) != twisted_pair_mul(hom1[ix], hom1[iy]):
-                    yield (
-                        f"conjugated mod-(1+i) multiplicativity fails at "
-                        f"x=({x.x0()},{x.x1()}), y=({y.x0()},{y.x1()})"
-                    )
+                    yield f"conjugated mod-(1+i) multiplicativity fails at {at(x, y, ',')}"
                 if rz1 != twisted_pair_mul(raw1[ix], raw1[iy]):
                     raw_mismatches += 1
                     if raw_mismatch is None:
-                        raw_mismatch = f"x=({x.x0()}, {x.x1()}), y=({y.x0()}, {y.x1()})"
+                        raw_mismatch = at(x, y, ", ")
                 rz2 = golden.project_pair_mod_2(z)
                 differs = (rz2[0], conj4i[rz2[1]]) != twisted_pair_mul(hom2[ix], hom2[iy])
                 if differs != (x1_unit and hom2[iy][1].is_unit):
-                    yield (
-                        f"mod-2 failure locus breaks the both-units rule at "
-                        f"x=({x.x0()},{x.x1()}), y=({y.x0()},{y.x1()})"
-                    )
+                    yield f"mod-2 failure locus breaks the both-units rule at {at(x, y, ',')}"
                 if differs:
                     mod2_mismatches += 1
                     if mod2_mismatch is None:
-                        mod2_mismatch = f"x=({x.x0()}, {x.x1()}), y=({y.x0()}, {y.x1()})"
+                        mod2_mismatch = at(x, y, ", ")
 
     _first_failure(failures, product_failures())
 
@@ -824,15 +837,29 @@ def certify_projection_compat(failures: list[str], details: list[str]) -> None:
 
 @_claim("golden_mindet", "5^8 - 1 nonzero codewords")
 def certify_golden_mindet(failures: list[str], details: list[str]) -> str:
-    """Minimum |det|^2 over the +/-2 coordinate box is exactly 1/5, the
-    reported witness really attains it (integer route vs symbolic route), and
-    the brute loop finds the same value and witness."""
+    """The norm identity holds (grid proof), the minimum |det|^2 over the +/-2
+    box is exactly 1/5, the witness attains it (integer route vs symbolic
+    route), and the brute pass finds the same value and witness."""
+    identity = "identity 5*det X = (2+i)(N(a+b*theta) - i*N(c+d*theta))"
+    norm = golden.norm_ints
+    misses = []
+    for coords in itertools.product((-1, 0, 1), repeat=8):
+        z = golden.det_numerator(GoldenCodeword.from_ints(coords))
+        p, q = norm(*coords[:4])
+        r, s = norm(*coords[4:])
+        x, y = p + s, q - r  # N_ab - i*N_cd
+        if (z.re, z.im) != (2 * x - y, x + 2 * y):  # (2+i)(x + y*i)
+            misses.append(coords)
+    if misses:
+        failures.append(f"{identity} fails on {len(misses)} of 6561 points, first {misses[0]}")
+    else:
+        details.append(f"{identity} holds on all 6561 points of {{-1,0,1}}^8, so everywhere")
     value, witness = min_abs_det_sq(2)
     if value != Fraction(1, 5):
         failures.append(f"min |det|^2 over box 2 is {value}, expected 1/5")
     if abs_det_sq(witness) != value:
         failures.append(f"witness {witness} does not attain the minimum")
-    m, coords = min(b for b in brute_box_scan("1pi", 2)[3] if b is not None)
+    m, coords = min(filter(None, brute_box_scan("1pi", 2)[3]))
     brute = (Fraction(m, 5), GoldenCodeword.from_ints(coords))
     if brute != (value, witness):
         failures.append(

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from cosetcodes import cli, golden, verify
-from cosetcodes.cyclic import CyclicElement
+from cosetcodes.cyclic import CyclicElement, pair_to_matrix
+from cosetcodes.golden import GoldenCodeword
 from cosetcodes.outer_codes import MatrixSpace, repetition_code
-from cosetcodes.rings import F2, F8
+from cosetcodes.rings import F2, F4, F4I, F8
 
 ALL_CLAIMS = list(verify.CLAIMS)
 
@@ -174,6 +176,7 @@ projection_compat: pass  [625 coordinate pairs; 65536 golden-pair products]
   mod-2 multiplicativity fails exactly when both second slots are units (expected, e^2 = i vs j^2 = 1): 36864 of 65536 products differ, first at x=((0)+(0)t, (0)+(i)t), y=((0)+(0)t, (0)+(i)t)
 golden_mindet: pass  [5^8 - 1 nonzero codewords]
   witness: (-2-2i, -2-2i, -2-i, 2i)
+  identity 5*det X = (2+i)(N(a+b*theta) - i*N(c+d*theta)) holds on all 6561 points of {-1,0,1}^8, so everywhere
 det_floors_1pi: pass  [390624 nonzero codewords in the +/-2 box]
   checked 390624 codewords; class sizes (floor 4/2/1) = 28560/207936/154128
 det_floors_2: pass  [390624 nonzero codewords in the +/-2 box]
@@ -280,3 +283,80 @@ def test_projection_compat_finds_a_reversed_mod2_pair(monkeypatch):
         "mod-2 failure locus breaks the both-units rule at "
         "x=((0)+(0)t,(0)+(i)t), y=((0)+(0)t,(0)+(i)t)"
     )
+
+
+def _flipped_norm_ints(ar, ai, br, bi):
+    """golden.norm_ints with the sign of its 2*br*bi term flipped."""
+    nr = ar * ar - ai * ai + ar * br - ai * bi - (br * br - bi * bi)
+    ni = 2 * ar * ai + ar * bi + ai * br + 2 * br * bi
+    return nr, ni
+
+
+def test_golden_mindet_proves_the_norm_identity(monkeypatch):
+    """A sign error in norm_ints moves the library's scans and the brute pass
+    together, so only the grid proof of the identity can catch it."""
+    monkeypatch.setattr(golden, "norm_ints", _flipped_norm_ints)
+    for ideal in ("1pi", "2"):
+        assert golden.scan_det_floors(ideal, 1) == verify.brute_box_scan(ideal, 1)[:3]
+    rep = verify.run_claim("golden_mindet")
+    assert not rep.passed
+    assert rep.witness.startswith(
+        "identity 5*det X = (2+i)(N(a+b*theta) - i*N(c+d*theta)) fails on 4536 of 6561 points"
+    )
+
+
+@pytest.mark.parametrize("ideal", ["1pi", "2"])
+def test_brute_keys_do_not_route_through_the_half_key_codec(monkeypatch, ideal):
+    """Swap the two Gaussian slots inside the library's half keys: the
+    library's per-coset minima then disagree with the oracle's, whose keys
+    come from the full-coordinate key functions.  (The floor scans would
+    still agree: their class sizes are symmetric under this swap.)"""
+    half_key, bits = golden._HALF_KEYS[ideal]
+    monkeypatch.setattr(golden, "_HALF_KEYS", {ideal: (lambda h: half_key(h[2:] + h[:2]), bits)})
+    ring = F4 if ideal == "1pi" else F4I
+    pairs = [(x0, x1) for x1 in ring for x0 in ring]  # residue-key order
+    disagree = 0
+    for (x0, x1), best in zip(pairs, verify.brute_box_scan(ideal, 1)[3]):
+        if best is not None:
+            coset = pair_to_matrix(x0, x1)
+            library = golden.min_abs_det_sq(1, coset=coset, ideal=ideal)
+            disagree += library != (Fraction(best[0], 5), GoldenCodeword.from_ints(best[1]))
+    assert disagree == {"1pi": 12, "2": 240}[ideal]
+
+
+def _reference_box1_scan(ideal, table, scored):
+    """brute_box_scan's 4-tuple at box 1, rebuilt one scored codeword at a
+    time, keyed by coordinate parities written out here."""
+    violations, key_counts, best = [], [0] * len(table), [None] * len(table)
+    for coords, m in scored:
+        if ideal == "1pi":  # re + im of each Gaussian coordinate
+            key = sum(((coords[2 * j] + coords[2 * j + 1]) & 1) << j for j in range(4))
+        else:  # each integer coordinate
+            key = sum((c & 1) << j for j, c in enumerate(coords))
+        key_counts[key] += 1
+        if m < table[key] and len(violations) < 5:
+            violations.append(coords)
+        if best[key] is None or m < best[key][0]:
+            best[key] = (m, coords)
+    counts = [sum(n for f, n in zip(table, key_counts) if f == floor) for floor in (4, 2, 1)]
+    return sum(key_counts), violations, counts, best
+
+
+def test_brute_box_scan_matches_a_per_codeword_reference(monkeypatch):
+    """All 6 560 nonzero codewords of box 1, each scored by the symbolic
+    determinant, for both ideals; raising every floor to 4 fills the
+    violation list too."""
+    scored = [
+        (c, golden.det_numerator(GoldenCodeword.from_ints(c)).abs_sq() // 5)
+        for c in itertools.product((-1, 0, 1), repeat=8)
+        if any(c)
+    ]
+    for raised in (False, True):
+        if raised:
+            monkeypatch.setattr(golden, "floor_table_mod_1pi", lambda: [4] * 16)
+            monkeypatch.setattr(golden, "floor_table_mod_2", lambda: [4] * 256)
+        for ideal in ("1pi", "2"):
+            floors = golden.floor_table_mod_1pi if ideal == "1pi" else golden.floor_table_mod_2
+            reference = _reference_box1_scan(ideal, floors(), scored)
+            assert len(reference[1]) == (5 if raised else 0)
+            assert verify.brute_box_scan(ideal, 1) == reference
