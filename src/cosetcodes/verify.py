@@ -918,46 +918,23 @@ def certify_det_floors_2(failures: list[str], details: list[str]) -> None:
 
 # ----------------------------------------------------------------------
 # tuple-level brute force for coset codes
-
-def _hermitian_sum_det(words: Sequence[GoldenCodeword]) -> SqrtVal:
-    """det(sum X_i X_i^dagger) exactly, as p + q*sqrt5 (the 1/sqrt5 scale of
-    each factor contributes 1/25 overall)."""
-    zero = GoldenInt(GaussianInt(0, 0), GaussianInt(0, 0))
-    s = [[zero, zero], [zero, zero]]
-    for cw in words:
-        m = cw.matrix_times_sqrt5()
-        adj = [
-            [m[0][0].complex_conj(), m[1][0].complex_conj()],
-            [m[0][1].complex_conj(), m[1][1].complex_conj()],
-        ]
-        for r in range(2):
-            for c in range(2):
-                acc = s[r][c]
-                for k in range(2):
-                    acc = acc + m[r][k] * adj[k][c]
-                s[r][c] = acc
-    det = s[0][0] * s[1][1] - s[0][1] * s[1][0]
-    if det.u.im != 0 or det.v.im != 0:
-        raise ArithmeticError("hermitian determinant came out non-real")
-    # det = u + v*theta with theta = (1+sqrt5)/2
-    p = Fraction(det.u.re, 25) + Fraction(det.v.re, 50)
-    q = Fraction(det.v.re, 50)
-    return SqrtVal(p, q, 5)
-
+#
+# Delta = det(sum_i X_i X_i^dagger) needs only the Gram entries of each block.
+# ``_representative_table`` scores every representative codeword once: its
+# m = 5*|det X|^2 and the entries (0,0), (0,1), (1,1) of the Hermitian
+# 5*X X^dagger, multiplied out from the symbolic ``matrix_times_sqrt5`` with
+# explicit conjugates, never through the library's norm kernels.  A tuple
+# then costs three sums and one 2x2 Hermitian determinant.
 
 def _eq2_holds(delta: SqrtVal, ms: Sequence[int]) -> bool:
-    """delta >= (sum_i |det X_i|)^2 with |det X_i|^2 = m_i / 5, exactly.
-
-    Implemented for L <= 2 via the squaring trick on nonnegative reals."""
+    """delta >= (sum_i |det X_i|)^2 with |det X_i|^2 = m_i / 5, exactly, for
+    the one or two blocks of a tuple: one block must give equality, two are
+    decided by the squaring trick on nonnegative reals."""
     if len(ms) == 1:
         return delta == SqrtVal(Fraction(ms[0], 5), 0, 5)
-    if len(ms) == 2:
-        m1, m2 = ms
-        t = delta - Fraction(m1 + m2, 5)
-        if t.sign() < 0:
-            return False
-        return t * t >= Fraction(4 * m1 * m2, 25)
-    raise ValueError("the exact cross-check is implemented for L <= 2")
+    m1, m2 = ms
+    t = delta - Fraction(m1 + m2, 5)
+    return t.sign() >= 0 and t * t >= Fraction(4 * m1 * m2, 25)
 
 
 # The representatives 0, 1, i, 1+i of a Gaussian coordinate, as (re, im).
@@ -967,6 +944,25 @@ DEFAULT_REPRESENTATIVES = ((0, 0), (1, 0), (0, 1), (1, 1))
 # brute_delta_min refuses to examine more tuples than this.
 DELTA_MIN_TUPLE_LIMIT = 2_000_000
 
+_Rep = tuple[GoldenCodeword, int, GoldenInt, GoldenInt, GoldenInt]
+
+
+def _representative_table(ideal: str) -> dict[int, list[_Rep]]:
+    """The 256 codewords with coordinates in ``DEFAULT_REPRESENTATIVES``, each
+    as (codeword, m, g00, g01, g11), grouped by residue key in product order."""
+    keyfn = _ideal_key_and_floors(ideal)[0]
+    table: dict[int, list[_Rep]] = {}
+    for pairs in itertools.product(DEFAULT_REPRESENTATIVES, repeat=4):
+        coords = sum(pairs, ())
+        cw = GoldenCodeword.from_ints(coords)
+        (m00, m01), (m10, m11) = cw.matrix_times_sqrt5()
+        c00, c01, c10, c11 = (e.complex_conj() for e in (m00, m01, m10, m11))
+        table.setdefault(keyfn(coords), []).append((
+            cw, det_sq_times5(coords),
+            m00 * c00 + m01 * c01, m00 * c10 + m01 * c11, m10 * c10 + m11 * c11,
+        ))
+    return table
+
 
 def brute_delta_min(
     code: LinearCode | MappedCode, ideal: str
@@ -974,50 +970,40 @@ def brute_delta_min(
     """Exact minimum of det(sum X_i X_i^dagger) over nonzero tuples whose
     blockwise projections form a codeword of ``code``.
 
-    ``code`` lives over 2x2 matrices (M2(F2) for ideal "1pi", M2(F2[i]) for
-    ideal "2"); inner coordinates range over ``DEFAULT_REPRESENTATIVES`` per
-    Gaussian coordinate.  Returns (minimum, first witness tuple in
-    enumeration order, and whether the per-tuple superadditivity cross-check
-    held everywhere).
+    ``code`` has length L = 1 or 2 and lives over 2x2 matrices (M2(F2) for
+    ideal "1pi", M2(F2[i]) for ideal "2"); inner coordinates range over
+    ``DEFAULT_REPRESENTATIVES`` per Gaussian coordinate.  Returns (minimum,
+    first witness tuple in enumeration order, and whether the per-tuple
+    superadditivity cross-check ``_eq2_holds`` held on every tuple).
     """
-    keyfn = _ideal_key_and_floors(ideal)[0]
-    # each inner codeword with its m = 5*|det|^2, grouped by residue key
-    by_key: dict[int, list[tuple[GoldenCodeword, int]]] = {}
-    for pairs in itertools.product(DEFAULT_REPRESENTATIVES, repeat=4):
-        coords = sum(pairs, ())
-        by_key.setdefault(keyfn(coords), []).append(
-            (GoldenCodeword.from_ints(coords), det_sq_times5(coords))
-        )
-
-    best: SqrtVal | None = None
-    best_witness: tuple[GoldenCodeword, ...] | None = None
+    if code.L not in (1, 2):
+        raise ValueError("the exact cross-check is implemented for L <= 2")
+    table = _representative_table(ideal)
+    best = best_witness = None
     eq2_all = True
     examined = 0
     for outer in code.codewords():
-        candidate_lists = []
-        for m in outer:
-            lst = by_key.get(golden._coset_key(m, ideal))
-            if not lst:
-                candidate_lists = []
-                break
-            candidate_lists.append(lst)
-        if not candidate_lists:
-            continue
-        for tup in itertools.product(*candidate_lists):
-            words, ms = zip(*tup)
+        # {0, 1, i, 1+i} is a full residue system mod 2, so every key of
+        # either ideal has representatives; the zero outer word's tuples
+        # include nonzero ones, so ``best`` is always set
+        for tup in itertools.product(*(table[golden._coset_key(m, ideal)] for m in outer)):
+            words, ms, g00, g01, g11 = zip(*tup)
             if all(cw.is_zero for cw in words):
                 continue
             examined += 1
             if examined > DELTA_MIN_TUPLE_LIMIT:
                 raise ValueError(f"brute force exceeded {DELTA_MIN_TUPLE_LIMIT} tuples")
-            delta = _hermitian_sum_det(words)
-            if len(ms) <= 2 and not _eq2_holds(delta, ms):
+            s00, s01, s11 = (sum(g[1:], g[0]) for g in (g00, g01, g11))
+            det = s00 * s11 - s01 * s01.complex_conj()
+            if det.u.im != 0 or det.v.im != 0:
+                raise ArithmeticError("hermitian determinant came out non-real")
+            # det = 25*delta = u + v*theta with theta = (1+sqrt5)/2
+            q = Fraction(det.v.re, 50)
+            delta = SqrtVal(Fraction(det.u.re, 25) + q, q, 5)
+            if not _eq2_holds(delta, ms):
                 eq2_all = False
             if best is None or delta < best:
-                best = delta
-                best_witness = words
-    if best is None or best_witness is None:
-        raise ValueError("no nonzero tuple projects into the code")
+                best, best_witness = delta, words
     return best, best_witness, eq2_all
 
 

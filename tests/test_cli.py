@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import contextlib
 import io
+import pathlib
+import re
+import shlex
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
+from test_verify import VERIFY_ALL_TSV
 
-from cosetcodes import cli
+from cosetcodes import cli, verify
 
 
 def run(capsys, *argv):
@@ -426,3 +430,35 @@ def test_cli_fuzz_exits_cleanly(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+def _readme_examples():
+    """(command, documented stdout) for every `$ cosetcodes ...` line in the
+    README's text blocks; the output runs to the next command or the end of
+    the block, trailing blank lines dropped."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```text\n(.*?)^```", readme, re.M | re.S):
+        for chunk in re.split(r"^\$ cosetcodes ", block, flags=re.M)[1:]:
+            command, _, output = chunk.partition("\n")
+            examples.append((command, output.rstrip("\n") + "\n"))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_lists_every_example():
+    assert len(README_EXAMPLES) == 15
+
+
+@pytest.mark.parametrize("command,expected", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+def test_readme_cli_example(claim_result, monkeypatch, capsys, command, expected):
+    """The documented stdout, byte for byte.  Claims come from the session's
+    cached reports, and `verify --all` is the pinned text of test_verify."""
+    argv = shlex.split(command, comments=True)
+    if argv == ["verify", "--all"]:
+        assert expected == VERIFY_ALL_TSV
+        return
+    monkeypatch.setattr(verify, "run_claim", claim_result)
+    assert run(capsys, *argv)[:2] == (0, expected)

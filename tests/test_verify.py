@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from cosetcodes import cli, golden, verify
+from cosetcodes.bounds import SqrtVal
 from cosetcodes.cyclic import CyclicElement, pair_to_matrix
-from cosetcodes.golden import GoldenCodeword
-from cosetcodes.outer_codes import MatrixSpace, repetition_code
-from cosetcodes.rings import F2, F4, F4I, F8
+from cosetcodes.golden import GaussianInt, GoldenCodeword, GoldenInt
+from cosetcodes.outer_codes import LinearCode, MatrixSpace, repetition_code
+from cosetcodes.rings import F2, F2I, F4, F4I, F8
 
 ALL_CLAIMS = list(verify.CLAIMS)
 
@@ -120,6 +122,93 @@ def test_brute_delta_min_value(claim_result):
     assert value == Fraction(4, 5)
     assert eq2_ok
     assert len(witness) == 2
+
+
+@pytest.mark.parametrize(
+    "code",
+    [repetition_code(3, MatrixSpace(F2I, 2)), LinearCode(MatrixSpace(F2I, 2), 0, 0, ())],
+    ids=["L3", "L0"],
+)
+def test_brute_delta_min_refuses_lengths_other_than_1_and_2(code):
+    """The superadditivity cross-check is exact for one or two blocks only,
+    so any other length is refused before a tuple is scored."""
+    with pytest.raises(ValueError, match=r"^the exact cross-check is implemented for L <= 2$"):
+        verify.brute_delta_min(code, "2")
+
+
+def _reference_gram_det(words):
+    """det(sum X_i X_i^dagger) as p + q*sqrt5, with each 5*X X^dagger built
+    from matrix_times_sqrt5 times its explicit conjugate transpose."""
+    zero = GoldenInt(GaussianInt(0, 0), GaussianInt(0, 0))
+    s = [[zero, zero], [zero, zero]]
+    for cw in words:
+        m = cw.matrix_times_sqrt5()
+        adj = [[m[c][r].complex_conj() for c in range(2)] for r in range(2)]
+        for r, c, k in itertools.product(range(2), repeat=3):
+            s[r][c] = s[r][c] + m[r][k] * adj[k][c]
+    det = s[0][0] * s[1][1] - s[0][1] * s[1][0]
+    assert det.u.im == det.v.im == 0
+    return SqrtVal(Fraction(det.u.re, 25) + Fraction(det.v.re, 50), Fraction(det.v.re, 50), 5)
+
+
+def test_brute_delta_min_matches_a_per_tuple_reference(monkeypatch):
+    """The L=2 mod-(2) repetition code over the representative box: {0, 1, i,
+    1+i} holds one codeword per residue class, so its 255 nonzero tuples are
+    (X, X).  A per-tuple loop gives the same minimum, first witness and
+    superadditivity flag (checked here in floats), and the oracle computes
+    each representative's matrix once."""
+    code = repetition_code(2, MatrixSpace(F2I, 2))
+    reps = [
+        GoldenCodeword.from_ints(sum(pairs, ()))
+        for pairs in itertools.product(verify.DEFAULT_REPRESENTATIVES, repeat=4)
+    ]
+    by_coset = {golden.project_mod_2(cw): cw for cw in reps}
+    assert len(by_coset) == 256
+    best, witness, eq2_ok, examined = None, None, True, 0
+    for outer in code.codewords():
+        words = tuple(by_coset[m] for m in outer)
+        if all(cw.is_zero for cw in words):
+            continue
+        examined += 1
+        delta = _reference_gram_det(words)
+        sqrt_dets = [math.sqrt(golden.det_numerator(cw).abs_sq() / 25) for cw in words]
+        eq2_ok &= float(delta.p) + float(delta.q) * math.sqrt(5) >= sum(sqrt_dets) ** 2 - 1e-9
+        if best is None or delta < best:
+            best, witness = delta, words
+    assert examined == 255
+
+    calls = 0
+    real = GoldenCodeword.matrix_times_sqrt5
+
+    def counted(cw):
+        nonlocal calls
+        calls += 1
+        return real(cw)
+
+    monkeypatch.setattr(GoldenCodeword, "matrix_times_sqrt5", counted)
+    assert verify.brute_delta_min(code, "2") == (best, witness, eq2_ok)
+    assert calls == 256
+
+
+@pytest.mark.parametrize("ideal,keys", [("1pi", 16), ("2", 256)])
+def test_representative_gram_entries_give_the_determinant(ideal, keys):
+    """Every residue key has representatives, and each of the 256 table
+    entries satisfies det(5*X X^dagger) = 25*|det X|^2 = 5*m."""
+    table = verify._representative_table(ideal)
+    assert sorted(table) == list(range(keys))
+    entries = [entry for group in table.values() for entry in group]
+    assert len(entries) == 256
+    for cw, m, g00, g01, g11 in entries:
+        det = g00 * g11 - g01 * g01.complex_conj()
+        assert det == GoldenInt(GaussianInt(5 * m, 0), GaussianInt(0, 0)), cw
+
+
+def test_delta_min_rep2_needs_true_conjugates(monkeypatch):
+    """With complex conjugation planted as the identity the Gram sums stop
+    being Hermitian and the claim refuses the non-real determinant."""
+    monkeypatch.setattr(GoldenInt, "complex_conj", lambda self: self)
+    with pytest.raises(ArithmeticError, match="non-real"):
+        verify.run_claim("delta_min_rep2")
 
 
 # `cosetcodes verify --all` stdout in both formats, as the claims print it.
