@@ -61,21 +61,25 @@ class SqrtVal:
     # ------------------------------------------------------------------
 
     def _coerce(self, other) -> "SqrtVal":
-        if isinstance(other, SqrtVal):
-            if other.d != self.d and other.q != 0 and self.q != 0:
-                raise ValueError(f"mixing sqrt({self.d}) with sqrt({other.d})")
-            return SqrtVal(other.p, other.q, self.d if other.q == 0 else other.d)
-        return SqrtVal(Fraction(other), 0, self.d)
+        if not isinstance(other, SqrtVal):
+            return SqrtVal(Fraction(other), 0, self.d)
+        if other.d != self.d and other.q != 0 and self.q != 0:
+            raise ValueError(f"mixing sqrt({self.d}) with sqrt({other.d})")
+        return other
+
+    def _radicand(self, o: "SqrtVal") -> int:
+        """The radicand of a result: that of its irrational operand."""
+        return o.d if self.q == 0 else self.d
 
     def __add__(self, other) -> "SqrtVal":
         o = self._coerce(other)
-        return SqrtVal(self.p + o.p, self.q + o.q, self.d)
+        return SqrtVal(self.p + o.p, self.q + o.q, self._radicand(o))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "SqrtVal":
         o = self._coerce(other)
-        return SqrtVal(self.p - o.p, self.q - o.q, self.d)
+        return SqrtVal(self.p - o.p, self.q - o.q, self._radicand(o))
 
     def __rsub__(self, other) -> "SqrtVal":
         return self._coerce(other).__sub__(self)
@@ -85,11 +89,8 @@ class SqrtVal:
 
     def __mul__(self, other) -> "SqrtVal":
         o = self._coerce(other)
-        return SqrtVal(
-            self.p * o.p + self.q * o.q * self.d,
-            self.p * o.q + self.q * o.p,
-            self.d,
-        )
+        d = self._radicand(o)
+        return SqrtVal(self.p * o.p + self.q * o.q * d, self.p * o.q + self.q * o.p, d)
 
     __rmul__ = __mul__
 

@@ -54,13 +54,14 @@ straight from the coordinates.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import add
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cyclic import matrix_to_pair, pair_to_matrix
 from .matrices import ENUMERATION_LIMIT, RingMatrix
@@ -520,11 +521,13 @@ def golden_pair_mul(x: GoldenCodeword, y: GoldenCodeword) -> GoldenCodeword:
 #     m = 5*|det|^2 = |N_L - i*N_R|^2 = (r - q)^2 + (s + p)^2,
 #
 # the squared distance from N_R to the point (q, -p).  A box scan is thus a
-# closest-point search in Z^2 between the norms of the (2B+1)^4 halves, not a
-# loop over the (2B+1)^8 codewords.  Both residue keys split the same way: the
-# left half gives the low bits of the codeword key, the right half the high
-# bits.  A norm is zero only at the zero half, so the one pair every scan
-# leaves out, the zero codeword, is the pair of two zero norms.
+# closest-point search over the distinct half norms, not a loop over the
+# (2B+1)^8 codewords: the (2B+1)^4 halves share few norms (87 among 625 at
+# box 2, 289 among 2401 at box 3).  Both scans group the halves by norm and
+# probe the targets of each distinct left norm once.  Both residue keys split
+# the same way: the left half gives the low bits of the codeword key, the
+# right half the high bits.  A norm is zero only at the zero half, so the one
+# pair every scan leaves out, the zero codeword, is the pair of two zero norms.
 
 def _check_box(box: int) -> None:
     """Reject an empty box and one whose (2*box+1)^4 halves exceed the
@@ -548,6 +551,15 @@ _Norm = tuple[int, int]
 def _box_halves(box: int) -> list[tuple[_Half, _Norm]]:
     """All (2*box+1)^4 halves in lexicographic order, each with its norm."""
     return [(h, norm_ints(*h)) for h in itertools.product(range(-box, box + 1), repeat=4)]
+
+
+def _first_halves(halves: Iterable[tuple[_Half, _Norm]]) -> dict[_Norm, _Half]:
+    """The first half of each norm; the norms keep the order of their first
+    halves."""
+    first: dict[_Norm, _Half] = {}
+    for h, n in halves:
+        first.setdefault(n, h)
+    return first
 
 
 def _offset_shells() -> Iterator[tuple[int, list[tuple[int, int]]]]:
@@ -580,9 +592,7 @@ def min_abs_det_sq(
     coordinate order.
 
     The search grows the distance t = 0, 1, 2, 4, ... shell by shell until
-    some distinct left norm has a right norm at distance t from its target;
-    the witness is then the first left half that does, completed by the
-    lexicographically smallest right half at that distance.
+    some distinct left norm has a right norm at distance t from its target.
     """
     if coset is not None:
         if ideal not in _HALF_KEYS:
@@ -592,33 +602,28 @@ def min_abs_det_sq(
         raise ValueError("ideal given without a coset matrix")
     _check_box(box)
 
-    left = right = _box_halves(box)
-    if coset is not None:
+    halves = _box_halves(box)
+    if coset is None:
+        left = right = _first_halves(halves)
+    else:
         half_key, bits = _HALF_KEYS[ideal]
-        left = [x for x in left if half_key(x[0]) == key & ((1 << bits) - 1)]
-        right = [x for x in right if half_key(x[0]) == key >> bits]
-    zero = (0, 0)
-    if not left or not right or all(n == zero for _, n in left + right):
+        left = _first_halves(x for x in halves if half_key(x[0]) == key & ((1 << bits) - 1))
+        right = _first_halves(x for x in halves if half_key(x[0]) == key >> bits)
+    if not left or not right or left.keys() | right.keys() == {(0, 0)}:
         raise ValueError("no nonzero codeword matches the requested coset in the box")
-    first_right: dict[_Norm, _Half] = {}
-    for h, n in right:
-        first_right.setdefault(n, h)
-
-    def hits(norm: _Norm, offsets: list[tuple[int, int]]) -> Iterator[_Norm]:
-        """Right norms at the given offsets from the target of a left norm."""
-        p, q = norm
-        for dx, dy in offsets:
-            target = (q + dx, dy - p)
-            if target in first_right and (norm != zero or target != zero):
-                yield target
-
-    left_norms = list(dict.fromkeys(n for _, n in left))
+    # The left norms come in the order of their first halves, so the first
+    # norm with a hit holds the lexicographically first left half with one,
+    # and the least first half among its hit norms is the least right half
+    # completing it.  Two zero norms at t = 0 are the zero codeword.
     for m, offsets in _offset_shells():
-        if any(any(hits(n, offsets)) for n in left_norms):
-            break
-    h, targets = next((h, found) for h, n in left if (found := list(hits(n, offsets))))
-    r = min(first_right[t] for t in targets)
-    return Fraction(m, 5), GoldenCodeword.from_ints(h + r)
+        for (p, q), h in left.items():
+            found = [
+                right[t]
+                for dx, dy in offsets
+                if (t := (q + dx, dy - p)) in right and (m or p or q)
+            ]
+            if found:
+                return Fraction(m, 5), GoldenCodeword.from_ints(h + min(found))
 
 
 # The offsets of norm < 4 (3 is not a sum of two squares): a floor of at most
@@ -636,20 +641,21 @@ def scan_det_floors(
     offending coordinate tuples in lexicographic order.
 
     Class sizes are products of the per-key half counts, less the zero
-    codeword.  A violation needs m < floor <= 4, so only the right norms at
-    the nine offsets of norm < 4 around each left half's target are visited.
+    codeword.  A violation needs m < floor <= 4, so only the right halves at
+    the nine offsets of norm < 4 around each distinct left norm's target are
+    visited, and a heap keeps the five least.
     """
     if ideal not in _HALF_KEYS:
         raise ValueError("ideal must be '1pi' or '2'")
     _check_box(box)
     table = floor_table_mod_1pi() if ideal == "1pi" else floor_table_mod_2()
     half_key, bits = _HALF_KEYS[ideal]
-    halves = [(h, n, half_key(h)) for h, n in _box_halves(box)]
     key_counts = [0] * (1 << bits)
-    right_by_norm: dict[_Norm, list[tuple[_Half, int]]] = {}
-    for h, n, k in halves:
+    groups: dict[_Norm, list[tuple[_Half, int]]] = {}
+    for h, n in _box_halves(box):
+        k = half_key(h)
         key_counts[k] += 1
-        right_by_norm.setdefault(n, []).append((h, k))
+        groups.setdefault(n, []).append((h, k))
 
     floor_index = {4: 0, 2: 1, 1: 2}
     counts = [0, 0, 0]  # floors 4, 2, 1
@@ -658,15 +664,12 @@ def scan_det_floors(
             counts[floor_index[table[kl | kr << bits]]] += count_l * count_r
     counts[floor_index[table[0]]] -= 1  # the zero codeword
 
-    violations: list[tuple[int, ...]] = []
-    for h, (p, q), kl in halves:
-        if len(violations) >= 5:
-            break
-        found = []
-        for dx, dy in _NEAR_OFFSETS:
-            m = dx * dx + dy * dy
-            for r, kr in right_by_norm.get((q + dx, dy - p), ()):
-                if m < table[kl | kr << bits] and (any(h) or any(r)):
-                    found.append(h + r)
-        violations.extend(sorted(found))
-    return len(halves) ** 2 - 1, violations[:5], counts
+    violations = heapq.nsmallest(5, (
+        h + r
+        for (p, q), group in groups.items()
+        for dx, dy in _NEAR_OFFSETS
+        for r, kr in groups.get((q + dx, dy - p), ())
+        for h, kl in group
+        if dx * dx + dy * dy < table[kl | kr << bits] and (any(h) or any(r))
+    ))
+    return sum(key_counts) ** 2 - 1, violations, counts

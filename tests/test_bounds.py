@@ -38,6 +38,29 @@ def test_sqrtval_basics():
         SQRT2 + SqrtVal(0, 1, 5)
 
 
+@pytest.mark.parametrize("rational", [SqrtVal(2), SqrtVal(2, 0, 7), Fraction(2), 2])
+def test_sqrtval_result_takes_the_irrational_radicand(rational):
+    """A rational operand, whatever its own radicand, leaves the result on
+    the radicand of the irrational one, on either side."""
+    root5 = SqrtVal(0, 1, 5)
+    assert str(rational + root5) == str(root5 + rational) == "2+sqrt5"
+    assert str(rational - root5) == "2-sqrt5"
+    assert str(root5 - rational) == "-2+sqrt5"
+    assert str(rational * root5) == str(root5 * rational) == "2*sqrt5"
+    assert rational < root5 and root5 > rational  # sqrt5 > 2
+    assert not (rational > root5) and not (root5 < rational)
+    assert rational * root5 * root5 == 10 == root5 * root5 * rational
+    assert rational + root5 == SqrtVal(2, 1, 5) == root5 + rational
+    assert not (rational == root5) and not (root5 == rational)
+
+
+def test_sqrtval_still_refuses_two_irrational_radicands():
+    for op in ("__add__", "__sub__", "__mul__", "__lt__", "__gt__"):
+        with pytest.raises(ValueError, match=r"^mixing sqrt\(5\) with sqrt\(2\)$"):
+            getattr(SqrtVal(1, 1, 5), op)(SQRT2)
+    assert SqrtVal(1, 1, 5) != SQRT2
+
+
 @pytest.mark.parametrize("d", [0, -1, -5])
 def test_sqrtval_rejects_nonpositive_radicand(d):
     with pytest.raises(ValueError):

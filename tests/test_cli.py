@@ -257,6 +257,24 @@ def test_enumerate_streams_lexicographically(capsys):
     assert lines[-1] == "[[1,1],[1,1]]"
 
 
+def test_enumerate_invertible_lists_gl2_f2(capsys):
+    rc, out, _ = run(capsys, "enumerate", "--ring", "f2", "--n", "2", "--invertible")
+    assert rc == 0
+    assert out.splitlines() == [
+        "[[0,1],[1,0]]", "[[0,1],[1,1]]", "[[1,0],[0,1]]",
+        "[[1,0],[1,1]]", "[[1,1],[0,1]]", "[[1,1],[1,0]]",
+    ]
+
+
+def test_encode_matrix_message(capsys):
+    rc, out, _ = run(
+        capsys, "encode", "--code", "matrix_parity", "--L", "3",
+        "--msg", "[[1,0],[0,1]];[[0,1],[1,0]]",
+    )
+    assert rc == 0
+    assert out == "[[1,0],[0,1]],[[0,1],[1,0]],[[1,1],[1,1]]\n"
+
+
 def test_iso_element_images(capsys):
     rc, out, _ = run(capsys, "iso", "--which", "f8m3", "--element", "w; 1; 0")
     assert rc == 0

@@ -207,6 +207,8 @@ def test_min_abs_det_sq_coset_restricted():
     assert project_mod_1pi(wit) == eye
     with pytest.raises(ValueError):
         min_abs_det_sq(1, coset=eye)  # --coset needs an ideal
+    with pytest.raises(ValueError, match="^ideal given without a coset matrix$"):
+        min_abs_det_sq(1, ideal="2")
 
 
 def test_scan_det_floors_box1():
@@ -283,23 +285,25 @@ def test_key_mod_2_matches_the_bitwise_loop():
 
 @pytest.mark.parametrize("ideal,ring", [("1pi", F4), ("2", F4I)], ids=["1pi", "2"])
 def test_factorized_min_matches_the_brute_oracle(ideal, ring):
-    """Every coset at box 1, against one oracle pass: same value, same
-    witness string; the coset the box leaves empty (mod 2, all coordinates
-    even) is refused by the library."""
-    minima = brute_box_scan(ideal, 1)[3]
+    """Every coset at boxes 1 and 2, against one oracle pass per box: same
+    value, same witness string; the coset box 1 leaves empty (mod 2, all
+    coordinates even) is refused by the library.  Box 1 has only 15
+    distinct half norms, box 2 has 87."""
     pairs = [(x0, x1) for x1 in ring for x0 in ring]  # residue-key order
-    assert len(minima) == len(pairs)
-    assert minima.count(None) == (1 if ideal == "2" else 0)
-    for (x0, x1), best in zip(pairs, minima):
-        coset = pair_to_matrix(x0, x1)
-        if best is None:
-            with pytest.raises(ValueError, match="no nonzero codeword matches"):
-                min_abs_det_sq(1, coset=coset, ideal=ideal)
-            continue
-        m, coords = best
-        value, witness = min_abs_det_sq(1, coset=coset, ideal=ideal)
-        assert value == Fraction(m, 5)
-        assert str(witness) == str(GoldenCodeword.from_ints(coords))
+    for box in (1, 2):
+        minima = brute_box_scan(ideal, box)[3]
+        assert len(minima) == len(pairs)
+        assert minima.count(None) == (1 if (ideal, box) == ("2", 1) else 0)
+        for (x0, x1), best in zip(pairs, minima):
+            coset = pair_to_matrix(x0, x1)
+            if best is None:
+                with pytest.raises(ValueError, match="no nonzero codeword matches"):
+                    min_abs_det_sq(box, coset=coset, ideal=ideal)
+                continue
+            m, coords = best
+            value, witness = min_abs_det_sq(box, coset=coset, ideal=ideal)
+            assert value == Fraction(m, 5)
+            assert str(witness) == str(GoldenCodeword.from_ints(coords))
 
 
 def test_factorized_floors_match_the_brute_oracle():
@@ -310,13 +314,15 @@ def test_factorized_floors_match_the_brute_oracle():
 @pytest.mark.parametrize("raised", [2, 4])
 def test_factorized_floor_violations_match_the_brute_oracle(monkeypatch, raised):
     """The true floors never fail, so raise them to exercise the violation
-    search: both routes must list the same first five violations."""
+    search: both routes must list the same first five violations.  Floors
+    raised to 4 are checked at box 2 as well."""
     monkeypatch.setattr(golden, "floor_table_mod_1pi", lambda: [raised] * 16)
     monkeypatch.setattr(golden, "floor_table_mod_2", lambda: [raised] * 256)
-    for ideal in ("1pi", "2"):
-        scan = scan_det_floors(ideal, 1)
-        assert len(scan[1]) == 5
-        assert scan == brute_box_scan(ideal, 1)[:3]
+    for box in (1, 2) if raised == 4 else (1,):
+        for ideal in ("1pi", "2"):
+            scan = scan_det_floors(ideal, box)
+            assert len(scan[1]) == 5
+            assert scan == brute_box_scan(ideal, box)[:3]
 
 
 def test_box3_results_pinned():

@@ -124,6 +124,18 @@ def test_brute_delta_min_value(claim_result):
     assert len(witness) == 2
 
 
+@pytest.mark.parametrize("ring,ideal", [(F2, "1pi"), (F2I, "2")], ids=["1pi", "2"])
+def test_brute_delta_min_single_block(ring, ideal):
+    """L = 1: the one block must meet the superadditivity check with
+    equality, at the unit codeword c = 1."""
+    value, witness, eq2_ok = verify.brute_delta_min(
+        repetition_code(1, MatrixSpace(ring, 2)), ideal
+    )
+    assert value == Fraction(1, 5)
+    assert [str(cw) for cw in witness] == ["(0, 0, 1, 0)"]
+    assert eq2_ok is True
+
+
 @pytest.mark.parametrize(
     "code",
     [repetition_code(3, MatrixSpace(F2I, 2)), LinearCode(MatrixSpace(F2I, 2), 0, 0, ())],
