@@ -2,9 +2,9 @@
 
 All bounds are rational arithmetic on :class:`fractions.Fraction`; the one
 irrational ingredient (sqrt of a square-free integer, sqrt2 in the multilevel
-sums and sqrt5 in the golden-lattice comparisons) is carried symbolically by
-:class:`SqrtVal` so minima and comparisons are still exact — ordering is
-decided by signs and squaring, never by floating point.
+sums) is carried symbolically by :class:`SqrtVal` so minima and comparisons
+are still exact — ordering is decided by signs and squaring, never by
+floating point.
 
 Formula inventory (delta is the normalized minimum determinant of the inner
 lattice layer, d's are minimum distances of the outer codes):

@@ -339,8 +339,7 @@ def multiplication_matrix(x: RingElement) -> RingMatrix:
     ring = x.ring
     if ring not in _PAIR_TARGET:
         raise ValueError("multiplication_matrix expects an element of f4 or f4i")
-    a, b = _split(ring, x.mask)
-    return RingMatrix._of(_PAIR_TARGET[ring], 2, (a, b, b, a ^ b))
+    return pair_to_matrix(x, ring.zero)
 
 
 # ----------------------------------------------------------------------

@@ -426,9 +426,9 @@ def mod2_norm_pair(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
     return quadratic_norm(x0), quadratic_norm(x1)
 
 
-def _mod2_pair_class(x0: RingElement, x1: RingElement) -> ProjectionClass:
-    """Unit class of u = N(x0) + i*N(x1) for a pair over F4[i]."""
-    u = quadratic_norm(x0) + F2I.gen_i * quadratic_norm(x1)
+def _mod2_pair_class(n0: RingElement, n1: RingElement) -> ProjectionClass:
+    """Unit class of u = n0 + i*n1 for the norms n0, n1 in F2[i] of a pair."""
+    u = n0 + F2I.gen_i * n1
     if u.is_zero:
         return ProjectionClass.ZERO
     if u.is_unit:
@@ -443,7 +443,7 @@ def mod2_det_class(cw: GoldenCodeword) -> ProjectionClass:
     the ideal-(2) case are exact (see the module docstring for why the bare
     norm-equality grouping is not determinant-compatible).
     """
-    return _mod2_pair_class(*project_pair_mod_2(cw))
+    return _mod2_pair_class(*mod2_norm_pair(cw))
 
 
 # Floors on m = 5*|det|^2 keyed by class, for both ideals.
@@ -492,7 +492,8 @@ def floor_table_mod_1pi() -> list[int]:
 def floor_table_mod_2() -> list[int]:
     """floor on m, indexed by the 8-bit coordinate-parity key, via the
     determinant-compatible norm classification."""
-    return [FLOOR_BY_CLASS[_mod2_pair_class(x0, x1)] for x1 in F4I for x0 in F4I]
+    norms = [quadratic_norm(x) for x in F4I]
+    return [FLOOR_BY_CLASS[_mod2_pair_class(n0, n1)] for n1 in norms for n0 in norms]
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bounds, golden, outer_codes
-from .bounds import SqrtVal
 from .cyclic import (
     CyclicElement,
     F16_E_IMAGE,
@@ -579,17 +578,17 @@ def certify_isometry_weights(failures: list[str], details: list[str]) -> None:
     invertible_pairs = 0
     for x in F4I:
         for y in F4I:
-            m = pair_to_matrix(x, y)
+            det = pair_to_matrix(x, y).det()
             one_unit = x.is_unit != y.is_unit
-            if m.is_invertible != one_unit:
+            if det.is_unit != one_unit:
                 failures.append(
                     f"psi invertibility mismatch at ({x}, {y}): "
-                    f"matrix {'unit' if m.is_invertible else 'non-unit'}"
+                    f"matrix {'unit' if det.is_unit else 'non-unit'}"
                 )
-            if m.is_invertible:
+            if det.is_unit:
                 invertible_pairs += 1
             # determinant identity det(psi) = N(x) + N(y)
-            if m.det() != quadratic_norm(x) + quadratic_norm(y):
+            if det != quadratic_norm(x) + quadratic_norm(y):
                 failures.append(f"det(psi) != N+N at ({x}, {y})")
     if invertible_pairs != 96:
         failures.append(f"{invertible_pairs} invertible psi images, expected 96")
@@ -918,15 +917,15 @@ def certify_det_floors_2(failures: list[str], details: list[str]) -> None:
 # explicit conjugates, never through the library's norm kernels.  A tuple
 # then costs three sums and one 2x2 Hermitian determinant.
 
-def _eq2_holds(delta: SqrtVal, ms: Sequence[int]) -> bool:
-    """delta >= (sum_i |det X_i|)^2 with |det X_i|^2 = m_i / 5, exactly, for
-    the one or two blocks of a tuple: one block must give equality, two are
-    decided by the squaring trick on nonnegative reals."""
+def _eq2_holds(u: int, ms: Sequence[int]) -> bool:
+    """delta >= (sum_i |det X_i|)^2 with u = 25*delta and |det X_i|^2 = m_i / 5,
+    exactly, for the one or two blocks of a tuple: one block must give
+    equality, two are decided by the squaring trick on nonnegative integers."""
     if len(ms) == 1:
-        return delta == SqrtVal(Fraction(ms[0], 5), 0, 5)
+        return u == 5 * ms[0]
     m1, m2 = ms
-    t = delta - Fraction(m1 + m2, 5)
-    return t.sign() >= 0 and t * t >= Fraction(4 * m1 * m2, 25)
+    t = u - 5 * (m1 + m2)
+    return t >= 0 and t * t >= 100 * m1 * m2
 
 
 # The representatives 0, 1, i, 1+i of a Gaussian coordinate, as (re, im).
@@ -958,7 +957,7 @@ def _representative_table(ideal: str) -> dict[int, list[_Rep]]:
 
 def brute_delta_min(
     code: LinearCode | MappedCode, ideal: str
-) -> tuple[SqrtVal, tuple[GoldenCodeword, ...], bool]:
+) -> tuple[Fraction, tuple[GoldenCodeword, ...], bool]:
     """Exact minimum of det(sum X_i X_i^dagger) over nonzero tuples whose
     blockwise projections form a codeword of ``code``.
 
@@ -974,6 +973,13 @@ def brute_delta_min(
     best = best_witness = None
     eq2_all = True
     examined = 0
+    # Delta is rational.  For 2x2 A_i = X_i X_i^dagger, det(sum A_i) =
+    # sum det A_i + sum_{i<j} tr(adj(A_i) A_j), with det A_i = m_i / 5 and
+    # tr(adj(A_i) A_j) = ||adj(X_i) X_j||_F^2.  Since sigma(alpha) = alphabar,
+    # adj(X_i) again has the codeword shape [[x, y], [i*sigma(y), sigma(x)]]
+    # over Q(i, theta), hence so does adj(X_i) X_j, and its squared Frobenius
+    # norm is w + sigma(w) for a real w in Q(theta): a rational.  So the
+    # Gram determinant 25*Delta = u + v*theta has v = 0, and best is the int u.
     for outer in code.codewords():
         # {0, 1, i, 1+i} is a full residue system mod 2, so every key of
         # either ideal has representatives; the zero outer word's tuples
@@ -989,14 +995,14 @@ def brute_delta_min(
             det = s00 * s11 - s01 * s01.complex_conj()
             if det.u.im != 0 or det.v.im != 0:
                 raise ArithmeticError("hermitian determinant came out non-real")
-            # det = 25*delta = u + v*theta with theta = (1+sqrt5)/2
-            q = Fraction(det.v.re, 50)
-            delta = SqrtVal(Fraction(det.u.re, 25) + q, q, 5)
-            if not _eq2_holds(delta, ms):
+            if det.v.re != 0:
+                raise ArithmeticError("hermitian determinant came out irrational")
+            u = det.u.re
+            if not _eq2_holds(u, ms):
                 eq2_all = False
-            if best is None or delta < best:
-                best, best_witness = delta, words
-    return best, best_witness, eq2_all
+            if best is None or u < best:
+                best, best_witness = u, words
+    return Fraction(best, 25), best_witness, eq2_all
 
 
 @_claim("delta_min_rep2", "4096 mod-(1+i) tuples and 256 mod-(2) tuples over the box")
@@ -1007,24 +1013,22 @@ def certify_delta_min_rep2(failures: list[str], details: list[str]) -> str:
     satisfies the sum-of-|det| superadditivity check.  The mod-(2) analogue
     over the same box (where it holds one representative per residue) gives
     the same minimum against min(16, d^2) * delta."""
-    target = SqrtVal(Fraction(4, 5), 0, 5)
-
     code_1pi = outer_codes.repetition_code(2, outer_codes.MatrixSpace(F2, 2))
     value, witness, eq2_ok = brute_delta_min(code_1pi, "1pi")
-    if value != target:
+    if value != Fraction(4, 5):
         failures.append(f"mod-(1+i) delta_min = {value}, expected 4/5")
     if not eq2_ok:
         failures.append("superadditivity cross-check failed on some mod-(1+i) tuple")
     bound = bounds.hamming_bound(2, 2, Fraction(1, 5), 2)
-    if value < SqrtVal(bound, 0, 5):
+    if value < bound:
         failures.append(f"mod-(1+i) delta_min {value} below the bound {bound}")
-    elif value == SqrtVal(bound, 0, 5):
+    elif value == bound:
         details.append(f"mod-(1+i): meets the determinant bound {bound} with equality")
 
     code_2 = outer_codes.repetition_code(2, outer_codes.MatrixSpace(F2I, 2))
     value2, _, eq2_ok2 = brute_delta_min(code_2, "2")
     bound2 = bounds.hamming_bound_m2f2i(Fraction(1, 5), 2)
-    if value2 != SqrtVal(bound2, 0, 5):
+    if value2 != bound2:
         failures.append(f"mod-(2) delta_min = {value2}, expected {bound2}")
     if not eq2_ok2:
         failures.append("superadditivity cross-check failed on some mod-(2) tuple")

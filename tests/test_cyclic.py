@@ -201,6 +201,8 @@ def test_twisted_mul_f4i_matches_matrix_product_sampled():
 def test_multiplication_matrix(ring):
     for x in ring:
         mx = multiplication_matrix(x)
+        a, b = ring.w_components(x)
+        assert mx == RingMatrix(mx.ring, [[a, b], [b, a + b]])
         assert mx.det() == quadratic_norm(x)
         for y in ring:
             assert multiplication_matrix(x * y) == mx * multiplication_matrix(y)

@@ -194,6 +194,22 @@ def test_floor_tables():
     assert t2[17] == 2
 
 
+def test_floor_table_mod_2_takes_each_norm_once(monkeypatch):
+    """F4[i] has 16 elements, so the 256 classes need only their 16 norms."""
+    expected = floor_table_mod_2()
+    calls = 0
+    real = golden.quadratic_norm
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return real(x)
+
+    monkeypatch.setattr(golden, "quadratic_norm", counted)
+    assert floor_table_mod_2() == expected
+    assert calls <= 16
+
+
 def test_min_abs_det_sq_box1():
     value, wit = min_abs_det_sq(1)
     assert value == Fraction(1, 5)

@@ -131,9 +131,20 @@ def test_brute_delta_min_single_block(ring, ideal):
     value, witness, eq2_ok = verify.brute_delta_min(
         repetition_code(1, MatrixSpace(ring, 2)), ideal
     )
-    assert value == Fraction(1, 5)
+    assert value == Fraction(1, 5) and type(value) is Fraction
     assert [str(cw) for cw in witness] == ["(0, 0, 1, 0)"]
     assert eq2_ok is True
+
+
+@pytest.mark.parametrize(
+    "u,ms,holds",
+    [(20, (1, 1), True), (19, (1, 1), False), (0, (1, 1), False), (5, (1,), True),
+     (6, (1,), False)],
+)
+def test_eq2_holds_at_its_integer_boundaries(u, ms, holds):
+    """u = 25*delta: two unit blocks need u >= 5*(1+1) + 10*sqrt(1*1) = 20,
+    one block needs u = 5*m exactly.  At u = 0 the square alone would pass."""
+    assert verify._eq2_holds(u, ms) is holds
 
 
 @pytest.mark.parametrize(
@@ -220,6 +231,15 @@ def test_delta_min_rep2_needs_true_conjugates(monkeypatch):
     being Hermitian and the claim refuses the non-real determinant."""
     monkeypatch.setattr(GoldenInt, "complex_conj", lambda self: self)
     with pytest.raises(ArithmeticError, match="non-real"):
+        verify.run_claim("delta_min_rep2")
+
+
+def test_delta_min_rep2_needs_a_true_galois_conjugate(monkeypatch):
+    """With theta -> 1 - theta planted as the identity the bottom row loses
+    the codeword shape, the Gram determinant picks up a sqrt5 part and the
+    claim refuses it instead of ranking irrational values."""
+    monkeypatch.setattr(GoldenInt, "galois_conj", lambda self: self)
+    with pytest.raises(ArithmeticError, match="irrational"):
         verify.run_claim("delta_min_rep2")
 
 
