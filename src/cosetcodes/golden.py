@@ -60,7 +60,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .cyclic import matrix_to_pair, pair_to_matrix
@@ -508,9 +507,14 @@ def golden_pair_mul(x: GoldenCodeword, y: GoldenCodeword) -> GoldenCodeword:
     (x0, x1), (y0, y1) = _halves(x), _halves(y)
     p0, p1, p2, p3 = _golden_mul(x0, y0)
     q0, q1, q2, q3 = _golden_mul(_golden_sigma(x1), y1)
-    first = (p0 - q1, p1 + q0, p2 - q3, p3 + q2)  # p + i*q
-    second = map(add, _golden_mul(_golden_sigma(x0), y1), _golden_mul(x1, y0))
-    return GoldenCodeword.from_ints(first + tuple(second))
+    r0, r1, r2, r3 = _golden_mul(_golden_sigma(x0), y1)
+    s0, s1, s2, s3 = _golden_mul(x1, y0)
+    return GoldenCodeword(  # (p + i*q) + e (r + s)
+        GaussianInt(p0 - q1, p1 + q0),
+        GaussianInt(p2 - q3, p3 + q2),
+        GaussianInt(r0 + s0, r1 + s1),
+        GaussianInt(r2 + s2, r3 + s3),
+    )
 
 
 # ----------------------------------------------------------------------

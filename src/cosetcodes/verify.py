@@ -131,27 +131,19 @@ def _first_failure(failures: list[str], messages: Iterable[str]) -> None:
 
 
 # ----------------------------------------------------------------------
-# packed binary-matrix helpers (oracle-local, independent of RingMatrix)
+# packed matrix helpers (oracle-local, independent of RingMatrix)
 #
-# The algebra claims ``regular_rep`` and ``iso_f8m3`` scan every pair (x, y),
-# x outer and y inner, on ints: an element is its index in
-# ``itertools.product`` order, which packs its coefficient masks, and a matrix
-# is one int of packed rows.  For each x the scan builds small tables from the
-# live ``ring._mul`` (rebuilt on every call, never cached): per-coefficient
-# term tables give the index of x*y for every y, per-scalar row tables give
-# rep(x)rep(y), and a span table of image(y)'s rows gives image(x)image(y).
-# Each pair still gets its own product and its own matrix product, compared
-# on their own; no pair is inferred from others by linearity, and the first
-# failing pair in scan order is the one reported.
-
-def _packed(m: RingMatrix) -> int:
-    """The bit rows of ``_rows_packed`` in one int, row 0 highest."""
-    return _pack(_rows_packed(m), m.n)
-
-
-def _rows_packed(m: RingMatrix) -> tuple[int, ...]:
-    return tuple(sum(1 << c for c in range(m.n) if m[r, c]) for r in range(m.n))
-
+# The algebra claims ``regular_rep``, ``iso_f8m3`` and the two pair models
+# scan every pair (x, y), x outer and y inner, on ints: an element is its
+# index in ``itertools.product`` order, which packs its coefficient masks, and
+# a matrix is one int of packed rows, row 0 and column 0 highest.  The scans
+# build small tables from the live ``ring._mul`` (rebuilt on every call, never
+# cached): per-coefficient term tables give the index of x*y for every y,
+# per-scalar row tables give rep(x)rep(y) and the pair-model products, and a
+# span table of image(y)'s rows gives image(x)image(y).  Each pair still gets
+# its own product and its own matrix product, compared on their own; no pair
+# is inferred from others by linearity, and the first failing pair in scan
+# order is the one reported.
 
 def _span(rows: Sequence[int]) -> list[int]:
     """Entry v is the XOR of the rows picked out by the bits of v."""
@@ -168,6 +160,12 @@ def _pack(masks: Iterable[int], bits: int) -> int:
     for m in masks:
         out = out << bits | m
     return out
+
+
+def _scalar_rows(ring, n: int) -> list[list[int]]:
+    """smul[a][v]: a times each of the n entries packed in v, packed again."""
+    elems = list(itertools.product(range(ring.size), repeat=n))
+    return [[_pack(map(row.__getitem__, e), ring.dim) for e in elems] for row in ring._mul]
 
 
 def _cyclic_products(ring, x: Sequence[int]) -> list[int]:
@@ -328,9 +326,8 @@ def certify_regular_rep(failures: list[str], details: list[str]) -> None:
             ).masks, d) != reps[_pack(x, d)]
         ))
 
-        # smul[a][i]: a times each entry of the row packed as index i;
         # cols[k][i]: row k of rep(elems[i])
-        smul = [[_pack([row[m] for m in e], d) for e in elems] for row in ring._mul]
+        smul = _scalar_rows(ring, n)
         cols = list(zip(*rows))
 
         def products(rx: list[int]) -> list[int]:
@@ -357,17 +354,18 @@ def certify_iso_f8m3(failures: list[str], details: list[str]) -> None:
     """The degree-3 map into M3(F2): bijective onto its image, additive and
     multiplicative on all 512 x 512 pairs, identity preserved."""
     elems = list(itertools.product(range(8), repeat=3))
-    rows = [
-        _rows_packed(iso_f8_to_m3(CyclicElement(F8, [F8.elements[m] for m in x])))
+    packed = [
+        _pack(iso_f8_to_m3(CyclicElement(F8, [F8.elements[m] for m in x])).masks, 1)
         for x in elems
     ]
-    packed = [_pack(rs, 3) for rs in rows]
-    # spans[i][v]: the XOR of the rows of image(elems[i]) picked out by v
-    spans = [_span(rs) for rs in rows]
+    rows = [(v >> 6, v >> 3 & 7, v & 7) for v in packed]
+    # spans[i][v]: the XOR of the rows of image(elems[i]) picked out by v;
+    # the rows go in reversed, so bit 2 of v (column 0 of a row) picks row 0
+    spans = [_span(rs[::-1]) for rs in rows]
 
     if len(set(packed)) != 512:
         failures.append("f8m3 images are not distinct (not injective)")
-    if rows[64] != (0b001, 0b010, 0b100):  # 64 is the index of (1, 0, 0)
+    if rows[64] != (0b100, 0b010, 0b001):  # 64 is the index of (1, 0, 0)
         failures.append("f8m3 does not send 1 to the identity")
 
     # additivity: the map is linear over F2, so XOR of packed images must
@@ -428,10 +426,10 @@ def certify_iso_f16m4(failures: list[str], details: list[str]) -> None:
     # additive bijectivity via the 16 basis images (linearity of the map);
     # spans[mask] is the XOR of the basis images picked out by its bits
     basis = [
-        _packed(iso_f16_to_m4(CyclicElement(
+        _pack(iso_f16_to_m4(CyclicElement(
             F16_ALT,
             [F16_ALT.elements[1 << k] if jj == j else F16_ALT.zero for jj in range(4)],
-        )))
+        )).masks, 1)
         for j in range(4)
         for k in range(4)
     ]
@@ -447,9 +445,9 @@ def certify_iso_f16m4(failures: list[str], details: list[str]) -> None:
     _first_failure(failures, (
         f"linearity reconstruction differs at mask {mask}"
         for mask in sample
-        if spans[mask] != _packed(iso_f16_to_m4(CyclicElement(
+        if spans[mask] != _pack(iso_f16_to_m4(CyclicElement(
             F16_ALT, [F16_ALT.elements[(mask >> (4 * j)) & 15] for j in range(4)]
-        )))
+        )).masks, 1)
     ))
 
 
@@ -459,25 +457,37 @@ def _pair_model(
     """A pair model ``symbol`` from ring-pairs onto M2(base): bijection,
     identity, additivity and multiplicativity against the twisted product,
     on all pairs of pairs."""
-    pairs = [(x, y) for x in ring for y in ring]
-    images = {p: pair_to_matrix(*p) for p in pairs}
+    pairs = list(itertools.product(ring, repeat=2))
+    images = list(itertools.starmap(pair_to_matrix, pairs))
 
-    if len(set(images.values())) != len(pairs):
+    if len(set(images)) != len(pairs):
         failures.append(f"{symbol} is not a bijection onto M2({base.name})")
-    if images[(ring.one, ring.zero)] != RingMatrix.identity(base, 2):
+    if images[ring.one.mask * ring.size] != RingMatrix.identity(base, 2):
         failures.append(f"{symbol}(1, 0) is not the identity matrix")
     _first_failure(failures, (
         f"{symbol} inverse fails at {p}"
-        for p, m in images.items()
+        for p, m in zip(pairs, images)
         if matrix_to_pair(m, ring) != p
     ))
 
+    # on ints: pair (x, y) has index x.mask * ring.size + y.mask, so the
+    # index of a sum is the XOR of the indices; row r of image(p)image(q) is
+    # the XOR over k of entry (r, k) of image(p) times row k of image(q)
+    size, bits = ring.size, 2 * base.dim
+    packed = [_pack(m.masks, base.dim) for m in images]
+    smul = _scalar_rows(base, 2)
+
     def product_failures() -> Iterator[str]:
-        for p, ip in images.items():
-            for q, iq in images.items():
-                if images[(p[0] + q[0], p[1] + q[1])] != ip + iq:
+        for ix, (p, px, m) in enumerate(zip(pairs, packed, images)):
+            s11, s12, s21, s22 = map(smul.__getitem__, m.masks)
+            for iy, (q, py) in enumerate(zip(pairs, packed)):
+                if packed[ix ^ iy] != px ^ py:
                     yield f"additivity fails at {p}, {q}"
-                if images[twisted_pair_mul(p, q)] != ip * iq:
+                r0, r1 = twisted_pair_mul(p, q)
+                q1, q2 = divmod(py, 1 << bits)
+                if packed[r0.mask * size + r1.mask] != (
+                    (s11[q1] ^ s12[q2]) << bits | s21[q1] ^ s22[q2]
+                ):
                     yield f"multiplicativity fails at {p}, {q}"
 
     _first_failure(failures, product_failures())

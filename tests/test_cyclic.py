@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from cosetcodes.cyclic import (
     CyclicElement,
     F16_E_IMAGE,
     F16_W_IMAGE,
+    F8_E_IMAGE,
     F8_W_IMAGE,
     from_f_basis,
     iso_f8_to_m3,
@@ -297,13 +299,86 @@ def test_cyclic_kernels_match_the_element_route(ring):
 
 
 def test_cyclic_boundary_checks():
-    with pytest.raises(ValueError, match="not in f4"):
+    with pytest.raises(ValueError, match=r"^coefficient 1 not in f4$"):
         CyclicElement(F4, [1, 2])
     with pytest.raises(ValueError):
         elt(F4, "1; w") * elt(F4I, "1; w")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^element f4i:1 does not belong to f4$"):
         twisted_pair_mul((F4.one, F4.zero), (F4I.one, F4I.zero))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^element f4i:0 does not belong to f4$"):
         twisted_pair_mul((F4.one, F4I.zero), (F4.one, F4.zero))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^coefficient f4:0 not in f16alt$"):
         from_f_basis(F16_ALT, [F4.zero] * 4)
+
+
+@pytest.mark.parametrize("bad", [1, None, F4I.one])
+def test_cyclic_boundary_refuses_foreign_values(bad):
+    """A plain int, None or an element of another ring is refused with
+    ValueError, never AttributeError, in every slot of the twisted product
+    and as a coefficient."""
+    for slot in range(4):
+        slots = [F4.one, F4.zero, F4.one, F4.zero]
+        slots[slot] = bad
+        if slot:
+            message = rf"^element {bad!r} does not belong to f4$"
+        elif bad is F4I.one:  # the pairs are read over the first element's ring
+            message = r"^element f4:0 does not belong to f4i$"
+        else:
+            message = r"^twisted_pair_mul expects pairs over f4 or f4i$"
+        with pytest.raises(ValueError, match=message):
+            twisted_pair_mul(tuple(slots[:2]), tuple(slots[2:]))
+    for slot in range(2):
+        coeffs = [F4.one, F4.one]
+        coeffs[slot] = bad
+        with pytest.raises(ValueError, match=rf"^coefficient {bad!r} not in f4$"):
+            CyclicElement(F4, coeffs)
+    for slot in range(4):
+        coeffs = [F16_ALT.one] * 4
+        coeffs[slot] = bad
+        with pytest.raises(ValueError, match=rf"^coefficient {bad!r} not in f16alt$"):
+            from_f_basis(F16_ALT, coeffs)
+
+
+def _per_call_literal_image(x, e_image, w_image):
+    """The literal model as it was computed per call: the sum over j of
+    E^j * RingMatrix(image(x_j)), image(c) the sum of W^k over the set bits
+    k of c, with RingMatrix products and sums only."""
+    n = e_image.n
+    acc = RingMatrix.zeros(F2, n)
+    for j, c in enumerate(x.masks):
+        image = RingMatrix.zeros(F2, n)
+        for k in range(n):
+            if c >> k & 1:
+                image = image + w_image ** k
+        acc = acc + e_image ** j * image
+    return acc
+
+
+def test_iso_f8m3_equals_the_per_call_route_on_all_512_elements():
+    for masks in itertools.product(range(8), repeat=3):
+        x = CyclicElement(F8, [F8.elements[m] for m in masks])
+        assert iso_f8_to_m3(x) == _per_call_literal_image(x, F8_E_IMAGE, F8_W_IMAGE)
+
+
+def test_iso_f16m4_equals_the_per_call_route_on_all_65536_elements():
+    """Each term E^j * image(c) depends on (j, c) only, so the per-call
+    route's 64 distinct terms are computed once and summed per element."""
+    terms = [
+        [
+            _per_call_literal_image(
+                CyclicElement(F16_ALT, [F16_ALT.elements[c] if i == j else F16_ALT.zero for i in range(4)]),
+                F16_E_IMAGE,
+                F16_W_IMAGE,
+            )
+            for c in range(16)
+        ]
+        for j in range(4)
+    ]
+    elements = F16_ALT.elements
+    for c0, t0 in zip(elements, terms[0]):
+        for c1, t1 in zip(elements, terms[1]):
+            s1 = t0 + t1
+            for c2, t2 in zip(elements, terms[2]):
+                s2 = s1 + t2
+                for c3, t3 in zip(elements, terms[3]):
+                    assert iso_f16_to_m4(CyclicElement(F16_ALT, (c0, c1, c2, c3))) == s2 + t3

@@ -374,6 +374,55 @@ def test_iso_f8m3_finds_two_swapped_images(monkeypatch):
     assert rep.witness == "additivity fails at (0, 0, 1), (5, 0, 0)"
 
 
+
+def test_pair_model_finds_two_swapped_images(monkeypatch):
+    """The psi images of (0, iw) and (0, (1+i)w+i) trade places.  The map
+    stays a bijection, so after the inverse check the first product failure
+    is additivity, in scan order (x outer, y inner)."""
+    real = verify.pair_to_matrix
+    a, b = F4I.elements[8], F4I.elements[14]
+
+    def swapped(x, y):
+        if x is F4I.zero and y in (a, b):
+            y = b if y is a else a
+        return real(x, y)
+
+    monkeypatch.setattr(verify, "pair_to_matrix", swapped)
+    rep = verify.run_claim("iso_m2f2i_f4ij")
+    assert not rep.passed
+    assert rep.witness == "psi inverse fails at (f4i:0, f4i:iw)"
+    assert rep.details == ("FAILURE: additivity fails at (f4i:0, f4i:1), (f4i:0, f4i:iw)",)
+
+
+def test_pair_model_needs_the_conjugation(monkeypatch):
+    """A twisted product without sigma, (ac + bd) + (ad + bc)j, first
+    differs where b = 1 meets d = w, which sigma moves."""
+    monkeypatch.setattr(
+        verify,
+        "twisted_pair_mul",
+        lambda p, q: (p[0] * q[0] + p[1] * q[1], p[0] * q[1] + p[1] * q[0]),
+    )
+    rep = verify.run_claim("iso_m2f2i_f4ij")
+    assert not rep.passed
+    assert rep.witness == "multiplicativity fails at (f4i:0, f4i:1), (f4i:0, f4i:w)"
+    assert rep.details == ()
+
+
+def test_f_basis_finds_a_dropped_term(monkeypatch):
+    """to_f_basis with x_3 left out of y_0 breaks the round trip first at
+    the first element with x_3 != 0."""
+    real = verify.to_f_basis
+
+    def dropped(x):
+        y0, y1, y2, y3 = real(x)
+        return (y0 + x.coeffs[3], y1, y2, y3)
+
+    monkeypatch.setattr(verify, "to_f_basis", dropped)
+    rep = verify.run_claim("f_basis")
+    assert not rep.passed
+    assert rep.witness == "f-basis round trip fails at (0; 0; 0; 1)"
+
+
 def _reversed_pair(monkeypatch, name):
     """Make golden.<name> return its pair in reverse order."""
     real = getattr(golden, name)
