@@ -45,11 +45,13 @@ module checks the u grouping exhaustively over a box and reports that
 counterexample to the other.
 
 ``GaussianInt``, ``GoldenInt`` and ``GoldenCodeword`` are the public types.
-A codeword is also the algebra element x0 + e*x1 with x0 = a + b*theta,
-x1 = c + d*theta and e^2 = i, and ``golden_pair_mul`` multiplies codewords
-as such.  It shares one int kernel with ``GoldenInt.__mul__``, and the pair
-projections read each half's residue key, the mask of its reduction,
-straight from the coordinates.
+A codeword holds its halves (a, b) and (c, d) as int 4-tuples and builds
+Gaussian coordinates only when asked for them.  It is also the algebra
+element x0 + e*x1 with x0 = a + b*theta, x1 = c + d*theta and e^2 = i, and
+``golden_pair_mul`` multiplies codewords as such.  One int kernel serves
+``GoldenInt.__mul__``, ``golden_pair_mul`` and the codeword matrix behind
+``det_numerator``, and the pair projections read each half's residue key,
+the mask of its reduction, straight from the stored halves.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -125,9 +126,6 @@ class GaussianInt:
 
     def __repr__(self) -> str:
         return f"GaussianInt({self.re}, {self.im})"
-
-
-GI_I = GaussianInt(0, 1)
 
 
 # An element u + v*theta of Z[i, theta] as the ints (u.re, u.im, v.re, v.im),
@@ -215,59 +213,102 @@ def golden_norm(x: GoldenInt) -> GaussianInt:
 
 ALPHA = GoldenInt(GaussianInt(1, 1), GaussianInt(0, -1))     # 1 + i - i*theta
 ALPHA_BAR = GoldenInt(GaussianInt(1, 0), GaussianInt(0, 1))  # 1 + i*theta
-
-
-def _gi_times_golden(s: GaussianInt, x: GoldenInt) -> GoldenInt:
-    return GoldenInt(s * x.u, s * x.v)
+_ALPHA, _ALPHA_BAR = ALPHA._ints(), ALPHA_BAR._ints()
 
 
 # ----------------------------------------------------------------------
 # codewords
 
-@dataclass(frozen=True)
 class GoldenCodeword:
-    """The coordinate tuple (a, b, c, d) of one codeword."""
+    """The coordinate tuple (a, b, c, d) of one codeword, an immutable value.
 
-    a: GaussianInt
-    b: GaussianInt
-    c: GaussianInt
-    d: GaussianInt
+    It stores the halves (a, b) and (c, d) as the ints (a.re, a.im, b.re,
+    b.im) and (c.re, c.im, d.re, d.im), which the kernels below read
+    directly; ``a`` to ``d`` rebuild the Gaussian coordinates.
+    """
+
+    __slots__ = ("_left", "_right")
+
+    def __init__(self, a: GaussianInt, b: GaussianInt, c: GaussianInt, d: GaussianInt):
+        _set_left(self, (a.re, a.im, b.re, b.im))
+        _set_right(self, (c.re, c.im, d.re, d.im))
+
+    @classmethod
+    def _of(cls, left: _Half, right: _Half) -> "GoldenCodeword":
+        cw = object.__new__(cls)
+        _set_left(cw, left)
+        _set_right(cw, right)
+        return cw
 
     @classmethod
     def from_ints(cls, coords: Sequence[int]) -> "GoldenCodeword":
         ar, ai, br, bi, cr, ci, dr, di = coords
-        return cls(
-            GaussianInt(ar, ai),
-            GaussianInt(br, bi),
-            GaussianInt(cr, ci),
-            GaussianInt(dr, di),
-        )
+        return cls._of((ar, ai, br, bi), (cr, ci, dr, di))
+
+    a = property(lambda self: GaussianInt(self._left[0], self._left[1]))
+    b = property(lambda self: GaussianInt(self._left[2], self._left[3]))
+    c = property(lambda self: GaussianInt(self._right[0], self._right[1]))
+    d = property(lambda self: GaussianInt(self._right[2], self._right[3]))
 
     def coords(self) -> tuple[GaussianInt, GaussianInt, GaussianInt, GaussianInt]:
         return (self.a, self.b, self.c, self.d)
 
     @property
     def is_zero(self) -> bool:
-        return all(g.is_zero for g in self.coords())
+        return not any(self._left + self._right)
 
     def x0(self) -> GoldenInt:
-        return GoldenInt(self.a, self.b)
+        return GoldenInt._of(self._left)
 
     def x1(self) -> GoldenInt:
-        return GoldenInt(self.c, self.d)
+        return GoldenInt._of(self._right)
 
     def matrix_times_sqrt5(self) -> tuple[tuple[GoldenInt, GoldenInt], tuple[GoldenInt, GoldenInt]]:
         """The 2x2 codeword matrix without the 1/sqrt5 normalization."""
-        x0, x1 = self.x0(), self.x1()
-        top = (ALPHA * x0, ALPHA * x1)
-        bottom = (
-            _gi_times_golden(GI_I, ALPHA_BAR * x1.galois_conj()),
-            ALPHA_BAR * x0.galois_conj(),
-        )
-        return (top, bottom)
+        m00, m01, m10, m11 = map(GoldenInt._of, _matrix_ints(self))
+        return ((m00, m01), (m10, m11))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (GoldenCodeword._of, (self._left, self._right))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._left == other._left and self._right == other._right
+
+    def __hash__(self) -> int:
+        return hash(self.coords())
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.coords()) + ")"
+
+    def __repr__(self) -> str:
+        a, b, c, d = self.coords()
+        return f"GoldenCodeword(a={a!r}, b={b!r}, c={c!r}, d={d!r})"
+
+
+# The slot stores, which bypass the class's refusing __setattr__.
+_set_left = GoldenCodeword._left.__set__
+_set_right = GoldenCodeword._right.__set__
+
+
+def _matrix_ints(cw: GoldenCodeword) -> tuple[_GoldenInts, _GoldenInts, _GoldenInts, _GoldenInts]:
+    """The entries of sqrt5 * X row by row as ints: alpha*x0, alpha*x1,
+    i*alphabar*sigma(x1) and alphabar*sigma(x0)."""
+    x0, x1 = cw._left, cw._right
+    ur, ui, vr, vi = _golden_mul(_ALPHA_BAR, _golden_sigma(x1))
+    return (
+        _golden_mul(_ALPHA, x0),
+        _golden_mul(_ALPHA, x1),
+        (-ui, ur, -vi, vr),  # times i
+        _golden_mul(_ALPHA_BAR, _golden_sigma(x0)),
+    )
 
 
 def det_numerator(cw: GoldenCodeword) -> GaussianInt:
@@ -277,13 +318,15 @@ def det_numerator(cw: GoldenCodeword) -> GaussianInt:
     does not, the codeword parameterization is broken and we raise rather
     than return a truncated value.
     """
-    (m00, m01), (m10, m11) = cw.matrix_times_sqrt5()
-    det = m00 * m11 - m01 * m10
-    if not det.v.is_zero:
+    m00, m01, m10, m11 = _matrix_ints(cw)
+    pr, pi, pvr, pvi = _golden_mul(m00, m11)
+    qr, qi, qvr, qvi = _golden_mul(m01, m10)
+    if pvr != qvr or pvi != qvi:
         raise ArithmeticError(
-            f"determinant of {cw} has a nonvanishing theta-component {det.v}"
+            f"determinant of {cw} has a nonvanishing theta-component "
+            f"{GaussianInt(pvr - qvr, pvi - qvi)}"
         )
-    return det.u
+    return GaussianInt(pr - qr, pi - qi)
 
 
 def abs_det_sq(cw: GoldenCodeword) -> Fraction:
@@ -356,12 +399,6 @@ def reduce_mod_2(g: GaussianInt) -> RingElement:
     return F2I.elements[(g.re & 1) | ((g.im & 1) << 1)]
 
 
-def _halves(cw: GoldenCodeword) -> tuple[_Half, _Half]:
-    """The integer coordinates of the halves (a, b) and (c, d)."""
-    a, b, c, d = cw.a, cw.b, cw.c, cw.d
-    return (a.re, a.im, b.re, b.im), (c.re, c.im, d.re, d.im)
-
-
 # The residue key of a half is the mask of its reduction: mod (1+i) bit 0 is
 # the parity of re + im of its first Gaussian coordinate and bit 1 that of
 # its second (F4 = F2 + F2*w), mod 2 the four bits are the parities of its
@@ -387,8 +424,7 @@ def project_pair_mod_1pi(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
     same coset partition (conjugation permutes F4 coordinatewise); the
     multiplicative version and its mod-2 failure are certified in verify.
     """
-    left, right = _halves(cw)
-    return F4.elements[_half_key_1pi(left)], F4.elements[_half_key_1pi(right)]
+    return F4.elements[_half_key_1pi(cw._left)], F4.elements[_half_key_1pi(cw._right)]
 
 
 def project_pair_mod_2(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
@@ -399,8 +435,7 @@ def project_pair_mod_2(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
     (e^2 = i in the algebra but j^2 = 1 in the pair model, and i is not 1
     mod 2); the exact failure locus is certified in verify.
     """
-    left, right = _halves(cw)
-    return F4I.elements[_half_key_2(left)], F4I.elements[_half_key_2(right)]
+    return F4I.elements[_half_key_2(cw._left)], F4I.elements[_half_key_2(cw._right)]
 
 
 def project_mod_1pi(cw: GoldenCodeword) -> RingMatrix:
@@ -504,16 +539,14 @@ def golden_pair_mul(x: GoldenCodeword, y: GoldenCodeword) -> GoldenCodeword:
 
         x y = (x0 y0 + i sigma(x1) y1) + e (sigma(x0) y1 + x1 y0).
     """
-    (x0, x1), (y0, y1) = _halves(x), _halves(y)
+    x0, x1, y0, y1 = x._left, x._right, y._left, y._right
     p0, p1, p2, p3 = _golden_mul(x0, y0)
     q0, q1, q2, q3 = _golden_mul(_golden_sigma(x1), y1)
     r0, r1, r2, r3 = _golden_mul(_golden_sigma(x0), y1)
     s0, s1, s2, s3 = _golden_mul(x1, y0)
-    return GoldenCodeword(  # (p + i*q) + e (r + s)
-        GaussianInt(p0 - q1, p1 + q0),
-        GaussianInt(p2 - q3, p3 + q2),
-        GaussianInt(r0 + s0, r1 + s1),
-        GaussianInt(r2 + s2, r3 + s3),
+    return GoldenCodeword._of(  # (p + i*q) + e (r + s)
+        (p0 - q1, p1 + q0, p2 - q3, p3 + q2),
+        (r0 + s0, r1 + s1, r2 + s2, r3 + s3),
     )
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -14,7 +16,6 @@ from cosetcodes.golden import (
     ALPHA,
     ALPHA_BAR,
     FLOOR_BY_CLASS,
-    GI_I,
     GaussianInt,
     GoldenCodeword,
     GoldenInt,
@@ -124,6 +125,39 @@ def test_matrix_det_is_the_det_numerator():
         (m00, m01), (m10, m11) = cw.matrix_times_sqrt5()
         det = m00 * m11 - m01 * m10
         assert det == GoldenInt(det_numerator(cw), GaussianInt(0, 0))
+
+
+def test_codeword_value_semantics():
+    coords = (1, -2, 0, 1, -1, 0, 3, -1)
+    cw = GoldenCodeword.from_ints(coords)
+    same = GoldenCodeword(
+        GaussianInt(1, -2), GaussianInt(0, 1), GaussianInt(-1, 0), GaussianInt(3, -1)
+    )
+    assert cw == same and hash(cw) == hash(same)
+    assert cw != coords and cw != tuple(cw.coords())
+    for k in range(8):
+        other = list(coords)
+        other[k] += 1
+        assert cw != GoldenCodeword.from_ints(other)
+    with pytest.raises(AttributeError):
+        cw.a = GaussianInt(0, 0)
+    with pytest.raises(AttributeError):
+        del cw.a
+    assert not hasattr(cw, "__dict__")
+    # the field-keyword repr that earlier releases printed
+    assert str(cw) == "(1-2i, i, -1, 3-i)"
+    assert repr(cw) == (
+        "GoldenCodeword(a=GaussianInt(1, -2), b=GaussianInt(0, 1), "
+        "c=GaussianInt(-1, 0), d=GaussianInt(3, -1))"
+    )
+    assert cw.coords() == (
+        GaussianInt(1, -2), GaussianInt(0, 1), GaussianInt(-1, 0), GaussianInt(3, -1)
+    )
+    assert (cw.a, cw.b, cw.c, cw.d) == cw.coords()
+    assert not cw.is_zero and GoldenCodeword.from_ints((0,) * 8).is_zero
+    for k in range(8):
+        assert not GoldenCodeword.from_ints(tuple(int(j == k) for j in range(8))).is_zero
+    assert pickle.loads(pickle.dumps(cw)) == cw and copy.copy(cw) == cw
 
 
 def test_golden_pair_mul_e_squared_is_i():
@@ -382,7 +416,8 @@ def _ref_pair_mul(x, y):
     """(x0 + e x1)(y0 + e y1) = (x0 y0 + i sigma(x1) y1) + e (sigma(x0) y1 + x1 y0)."""
     (x0, x1), (y0, y1) = x, y
     t = _ref_golden_mul(x1.galois_conj(), y1)
-    first = _ref_golden_mul(x0, y0) + GoldenInt(GI_I * t.u, GI_I * t.v)
+    i = GaussianInt(0, 1)
+    first = _ref_golden_mul(x0, y0) + GoldenInt(i * t.u, i * t.v)
     second = _ref_golden_mul(x0.galois_conj(), y1) + _ref_golden_mul(x1, y0)
     return first, second
 

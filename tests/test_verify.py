@@ -238,9 +238,17 @@ def test_delta_min_rep2_needs_a_true_galois_conjugate(monkeypatch):
     """With theta -> 1 - theta planted as the identity the bottom row loses
     the codeword shape, the Gram determinant picks up a sqrt5 part and the
     claim refuses it instead of ranking irrational values."""
-    monkeypatch.setattr(GoldenInt, "galois_conj", lambda self: self)
+    monkeypatch.setattr(golden, "_golden_sigma", lambda x: x)
     with pytest.raises(ArithmeticError, match="irrational"):
         verify.run_claim("delta_min_rep2")
+
+
+def test_golden_mindet_needs_a_true_galois_conjugate(monkeypatch):
+    """The same plant breaks the matrix route of the grid proof: the
+    expanded determinant keeps a theta part, and det_numerator refuses it."""
+    monkeypatch.setattr(golden, "_golden_sigma", lambda x: x)
+    with pytest.raises(ArithmeticError, match="nonvanishing theta-component"):
+        verify.run_claim("golden_mindet")
 
 
 # `cosetcodes verify --all` stdout in both formats, as the claims print it.
@@ -453,6 +461,35 @@ def test_projection_compat_finds_a_reversed_mod2_pair(monkeypatch):
         "mod-2 failure locus breaks the both-units rule at "
         "x=((0)+(0)t,(0)+(i)t), y=((0)+(0)t,(0)+(i)t)"
     )
+
+
+def test_projection_compat_stays_exhaustive(monkeypatch):
+    """One passing run multiplies all 256^2 window pairs, projects the 256
+    window elements and the 65536 products under both ideals, and takes
+    three twisted products per pair."""
+    counts = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+        counts[name] = 0
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(verify, "golden_pair_mul")
+    counted(golden, "project_pair_mod_1pi")
+    counted(golden, "project_pair_mod_2")
+    counted(verify, "twisted_pair_mul")
+    assert verify.run_claim("projection_compat").passed
+    assert counts == {
+        "golden_pair_mul": 65536,
+        "project_pair_mod_1pi": 65792,
+        "project_pair_mod_2": 65792,
+        "twisted_pair_mul": 196608,
+    }
 
 
 def _flipped_norm_ints(ar, ai, br, bi):
