@@ -2,8 +2,8 @@
 
 All bounds are rational arithmetic on :class:`fractions.Fraction`; the one
 irrational ingredient (sqrt of a square-free integer, sqrt2 in the multilevel
-sums) is carried symbolically by :class:`SqrtVal` so minima and comparisons
-are still exact — ordering is decided by signs and squaring, never by
+sums) is carried symbolically by :class:`SqrtVal`, which refuses any other
+radicand, so minima and comparisons are still exact — ordering is decided by signs and squaring, never by
 floating point.
 
 Formula inventory (delta is the normalized minimum determinant of the inner
@@ -35,15 +35,18 @@ lattice layer, d's are minimum distances of the outer codes):
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
 
 
+@functools.total_ordering
 class SqrtVal:
-    """Exact p + q*sqrt(d) with p, q rational and d a fixed square-free int.
+    """Exact p + q*sqrt(d) with p, q rational and d a square-free int >= 2.
 
-    Supports ring operations against values with the same d (or plain
+    The radicand is checked, so q != 0 means irrational and == agrees with
+    hash.  Supports ring operations against values with the same d (or plain
     rationals), exact comparison, and printing.  Comparison works by moving
     everything to one side and deciding the sign of p + q*sqrt(d) from the
     signs of p, q and of p^2 - q^2*d — no floats involved.
@@ -52,8 +55,11 @@ class SqrtVal:
     __slots__ = ("p", "q", "d")
 
     def __init__(self, p, q=0, d: int = 2):
-        if d <= 0:
-            raise ValueError(f"sqrt({d}) needs a positive radicand")
+        k = 2  # the least k >= 2 with k^2 > d or k^2 dividing d
+        while k * k <= d and d % (k * k):
+            k += 1
+        if d < 2 or k * k <= d:
+            raise ValueError(f"sqrt({d}) needs a square-free radicand >= 2")
         self.p = Fraction(p)
         self.q = Fraction(q)
         self.d = d
@@ -125,15 +131,6 @@ class SqrtVal:
     def __lt__(self, other) -> bool:
         return (self - self._coerce(other)).sign() < 0
 
-    def __le__(self, other) -> bool:
-        return (self - self._coerce(other)).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        return (self - self._coerce(other)).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        return (self - self._coerce(other)).sign() >= 0
-
     def __hash__(self) -> int:
         if self.q == 0:
             return hash(self.p)
@@ -182,7 +179,11 @@ def hamming_bound(n: int, a_norm_sq, delta, d: int) -> Fraction:
     delta = _check_positive_delta(delta)
     if d < 1:
         raise ValueError("distance must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     a_norm_sq = Fraction(a_norm_sq)
+    if a_norm_sq <= 0:
+        raise ValueError("a_norm_sq must be positive")
     return min(a_norm_sq**n * delta, Fraction(d * d) * delta)
 
 

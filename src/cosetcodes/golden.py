@@ -222,22 +222,24 @@ _ALPHA, _ALPHA_BAR = ALPHA._ints(), ALPHA_BAR._ints()
 class GoldenCodeword:
     """The coordinate tuple (a, b, c, d) of one codeword, an immutable value.
 
-    It stores the halves (a, b) and (c, d) as the ints (a.re, a.im, b.re,
-    b.im) and (c.re, c.im, d.re, d.im), which the kernels below read
-    directly; ``a`` to ``d`` rebuild the Gaussian coordinates.
+    As in ``fractions.Fraction``, its state is private slots and its
+    coordinates ``a`` to ``d`` are read-only properties.  The slots hold the
+    halves (a, b) and (c, d) as the ints (a.re, a.im, b.re, b.im) and
+    (c.re, c.im, d.re, d.im), which the kernels below read directly; the
+    properties rebuild the Gaussian coordinates.
     """
 
     __slots__ = ("_left", "_right")
 
     def __init__(self, a: GaussianInt, b: GaussianInt, c: GaussianInt, d: GaussianInt):
-        _set_left(self, (a.re, a.im, b.re, b.im))
-        _set_right(self, (c.re, c.im, d.re, d.im))
+        self._left = (a.re, a.im, b.re, b.im)
+        self._right = (c.re, c.im, d.re, d.im)
 
     @classmethod
     def _of(cls, left: _Half, right: _Half) -> "GoldenCodeword":
         cw = object.__new__(cls)
-        _set_left(cw, left)
-        _set_right(cw, right)
+        cw._left = left
+        cw._right = right
         return cw
 
     @classmethod
@@ -255,7 +257,7 @@ class GoldenCodeword:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self._left + self._right)
+        return not any(self._left) and not any(self._right)
 
     def x0(self) -> GoldenInt:
         return GoldenInt._of(self._left)
@@ -268,12 +270,7 @@ class GoldenCodeword:
         m00, m01, m10, m11 = map(GoldenInt._of, _matrix_ints(self))
         return ((m00, m01), (m10, m11))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
+    # Pickle protocols 0 and 1 refuse a slotted class that has no __reduce__.
     def __reduce__(self) -> tuple:
         return (GoldenCodeword._of, (self._left, self._right))
 
@@ -283,7 +280,7 @@ class GoldenCodeword:
         return self._left == other._left and self._right == other._right
 
     def __hash__(self) -> int:
-        return hash(self.coords())
+        return hash((self._left, self._right))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.coords()) + ")"
@@ -291,11 +288,6 @@ class GoldenCodeword:
     def __repr__(self) -> str:
         a, b, c, d = self.coords()
         return f"GoldenCodeword(a={a!r}, b={b!r}, c={c!r}, d={d!r})"
-
-
-# The slot stores, which bypass the class's refusing __setattr__.
-_set_left = GoldenCodeword._left.__set__
-_set_right = GoldenCodeword._right.__set__
 
 
 def _matrix_ints(cw: GoldenCodeword) -> tuple[_GoldenInts, _GoldenInts, _GoldenInts, _GoldenInts]:
@@ -661,7 +653,7 @@ def min_abs_det_sq(
                 if (t := (q + dx, dy - p)) in right and (m or p or q)
             ]
             if found:
-                return Fraction(m, 5), GoldenCodeword.from_ints(h + min(found))
+                return Fraction(m, 5), GoldenCodeword._of(h, min(found))
 
 
 # The offsets of norm < 4 (3 is not a sum of two squares): a floor of at most

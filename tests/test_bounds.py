@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from cosetcodes.bounds import (
@@ -61,9 +61,11 @@ def test_sqrtval_still_refuses_two_irrational_radicands():
     assert SqrtVal(1, 1, 5) != SQRT2
 
 
-@pytest.mark.parametrize("d", [0, -1, -5])
+@pytest.mark.parametrize("d", [0, -1, -5, 1, 4, 8, 12])
 def test_sqrtval_rejects_nonpositive_radicand(d):
-    with pytest.raises(ValueError):
+    """Radicands below 2 and those with a square factor are refused, so no
+    irrational-looking value can equal a rational with a different hash."""
+    with pytest.raises(ValueError, match=rf"^sqrt\({d}\) needs a square-free radicand >= 2$"):
         SqrtVal(0, 1, d)
 
 
@@ -75,17 +77,24 @@ def test_sqrt2_squares_to_2():
 
 
 @given(p=small, q=small, r=small, s=small)
+@example(p=3, q=-1, r=3, s=-1)
+@example(p=7, q=0, r=7, s=0)
 def test_sqrtval_order_matches_floats(p, q, r, s):
-    """The exact sign rule agrees with floating point whenever the float
-    gap is comfortably above rounding error."""
+    """All six comparisons agree with floating point whenever the float gap
+    is comfortably above rounding error, and a tie is <= and >= only."""
     x = SqrtVal(p, q, 5)
     y = SqrtVal(r, s, 5)
     fx = p + q * math.sqrt(5)
     fy = r + s * math.sqrt(5)
+    order = (x < y, x <= y, x > y, x >= y, x == y, x != y)
     if abs(fx - fy) > 1e-6:
-        assert (x < y) == (fx < fy)
+        assert order == (fx < fy, fx <= fy, fx > fy, fx >= fy, False, True)
     if (p, q) == (r, s):
-        assert x == y
+        assert order == (False, True, False, True, True, False)
+        if q == 0:  # against a plain rational, from either side
+            assert (x < p, x <= p, x > p, x >= p, p <= x, p >= x) == (
+                False, True, False, True, True, True
+            )
 
 
 @given(p=small, q=small, r=small, s=small)
@@ -104,6 +113,12 @@ def test_hamming_bound_values():
     assert hamming_bound(3, 2, Fraction(1, 5), 2) == Fraction(4, 5)
     with pytest.raises(ValueError):
         hamming_bound(2, 2, Fraction(-1, 5), 2)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            hamming_bound(n, 2, Fraction(1, 5), 2)
+    for a_norm_sq in (0, -2, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="^a_norm_sq must be positive$"):
+            hamming_bound(2, a_norm_sq, Fraction(1, 5), 2)
 
 
 def test_bachoc_and_m2f2i_bounds():

@@ -331,6 +331,9 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
     rc, _, err = run(capsys, "bounds", "--which", "hamming", "--delta", "0")
     assert rc == 2 and "error" in err
+    for flag, value in (("--n", "-1"), ("--a-norm-sq", "0")):
+        rc, out, err = run(capsys, "bounds", "--which", "hamming", flag, value)
+        assert rc == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

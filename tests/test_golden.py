@@ -139,11 +139,14 @@ def test_codeword_value_semantics():
         other = list(coords)
         other[k] += 1
         assert cw != GoldenCodeword.from_ints(other)
+    for name in "abcd":
+        with pytest.raises(AttributeError):
+            setattr(cw, name, GaussianInt(0, 0))
+        with pytest.raises(AttributeError):
+            delattr(cw, name)
     with pytest.raises(AttributeError):
-        cw.a = GaussianInt(0, 0)
-    with pytest.raises(AttributeError):
-        del cw.a
-    assert not hasattr(cw, "__dict__")
+        cw.e = GaussianInt(0, 0)
+    assert not hasattr(cw, "__dict__") and cw.coords() == same.coords()
     # the field-keyword repr that earlier releases printed
     assert str(cw) == "(1-2i, i, -1, 3-i)"
     assert repr(cw) == (
@@ -157,7 +160,14 @@ def test_codeword_value_semantics():
     assert not cw.is_zero and GoldenCodeword.from_ints((0,) * 8).is_zero
     for k in range(8):
         assert not GoldenCodeword.from_ints(tuple(int(j == k) for j in range(8))).is_zero
-    assert pickle.loads(pickle.dumps(cw)) == cw and copy.copy(cw) == cw
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(cw, protocol)) == cw
+    assert copy.copy(cw) == cw and copy.deepcopy(cw) == cw
+    # the same value from __init__, from_ints and a product with the unit
+    one = GoldenCodeword.from_ints((1,) + (0,) * 7)
+    product = golden_pair_mul(one, cw)
+    assert product == cw and hash(product) == hash(cw)
+    assert len({cw, same, product, golden_pair_mul(cw, one)}) == 1
 
 
 def test_golden_pair_mul_e_squared_is_i():
