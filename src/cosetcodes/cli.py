@@ -71,6 +71,8 @@ def _cmd_mindet(args) -> int:
 
 def _load_cli_code(args):
     if args.code_file:
+        if args.code is not None or args.L is not None or args.ring is not None:
+            raise UsageError("--code-file takes no --code, --L or --ring")
         with open(args.code_file, "r", encoding="utf-8") as fh:
             return load_code(fh.read())
     if not args.code:
@@ -83,6 +85,11 @@ def _cmd_mindist(args) -> int:
     if args.certified:
         if not code.name.startswith("rs["):
             raise UsageError("--certified applies to the reed-solomon codes")
+        if args.transform != "none" or args.weight != "hamming":
+            raise UsageError(
+                "--certified takes no --transform or --weight: "
+                "it certifies the code's own hamming distance"
+            )
         print(rs_distance_certificate(code))
         return 0
     if args.transform == "lift":

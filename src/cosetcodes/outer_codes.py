@@ -37,16 +37,16 @@ its index in the alphabet's enumeration order, and symbol j of a word sits at
 bits ``dim*j``; every alphabet here has characteristic 2, so adding words is
 XOR of their packings.  Each call first tabulates ``scaled[i][a]``, the
 packed word ``a * row_i``, with the public ring or matrix product; a codeword
-is then the XOR of one entry per row, visited in ``itertools.product``
-message order.  :func:`min_distance` scores a packed word by table lookups,
-one per block: one symbol for Hamming and Bachoc weights, a pair for Lee,
-and the map's block for a :class:`MappedCode` (one symbol for the lift, a
-pair for the pushforward).  Each table is filled by running the public map
-and weight functions once per block value, so the weights keep a single
-definition.  ``codewords()`` unpacks the same words into symbol tuples.
-:meth:`LinearCode.encode` keeps the object route, one multiply-add per
-symbol, so that tests can check the packed route against it.  Tables live
-only inside one call.
+is then the XOR of one entry per row.  ``codewords()`` visits every message
+in ``itertools.product`` order and unpacks each word into symbols.
+:func:`min_distance` visits one nonzero message per orbit of the units that
+keep the weight (every one over a matrix alphabet) and scores a word by
+table lookups, one per block: a symbol for Hamming and Bachoc weights, a
+pair for Lee, the map's block for a :class:`MappedCode`.  The public map and
+weight functions fill each table once per block value, so the weights keep
+a single definition.  :meth:`LinearCode.encode` keeps the object route, one
+multiply-add per symbol, so that tests can check the packed route against
+it.  Tables live only inside one call.
 """
 
 from __future__ import annotations
@@ -354,7 +354,13 @@ def word_weight(word: Sequence[Symbol], kind: WeightKind) -> int:
 
 
 def min_distance(code: LinearCode | MappedCode, kind: WeightKind = WeightKind.HAMMING) -> int:
-    """Minimum weight over nonzero codewords (= distance, by linearity)."""
+    """Minimum weight over nonzero codewords (= distance, by linearity).
+
+    Exhaustive over unit orbits: a message is visited iff its first nonzero
+    symbol is the least of its orbit under U, the units that keep every
+    block's weight.  A nonzero message m has u in U taking that symbol to
+    the least, so u*m is visited; its codeword u*c is nonzero iff c is, and
+    has the weight of c."""
     if code.message_space_size > MESSAGE_SPACE_LIMIT:
         raise ValueError("message space too large for exhaustive distance search")
     base, width, images = code._symbol_images()
@@ -365,14 +371,38 @@ def min_distance(code: LinearCode | MappedCode, kind: WeightKind = WeightKind.HA
     # word raises the weight's own error wherever kind does not apply.
     word_weight((code.alphabet.zero,) * code.L, kind)
     group = 2 if kind is WeightKind.LEE else 1
+    bits = width * group
     table = [
         word_weight(_unpack(v, width, group, images), kind)
-        for v in range(1 << (width * group))
+        for v in range(1 << bits)
     ]
     blocks = code.L // group
+    # U holds the units u of a ring alphabet whose action act_u, u times each
+    # ring.dim-bit symbol field of a block, keeps the table: table[act_u(v)]
+    # == table[v] for every block v.  act_u is F2-linear, so it is the XOR
+    # span of the images of the block's bits.  The actions compose (act_uv =
+    # act_u act_v), so the finite set U is a group.  It is kept as rows of
+    # the multiplication table.
+    alphabet = base.alphabet
+    units = [range(alphabet.size)]  # a matrix alphabet keeps U = {1}
+    if isinstance(alphabet, QuotientRing):
+        units = []
+        for u in alphabet.units:
+            row, act = alphabet._mul[u.mask], [0]
+            for bit in range(bits):
+                image = row[1 << bit % alphabet.dim] << bit - bit % alphabet.dim
+                act += list(map(image.__xor__, act))
+            if list(map(table.__getitem__, act)) == table:
+                units.append(row)
+    reps = sorted({*map(min, zip(*units))} - {0})  # the least of each orbit
+    # first nonzero symbol at row i: a representative, then any tail
+    words = []
+    for i, row in enumerate(scaled):
+        heads = [*map(row.__getitem__, reps)]
+        words.append(_packed_words([heads, *scaled[i + 1 :]]))
     return min(
-        sum(_unpack(word, width * group, blocks, table))
-        for word in _packed_words(scaled)
+        sum(_unpack(word, bits, blocks, table))
+        for word in itertools.chain(*words)
         if word
     )
 
@@ -525,29 +555,30 @@ def inner_parity_pair_code() -> LinearCode:
 
 
 def named_code(name: str, L: int | None = None, ring_name: str | None = None) -> LinearCode:
-    """CLI registry.  Parameterized names take --L / --ring where sensible."""
-    if name == "dualrep":
-        return dual_repetition_code()
-    if name == "hexacode":
-        return hexacode()
-    if name == "rs16_13":
-        return reed_solomon_code(13)
-    if name == "rs16_14":
-        return reed_solomon_code(14)
-    if name == "inner_pair":
-        return inner_parity_pair_code()
-    if name == "repetition":
-        alphabet = get_ring(ring_name) if ring_name else MatrixSpace(F2, 2)
-        return repetition_code(2 if L is None else L, alphabet)
-    if name == "parity":
-        alphabet = get_ring(ring_name) if ring_name else MatrixSpace(F2, 2)
-        return parity_check_code(4 if L is None else L, alphabet)
+    """CLI registry.  ``repetition`` and ``parity`` take L and a ring name,
+    ``matrix_parity`` takes L, the fixed codes take neither; a parameter
+    that the named code does not take is refused."""
+    fixed = {
+        "dualrep": dual_repetition_code,
+        "hexacode": hexacode,
+        "rs16_13": functools.partial(reed_solomon_code, 13),
+        "rs16_14": functools.partial(reed_solomon_code, 14),
+        "inner_pair": inner_parity_pair_code,
+    }
+    takes = {"repetition": ("L", "ring"), "parity": ("L", "ring"), "matrix_parity": ("L",)}
+    if name not in fixed and name not in takes:
+        raise ValueError(f"unknown code {name!r}; known: {', '.join([*fixed, *takes])}")
+    for flag, value in (("L", L), ("ring", ring_name)):
+        if value is not None and flag not in takes.get(name, ()):
+            raise ValueError(f"code {name} takes no --{flag}")
+    if name in fixed:
+        return fixed[name]()
     if name == "matrix_parity":
         return matrix_parity_code(2 if L is None else L)
-    raise ValueError(
-        f"unknown code {name!r}; known: dualrep, hexacode, rs16_13, rs16_14, "
-        "inner_pair, repetition, parity, matrix_parity"
-    )
+    alphabet = MatrixSpace(F2, 2) if ring_name is None else get_ring(ring_name)
+    if name == "repetition":
+        return repetition_code(2 if L is None else L, alphabet)
+    return parity_check_code(4 if L is None else L, alphabet)
 
 
 # ----------------------------------------------------------------------

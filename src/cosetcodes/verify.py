@@ -662,7 +662,8 @@ def certify_inner_pair_lee(failures: list[str], details: list[str]) -> None:
 @_claim("code_distances", "exhaustive distances; RS minors")
 def certify_code_distances(failures: list[str], details: list[str]) -> None:
     """Distances of the named codes and their matrix-alphabet images, all by
-    exhaustive search except Reed-Solomon (certified by minors)."""
+    search exhaustive over unit orbits (``min_distance``) except
+    Reed-Solomon (certified by minors)."""
     def expect(label: str, got: int, want: int) -> None:
         if got != want:
             failures.append(f"{label} = {got}, expected {want}")

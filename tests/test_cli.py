@@ -353,6 +353,67 @@ def test_mindist_transform_needs_a_quadratic_alphabet(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--code", "rs16_13", "--weight", "lee"),
+        ("--code", "rs16_13", "--weight", "bachoc"),
+        ("--code", "rs16_13", "--transform", "pairs"),
+        ("--code", "rs16_14", "--transform", "lift", "--weight", "hamming"),
+    ],
+    ids=["lee", "bachoc", "pairs", "lift"],
+)
+def test_mindist_certified_refuses_transform_and_weight(capsys, argv):
+    """The minor certificate gives the Hamming distance of the RS code
+    itself, so a transform or another weight is refused, not dropped."""
+    rc, out, err = run(capsys, "mindist", *argv, "--certified")
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "error: --certified takes no --transform or --weight: "
+        "it certifies the code's own hamming distance\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("mindist", "--code", "hexacode", "--L", "9"), "L"),
+        (("mindist", "--code", "hexacode", "--ring", "f16"), "ring"),
+        (("mindist", "--code", "rs16_13", "--certified", "--ring", "f16"), "ring"),
+        (("mindist", "--code", "matrix_parity", "--ring", "f4"), "ring"),
+        (("encode", "--code", "dualrep", "--L", "4", "--msg", "1,w,w+1"), "L"),
+        (("encode", "--code", "matrix_parity", "--ring", "f2", "--msg", "1"), "ring"),
+    ],
+)
+def test_unused_code_parameters_are_refused(capsys, argv, flag):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: code {argv[2]} takes no --{flag}\n"
+
+
+@pytest.mark.parametrize(
+    "extra", [("--code", "hexacode"), ("--L", "9"), ("--ring", "f16")], ids=["code", "L", "ring"]
+)
+@pytest.mark.parametrize("command", [("mindist",), ("encode", "--msg", "1")])
+def test_code_file_refuses_named_code_flags(capsys, tmp_path, command, extra):
+    path = tmp_path / "code.txt"
+    path.write_text("f4 2 1\n1 1\n")
+    rc, out, err = run(capsys, *command, "--code-file", str(path), *extra)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --code-file takes no --code, --L or --ring\n"
+
+
+def test_empty_ring_is_refused_not_defaulted(capsys):
+    """An empty --ring names no ring; only a missing one means M2(F2)."""
+    rc, out, err = run(capsys, "mindist", "--code", "repetition", "--ring", "")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: unknown ring ''; known: ") and err.count("\n") == 1
+
+
 # CLI fuzzing: per subcommand, each flag with the values it may take.  Every
 # valid draw stays small (no verify and no iso --check; mindet at box 1 or
 # the default 2, larger boxes refused; lengths up to 3; matrix enumeration

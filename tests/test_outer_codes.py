@@ -12,6 +12,7 @@ from cosetcodes.cyclic import multiplication_matrix, pair_to_matrix
 from cosetcodes.matrices import RingMatrix
 from cosetcodes.outer_codes import (
     LinearCode,
+    MappedCode,
     MatrixSpace,
     WeightKind,
     bachoc_weight,
@@ -187,8 +188,25 @@ def test_named_code_registry():
     assert named_code("hexacode").L == 6
     assert named_code("rs16_13").k == 13
     assert named_code("repetition", L=3, ring_name="f4").L == 3
-    with pytest.raises(ValueError):
+    assert named_code("matrix_parity", L=3).L == 3
+    known = "dualrep, hexacode, rs16_13, rs16_14, inner_pair, repetition, parity, matrix_parity"
+    with pytest.raises(ValueError, match=f"^unknown code 'nosuch'; known: {known}$"):
         named_code("nosuch")
+
+
+@pytest.mark.parametrize(
+    "name,L,ring_name,flag",
+    [
+        ("hexacode", 9, None, "L"),
+        ("hexacode", None, "f16", "ring"),
+        ("rs16_13", 16, None, "L"),
+        ("inner_pair", None, "f4i", "ring"),
+        ("matrix_parity", 3, "f4", "ring"),
+    ],
+)
+def test_named_code_refuses_a_parameter_it_does_not_take(name, L, ring_name, flag):
+    with pytest.raises(ValueError, match=f"^code {name} takes no --{flag}$"):
+        named_code(name, L=L, ring_name=ring_name)
 
 
 def test_dump_load_round_trip():
@@ -367,3 +385,78 @@ def test_scaled_rows_do_not_enumerate_the_alphabet(monkeypatch):
 
     monkeypatch.setattr(MatrixSpace, "__iter__", refuse)
     assert outer_codes._scaled_rows(code) == want
+
+
+# ----------------------------------------------------------------------
+# min_distance over unit orbits
+
+
+@pytest.mark.parametrize(
+    "code,kind,words",
+    [
+        # all 15 units of F16 keep Hamming weight: 16^3 + 16^2 + 16 + 1
+        (reed_solomon_code(4), WeightKind.HAMMING, 4369),
+        # all 3 units of F4 keep the Bachoc weight of a pair: (4^7 - 1) / 3
+        (pushforward_pairs(parity_check_code(8, F4)), WeightKind.BACHOC, 5461),
+        # all 12 units of F4[i] keep Lee weight; representatives 1 and 1+i:
+        # 2 * (16^2 + 16 + 1)
+        (parity_check_code(4, F4I), WeightKind.LEE, 546),
+        # a matrix alphabet keeps U = {1}: every nonzero message, 16^2 - 1
+        (parity_check_code(3, MatrixSpace(F2, 2)), WeightKind.HAMMING, 255),
+    ],
+    ids=["rs16_4", "pairs-parity8-f4", "lee-parity4-f4i", "parity3-m2f2"],
+)
+def test_min_distance_visits_one_message_per_unit_orbit(monkeypatch, code, kind, words):
+    """Counted as the words the packed generator yields."""
+    seen = 0
+    packed = outer_codes._packed_words
+
+    def counted(scaled):
+        nonlocal seen
+        for word in packed(scaled):
+            seen += 1
+            yield word
+
+    monkeypatch.setattr(outer_codes, "_packed_words", counted)
+    min_distance(code, kind)
+    assert seen == words
+
+
+def test_unit_orbits_keep_only_weight_preserving_units():
+    """One F4 symbol x maps to pair_to_matrix(x, x) at x = 1 and to
+    pair_to_matrix(x, 0) elsewhere: Bachoc weight 2 at 1, 1 at w and w^2,
+    so no unit but 1 keeps the weight.  A scaling check that is dropped or
+    loosened lets U be all of F4's units; the one orbit {1, w, w^2} is then
+    visited at 1 alone, and the distance would read 2 instead of 1."""
+    code = MappedCode(
+        base=repetition_code(1, F4),
+        alphabet=MatrixSpace(F2, 2),
+        block=1,
+        symbol_map=lambda x: pair_to_matrix(x, x if x == F4.one else F4.zero),
+        name="planted",
+    )
+    weights = sorted(bachoc_word_weight(w) for w in code.codewords() if hamming_weight(w))
+    assert weights == [1, 1, 2]
+    assert min_distance(code, WeightKind.BACHOC) == 1
+    assert min_distance(code, WeightKind.HAMMING) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_reed_solomon_distance_is_17_minus_k(k):
+    assert min_distance(reed_solomon_code(k)) == 17 - k
+
+
+def test_benchmark_code_distances_match_the_codeword_minimum():
+    """The four searches of the codes benchmark workload, on pair-permuted
+    codes as there, equal the minimum of the public weight functions over
+    every nonzero word of codewords()."""
+    parity_f4 = _permute_pairs(parity_check_code(8, F4), seed=19)
+    jobs = [
+        (_permute_pairs(reed_solomon_code(4), seed=19), WeightKind.HAMMING, hamming_weight),
+        (pushforward_pairs(parity_f4), WeightKind.BACHOC, bachoc_word_weight),
+        (lift_code(parity_f4), WeightKind.HAMMING, hamming_weight),
+        (_permute_pairs(parity_check_code(4, F4I), seed=19), WeightKind.LEE, lee_word_weight),
+    ]
+    for code, kind, weight in jobs:
+        want = min(weight(w) for w in code.codewords() if hamming_weight(w))
+        assert min_distance(code, kind) == want, (code, kind)
