@@ -103,23 +103,16 @@ class SqrtVal:
     # ------------------------------------------------------------------
 
     def sign(self) -> int:
-        """Sign of p + q*sqrt(d), decided exactly."""
-        p, q = self.p, self.q
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return (q > 0) - (q < 0)
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # Opposite signs: compare p^2 with q^2 d; the sign of the larger
-        # magnitude term wins.
-        lhs, rhs = p * p, q * q * self.d
-        if lhs == rhs:
-            return 0
-        bigger_is_p = lhs > rhs
-        return (1 if p > 0 else -1) if bigger_is_p else (1 if q > 0 else -1)
+        """Sign of p + q*sqrt(d), decided exactly.
+
+        s -> s*|s| is strictly increasing, so p + q*sqrt(d) = p - (-q*sqrt(d))
+        has the sign of p*|p| + q*|q|*d, taken here times the squared
+        denominators of p and q so that it stays on integers.
+        """
+        a, b = self.p.as_integer_ratio()
+        c, e = self.q.as_integer_ratio()
+        t = a * abs(a) * e * e + c * abs(c) * self.d * b * b
+        return (t > 0) - (t < 0)
 
     def __eq__(self, other) -> bool:
         try:

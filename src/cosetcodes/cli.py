@@ -103,12 +103,14 @@ def _cmd_mindist(args) -> int:
 
 def _cmd_weights(args) -> int:
     if args.kind == "bachoc":
+        if args.ring is not None:
+            raise UsageError("--kind bachoc takes no --ring: its words are over M2(F2)")
         word = [
             RingMatrix.parse(F2, chunk) for chunk in args.word.split(";") if chunk
         ]
         print(bachoc_word_weight(word))
         return 0
-    ring = get_ring(args.ring)
+    ring = get_ring("f4i" if args.ring is None else args.ring)
     symbols = [ring.parse(s) for s in args.word.split(",")]
     if args.kind == "hamming":
         print(hamming_weight(symbols))
@@ -130,10 +132,24 @@ _BOUNDS = {
     "gv": (bounds.gv_bound, ("q", "L", "d")),
 }
 
+# Every bound parameter with the value it takes when its flag is absent.
+# The parser leaves absent flags at None, so a flag the chosen bound does
+# not take can be refused instead of dropped.
+_BOUND_DEFAULTS = {
+    "n": 2, "a_norm_sq": "2", "delta": "1/5", "d": 2, "ds": None, "ks": None,
+    "bits": 0, "L": 2, "k": 0, "q": 4, "duplicate_d3": False,
+}
+
 
 def _cmd_bounds(args) -> int:
     function, params = _BOUNDS[args.which]
-    given = [getattr(args, name) for name in params]
+    flagged = {
+        name: v for name in _BOUND_DEFAULTS if (v := getattr(args, name)) is not None
+    }
+    stray = ["--" + name.replace("_", "-") for name in flagged if name not in params]
+    if stray:
+        raise UsageError(f"--which {args.which} takes no {', '.join(stray)}")
+    given = [flagged.get(name, _BOUND_DEFAULTS[name]) for name in params]
     values = []
     for name, v in zip(params, given):
         if name in ("a_norm_sq", "delta"):
@@ -205,6 +221,8 @@ _ISO_CLAIMS = {
 
 def _cmd_iso(args) -> int:
     if args.check:
+        if args.element is not None:
+            raise UsageError("give --element or --check, not both")
         report = verify.run_claim(_ISO_CLAIMS[args.which])
         print(f"{args.which}: {'pass' if report.passed else 'fail'}")
         for line in report.details:
@@ -229,6 +247,8 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.claim and args.all:
+        raise UsageError("give --all or --claim ID, not both")
     if args.claim:
         reports = [verify.run_claim(args.claim)]
     elif args.all:
@@ -284,22 +304,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", help="weight of one word")
     p.add_argument("--kind", choices=["hamming", "bachoc", "lee"], required=True)
     p.add_argument("--word", required=True, help="comma-separated symbols; ';'-separated matrices for bachoc")
-    p.add_argument("--ring", default="f4i")
+    p.add_argument("--ring")
     p.set_defaults(handler=_cmd_weights)
 
     p = sub.add_parser("bounds", help="evaluate one determinant/rate bound exactly")
     p.add_argument("--which", required=True, choices=list(_BOUNDS))
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--a-norm-sq", dest="a_norm_sq", default="2")
-    p.add_argument("--delta", default="1/5")
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--n", type=int)
+    p.add_argument("--a-norm-sq", dest="a_norm_sq")
+    p.add_argument("--delta")
+    p.add_argument("--d", type=int)
     p.add_argument("--ds", help="comma list of level distances")
     p.add_argument("--ks", help="comma list of level dimensions")
-    p.add_argument("--bits", type=int, default=0)
-    p.add_argument("--L", type=int, default=2)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--q", type=int, default=4)
-    p.add_argument("--duplicate-d3", action="store_true", help="repeat d3 in the final multilevel term")
+    p.add_argument("--bits", type=int)
+    p.add_argument("--L", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--q", type=int)
+    p.add_argument(
+        "--duplicate-d3", action="store_true", default=None,
+        help="repeat d3 in the final multilevel term",
+    )
     p.add_argument("--float", action="store_true")
     p.add_argument("--verbose", action="store_true", help="print name and inputs too")
     p.set_defaults(handler=_cmd_bounds)

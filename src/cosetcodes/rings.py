@@ -12,9 +12,11 @@ Everything lives in characteristic 2 and has at most 16 elements:
 
 An element is a bit vector over the monomial basis (1, i, w, iw, w^2, ...),
 packed into a small integer mask.  Addition is XOR of masks; multiplication
-goes through a table built once per ring by reducing monomial products with
-i^2 = 1 and the defining polynomial of w.  All elements are interned, so
-identity comparison works and hash-based containers are cheap.
+goes through a table built once per ring from the generators' action on
+masks: i swaps the 1-part and the i-part of each coefficient, and w shifts
+the coefficients up and folds the overflow back by the defining polynomial.
+All elements are interned, so identity comparison works and hash-based
+containers are cheap.
 
 The distinction between F16 and F16_ALT matters: the reducible modulus makes
 F16_ALT a local ring with zero divisors (w^2+w+1 squares to zero), and the
@@ -155,81 +157,48 @@ class QuotientRing:
         if self.size > 16:
             raise ValueError("rings larger than 16 elements are out of scope")
 
-        # w^p reduced to a bitmask over w^0..w^(deg-1), for p up to 2(deg-1).
-        self._w_red = self._build_w_reduction(w_tail_bits)
-        self._mul = self._build_mul_table()
+        self._mul = self._build_mul_table(w_tail_bits)
         self.elements: tuple[RingElement, ...] = tuple(
             RingElement(self, m) for m in range(self.size)
         )
         self.zero = self.elements[0]
-        self.one = self.elements[self._monomial_bit(0, 0)]
-        self.gen_i = self.elements[self._monomial_bit(1, 0)] if with_i else None
-        self.gen_w = self.elements[self._monomial_bit(0, 1)] if w_deg > 1 else None
-        self._inv = self._build_inverse_table()
+        self.one = self.elements[1]
+        self.gen_i = self.elements[2] if with_i else None
+        self.gen_w = self.elements[1 << self._i_span] if w_deg > 1 else None
+        self._inv: list[int | None] = [
+            row.index(1) if 1 in row else None for row in self._mul
+        ]
         self.units: tuple[RingElement, ...] = tuple(
             e for e in self.elements if self._inv[e.mask] is not None
         )
         self.is_field = len(self.units) == self.size - 1
 
-    # ------------------------------------------------------------------
-    # construction helpers
+    def _build_mul_table(self, tail_bits: int) -> list[list[int]]:
+        """Row x lists x*y for every mask y: the XOR span of x times the
+        basis monomials i^a w^k, in bit order (bit k*span + a).
 
-    def _monomial_bit(self, i_exp: int, w_exp: int) -> int:
-        return 1 << (w_exp * self._i_span + i_exp)
-
-    def _build_w_reduction(self, tail_bits: int) -> list[int]:
-        deg = self.w_deg
-        red = [1 << p for p in range(deg)]
-        # Reduce each w^p for p >= deg by repeatedly rewriting the top term.
-        for p in range(deg, 2 * deg - 1):
-            poly = 1 << p
-            while poly >> deg:
-                top = poly.bit_length() - 1
-                poly ^= 1 << top
-                poly ^= tail_bits << (top - deg)
-            red.append(poly)
-        return red
-
-    def _mul_monomials(self, a: int, b: int) -> int:
-        """Product of basis monomials a, b (indices), as an element mask."""
-        ia, wa = a % self._i_span, a // self._i_span
-        ib, wb = b % self._i_span, b // self._i_span
-        i_exp = (ia + ib) % 2  # i^2 = 1
-        mask = 0
-        w_bits = self._w_red[wa + wb] if self.w_deg > 1 else 1
-        for w_exp in range(self.w_deg):
-            if (w_bits >> w_exp) & 1:
-                mask ^= self._monomial_bit(i_exp, w_exp)
-        return mask
-
-    def _build_mul_table(self) -> list[list[int]]:
-        mono = [
-            [self._mul_monomials(a, b) for b in range(self.dim)]
-            for a in range(self.dim)
-        ]
+        Each such product comes from the one before it.  Times i swaps the
+        1-part and the i-part of every coefficient (i^2 = 1).  Times w
+        shifts every coefficient up one place and adds the coefficient that
+        overflowed back in at the tail bits, as w^deg = tail(w) mod m(w):
+        the shift-register (companion-matrix) form of multiplying by w.
+        """
+        span, size = self._i_span, self.size
+        top = self.dim - span
+        ones = tail = 0  # 1-parts of all coefficients; the tail spread out
+        for k in range(self.w_deg):
+            ones |= 1 << k * span
+            tail |= (tail_bits >> k & 1) << k * span
         table = []
-        for x in range(self.size):
-            row = []
-            for y in range(self.size):
-                acc = 0
-                for a in range(self.dim):
-                    if (x >> a) & 1:
-                        for b in range(self.dim):
-                            if (y >> b) & 1:
-                                acc ^= mono[a][b]
-                row.append(acc)
+        for x in range(size):
+            row, p = [0], x  # p runs through x * w^k
+            for _ in range(self.w_deg):
+                # p, then i*p when the ring has i
+                for q in (p, (p & ones) << 1 | (p >> 1) & ones)[:span]:
+                    row += [r ^ q for r in row]
+                p = (p << span) % size ^ (p >> top) * tail
             table.append(row)
         return table
-
-    def _build_inverse_table(self) -> list[int | None]:
-        one = self.one.mask
-        inv: list[int | None] = [None] * self.size
-        for x in range(self.size):
-            for y in range(self.size):
-                if self._mul[x][y] == one:
-                    inv[x] = y
-                    break
-        return inv
 
     # ------------------------------------------------------------------
     # element access

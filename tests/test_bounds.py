@@ -36,6 +36,29 @@ def test_sqrtval_basics():
         x.as_fraction()
     with pytest.raises(ValueError):
         SQRT2 + SqrtVal(0, 1, 5)
+    # sign() on an exhaustive grid of small fractions of both signs and 0,
+    # against the case split it replaced, written out here
+    grid = sorted({Fraction(n, k) for n in range(-7, 8) for k in (1, 2, 3)})
+    for d in (2, 3, 5):
+        for p in grid:
+            for q in grid:
+                assert SqrtVal(p, q, d).sign() == _case_split_sign(p, q, d), (p, q, d)
+
+
+def _case_split_sign(p: Fraction, q: Fraction, d: int) -> int:
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0:
+        return (q > 0) - (q < 0)
+    if p > 0 and q > 0:
+        return 1
+    if p < 0 and q < 0:
+        return -1
+    # opposite signs: the term of larger magnitude wins (p^2 vs q^2 d)
+    lhs, rhs = p * p, q * q * d
+    if lhs == rhs:
+        return 0
+    return (1 if p > 0 else -1) if lhs > rhs else (1 if q > 0 else -1)
 
 
 @pytest.mark.parametrize("rational", [SqrtVal(2), SqrtVal(2, 0, 7), Fraction(2), 2])

@@ -158,6 +158,7 @@ def test_bounds_verbose_line(capsys):
             ),
             "3",
         ),
+        (("weights", "--kind", "lee", "--word", "1,i"), "4"),  # f4i by default
     ],
 )
 def test_weights(capsys, argv, expected):
@@ -407,11 +408,59 @@ def test_code_file_refuses_named_code_flags(capsys, tmp_path, command, extra):
 
 
 def test_empty_ring_is_refused_not_defaulted(capsys):
-    """An empty --ring names no ring; only a missing one means M2(F2)."""
+    """An empty --ring names no ring; only a missing one means M2(F2)
+    (or, for weights, f4i)."""
     rc, out, err = run(capsys, "mindist", "--code", "repetition", "--ring", "")
     assert rc == 2
     assert out == ""
     assert err.startswith("error: unknown ring ''; known: ") and err.count("\n") == 1
+    rc, out, err = run(capsys, "weights", "--kind", "lee", "--word", "1", "--ring", "")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: unknown ring ''; known: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("weights", "--kind", "bachoc", "--word", "[[1,0],[0,1]]", "--ring", "f16"),
+         "--kind bachoc takes no --ring: its words are over M2(F2)"),
+        (("weights", "--kind", "bachoc", "--word", "[[1,0],[0,1]]", "--ring", ""),
+         "--kind bachoc takes no --ring: its words are over M2(F2)"),
+        (("bounds", "--which", "bachoc", "--n", "7", "--q", "9"),
+         "--which bachoc takes no --n, --q"),
+        (("bounds", "--which", "hamming", "--float", "--verbose", "--duplicate-d3"),
+         "--which hamming takes no --duplicate-d3"),
+        (("bounds", "--which", "multilevel_m2f2i", "--ds", "2,3", "--delta", "1/5"),
+         "--which multilevel_m2f2i takes no --delta"),
+        (("bounds", "--which", "gv", "--a-norm-sq", "2", "--ks", "1,2,3,4", "--k", "0"),
+         "--which gv takes no --a-norm-sq, --ks, --k"),
+        (("iso", "--which", "f8m3", "--element", "1;0;0", "--check"),
+         "give --element or --check, not both"),
+        (("verify", "--all", "--claim", "counts"), "give --all or --claim ID, not both"),
+    ],
+    ids=["weights-ring", "weights-empty-ring", "bounds-n-q", "bounds-flag",
+         "bounds-delta", "bounds-three", "iso", "verify"],
+)
+def test_flags_a_command_does_not_take_are_refused(capsys, argv, message):
+    """A flag that would be dropped silently is refused with one line."""
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_bounds_flags_at_their_defaults_are_still_taken(capsys):
+    """Each bound takes its own flags: given at their defaults, they print
+    the same --verbose line as when they are left out."""
+    for which, (_, params) in cli._BOUNDS.items():
+        lists = {"ds": "1,2,3,4" if which == "multilevel_m4" else "2,3", "ks": "1,2,2,2"}
+        base = ["bounds", "--which", which, "--verbose"]
+        base += [f"--{name}={lists[name]}" for name in params if name in lists]
+        at_defaults = [
+            f"--{name.replace('_', '-')}={cli._BOUND_DEFAULTS[name]}"
+            for name in params
+            if name not in lists and name != "duplicate_d3"
+        ]
+        bare = run(capsys, *base)
+        assert bare[0] == 0 and run(capsys, *base, *at_defaults) == bare, which
 
 
 # CLI fuzzing: per subcommand, each flag with the values it may take.  Every

@@ -62,6 +62,65 @@ def test_ring_axioms_exhaustive(ring):
                 assert x * (y + z) == x * y + x * z
 
 
+# Each ring's modulus m(w), coefficients from w^0 up, and whether it has i.
+# Without w the modulus is w itself: every element is a constant.
+REFERENCE_SPEC = {
+    "f2": ([0, 1], False),
+    "f4": ([1, 1, 1], False),
+    "f8": ([1, 1, 0, 1], False),
+    "f16": ([1, 1, 0, 0, 1], False),
+    "f16alt": ([1, 0, 1, 0, 1], False),
+    "f2i": ([0, 1], True),
+    "f4i": ([1, 1, 1], True),
+}
+
+
+def _reference_mul(x: int, y: int, modulus: list[int], with_i: bool) -> int:
+    """x*y by polynomial arithmetic over F2[i][w]: coefficient lists of
+    (1-part, i-part) pairs, i^2 = 1, reduced by the monic modulus."""
+    deg, span = len(modulus) - 1, 2 if with_i else 1
+
+    def coeffs(mask):
+        return [
+            (mask >> (k * span) & 1, mask >> (k * span + 1) & 1 if with_i else 0)
+            for k in range(deg)
+        ]
+
+    prod = [[0, 0] for _ in range(2 * deg - 1)]
+    for j, (a0, a1) in enumerate(coeffs(x)):
+        for k, (b0, b1) in enumerate(coeffs(y)):
+            prod[j + k][0] ^= a0 & b0 ^ a1 & b1
+            prod[j + k][1] ^= a0 & b1 ^ a1 & b0
+    for top in range(2 * deg - 2, deg - 1, -1):  # w^top -> w^top - w^(top-deg) m(w)
+        c0, c1 = prod[top]
+        for j in range(deg + 1):
+            if modulus[j]:
+                prod[top - deg + j][0] ^= c0
+                prod[top - deg + j][1] ^= c1
+    assert all(c == [0, 0] for c in prod[deg:])
+    return sum(c0 << (k * span) | c1 << (k * span + 1) for k, (c0, c1) in enumerate(prod[:deg]))
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+def test_tables_match_polynomial_reference(ring):
+    """Every product, inverse, unit and generator mask, against an
+    independent computation from the ring's modulus."""
+    modulus, with_i = REFERENCE_SPEC[ring.name]
+    span = 2 if with_i else 1
+    ref = [[_reference_mul(x, y, modulus, with_i) for y in range(ring.size)]
+           for x in range(ring.size)]
+    assert ring._mul == ref
+    inverses = [[y for y in range(ring.size) if row[y] == 1] for row in ref]
+    assert all(len(ys) <= 1 for ys in inverses)
+    assert ring._inv == [ys[0] if ys else None for ys in inverses]
+    assert [u.mask for u in ring.units] == [x for x, ys in enumerate(inverses) if ys]
+    assert ring.is_field == all(inverses[1:])
+    assert (ring.zero.mask, ring.one.mask) == (0, 1)
+    mask_or_none = lambda g: None if g is None else g.mask  # noqa: E731
+    assert mask_or_none(ring.gen_i) == (2 if with_i else None)
+    assert mask_or_none(ring.gen_w) == (1 << span if len(modulus) > 2 else None)
+
+
 def test_defining_relations():
     w4, w8, w16 = F4.gen_w, F8.gen_w, F16.gen_w
     assert w4 * w4 == w4 + F4.one
