@@ -4,6 +4,11 @@ All numeric output is exact (fractions as ``p/q``) unless ``--float`` is
 given, and identical invocations produce byte-identical output — nothing
 nondeterministic (timings, worker counts, hash order) ever reaches stdout.
 
+Each handler imports the modules it uses when it runs, and building the
+parser imports none, so a command compiles only its own layers:
+``cosetcodes mindet`` loads rings, matrices, cyclic and golden, and only
+``verify`` and ``iso --check`` load the certification oracles.
+
 Exit codes: 0 success, 1 a certification claim failed, 2 usage error.
 """
 
@@ -13,25 +18,6 @@ import argparse
 import sys
 from fractions import Fraction
 from typing import Sequence
-
-from . import bounds, verify
-from .cyclic import CyclicElement, iso_f16_to_m4, iso_f8_to_m3, pair_to_matrix
-from .golden import min_abs_det_sq
-from .matrices import RingMatrix, all_matrices
-from .outer_codes import (
-    MatrixSpace,
-    WeightKind,
-    bachoc_word_weight,
-    hamming_weight,
-    lee_word_weight,
-    lift_code,
-    load_code,
-    min_distance,
-    named_code,
-    pushforward_pairs,
-    rs_distance_certificate,
-)
-from .rings import F2, F4, F4I, F8, F16_ALT, get_ring
 
 
 class UsageError(Exception):
@@ -53,6 +39,10 @@ def _print_value(value, as_float: bool) -> None:
 # subcommand handlers
 
 def _cmd_mindet(args) -> int:
+    from .golden import min_abs_det_sq
+    from .matrices import RingMatrix
+    from .rings import F2, get_ring
+
     coset = None
     ideal = None
     if args.coset is not None:
@@ -70,6 +60,8 @@ def _cmd_mindet(args) -> int:
 
 
 def _load_cli_code(args):
+    from .outer_codes import load_code, named_code
+
     if args.code_file:
         if args.code is not None or args.L is not None or args.ring is not None:
             raise UsageError("--code-file takes no --code, --L or --ring")
@@ -81,6 +73,14 @@ def _load_cli_code(args):
 
 
 def _cmd_mindist(args) -> int:
+    from .outer_codes import (
+        WeightKind,
+        lift_code,
+        min_distance,
+        pushforward_pairs,
+        rs_distance_certificate,
+    )
+
     code = _load_cli_code(args)
     if args.certified:
         if not code.name.startswith("rs["):
@@ -102,12 +102,14 @@ def _cmd_mindist(args) -> int:
 
 
 def _cmd_weights(args) -> int:
+    from .matrices import RingMatrix
+    from .outer_codes import bachoc_word_weight, hamming_weight, lee_word_weight
+    from .rings import F2, get_ring
+
     if args.kind == "bachoc":
         if args.ring is not None:
             raise UsageError("--kind bachoc takes no --ring: its words are over M2(F2)")
-        word = [
-            RingMatrix.parse(F2, chunk) for chunk in args.word.split(";") if chunk
-        ]
+        word = [RingMatrix.parse(F2, chunk) for chunk in args.word.split(";")]
         print(bachoc_word_weight(word))
         return 0
     ring = get_ring("f4i" if args.ring is None else args.ring)
@@ -119,17 +121,17 @@ def _cmd_weights(args) -> int:
     return 0
 
 
-# --which name -> (bound function, its CLI parameters in call order)
+# --which name -> (function name in ``bounds``, its CLI parameters in call order)
 _BOUNDS = {
-    "hamming": (bounds.hamming_bound, ("n", "a_norm_sq", "delta", "d")),
-    "bachoc": (bounds.bachoc_bound, ("delta", "d")),
-    "hamming_m2f2i": (bounds.hamming_bound_m2f2i, ("delta", "d")),
-    "multilevel_m4": (bounds.multilevel_bound_m4, ("ds", "delta", "duplicate_d3")),
-    "multilevel_m2f2i": (bounds.multilevel_min_m2f2i, ("ds",)),
-    "redundancy": (bounds.normalized_redundancy, ("bits", "L", "n")),
-    "rate_m2f2i": (bounds.rate_m2f2i, ("L", "k")),
-    "rate_m4": (bounds.multilevel_rate_m4, ("ks", "L")),
-    "gv": (bounds.gv_bound, ("q", "L", "d")),
+    "hamming": ("hamming_bound", ("n", "a_norm_sq", "delta", "d")),
+    "bachoc": ("bachoc_bound", ("delta", "d")),
+    "hamming_m2f2i": ("hamming_bound_m2f2i", ("delta", "d")),
+    "multilevel_m4": ("multilevel_bound_m4", ("ds", "delta", "duplicate_d3")),
+    "multilevel_m2f2i": ("multilevel_min_m2f2i", ("ds",)),
+    "redundancy": ("normalized_redundancy", ("bits", "L", "n")),
+    "rate_m2f2i": ("rate_m2f2i", ("L", "k")),
+    "rate_m4": ("multilevel_rate_m4", ("ks", "L")),
+    "gv": ("gv_bound", ("q", "L", "d")),
 }
 
 # Every bound parameter with the value it takes when its flag is absent.
@@ -142,7 +144,9 @@ _BOUND_DEFAULTS = {
 
 
 def _cmd_bounds(args) -> int:
-    function, params = _BOUNDS[args.which]
+    from . import bounds
+
+    function_name, params = _BOUNDS[args.which]
     flagged = {
         name: v for name in _BOUND_DEFAULTS if (v := getattr(args, name)) is not None
     }
@@ -160,7 +164,7 @@ def _cmd_bounds(args) -> int:
             values.append(_parse_int_list(v, 4))
         else:
             values.append(v)
-    value = function(*values)
+    value = getattr(bounds, function_name)(*values)
     if args.float:
         value = float(value)
     if args.verbose:
@@ -186,14 +190,13 @@ def _parse_int_list(text: str | None, count: int) -> list[int]:
 
 
 def _cmd_encode(args) -> int:
+    from .matrices import RingMatrix
+    from .outer_codes import MatrixSpace
+
     code = _load_cli_code(args)
     alphabet = code.alphabet
     if isinstance(alphabet, MatrixSpace):
-        message = [
-            RingMatrix.parse(alphabet.ring, chunk)
-            for chunk in args.msg.split(";")
-            if chunk
-        ]
+        message = [RingMatrix.parse(alphabet.ring, chunk) for chunk in args.msg.split(";")]
     else:
         message = [alphabet.parse(s) for s in args.msg.split(",")]
     if len(message) != code.k:
@@ -203,6 +206,9 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .matrices import all_matrices
+    from .rings import get_ring
+
     ring = get_ring(args.ring)
     for m in all_matrices(ring, args.n):
         if args.invertible and not m.is_invertible:
@@ -223,6 +229,8 @@ def _cmd_iso(args) -> int:
     if args.check:
         if args.element is not None:
             raise UsageError("give --element or --check, not both")
+        from . import verify
+
         report = verify.run_claim(_ISO_CLAIMS[args.which])
         print(f"{args.which}: {'pass' if report.passed else 'fail'}")
         for line in report.details:
@@ -232,6 +240,9 @@ def _cmd_iso(args) -> int:
         return 0 if report.passed else 1
     if args.element is None:
         raise UsageError("give --element or --check")
+    from .cyclic import CyclicElement, iso_f16_to_m4, iso_f8_to_m3, pair_to_matrix
+    from .rings import F4, F4I, F8, F16_ALT
+
     if args.which == "f8m3":
         image = iso_f8_to_m3(CyclicElement.parse(F8, args.element))
     elif args.which == "f16m4":
@@ -247,6 +258,8 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     if args.claim and args.all:
         raise UsageError("give --all or --claim ID, not both")
     if args.claim:
@@ -271,6 +284,21 @@ def _cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 # parser
 
+class _Claims:
+    """The claim ids of ``verify.CLAIMS`` in sorted order, as argparse
+    choices; ``verify`` is imported only when they are iterated or tested."""
+
+    def __iter__(self):
+        from .verify import CLAIMS
+
+        return iter(sorted(CLAIMS))
+
+    def __contains__(self, claim) -> bool:
+        from .verify import CLAIMS
+
+        return claim in CLAIMS
+
+
 # The box scans run in one process; --jobs stays accepted so that existing
 # invocations keep working.
 _JOBS_HELP = "ignored; kept for compatibility (the scans run in one process)"
@@ -294,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mindist", help="minimum distance of a named or custom code")
     p.add_argument("--code", help="named code (dualrep, hexacode, rs16_13, ...)")
     p.add_argument("--code-file", help="path to a 'ring L k' generator file")
-    p.add_argument("--weight", choices=[k.value for k in WeightKind], default="hamming")
+    p.add_argument("--weight", choices=["hamming", "bachoc", "lee"], default="hamming")
     p.add_argument("--transform", choices=["none", "lift", "pairs"], default="none")
     p.add_argument("--certified", action="store_true", help="use the RS minor certificate")
     p.add_argument("--L", type=int)
@@ -349,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the brute-force certification claims")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--claim", choices=sorted(verify.CLAIMS))
+    # metavar: argparse formats it inside add_argument, which would
+    # otherwise iterate the choices and import verify for every command.
+    p.add_argument("--claim", choices=_Claims(), metavar="CLAIM", help="one of: %(choices)s")
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--format", choices=["tsv", "plain"], default="tsv")
     p.set_defaults(handler=_cmd_verify)

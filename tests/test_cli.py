@@ -276,6 +276,45 @@ def test_encode_matrix_message(capsys):
     assert out == "[[1,0],[0,1]],[[0,1],[1,0]],[[1,1],[1,1]]\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("weights", "--kind", "bachoc", "--word", ";"),
+        ("weights", "--kind", "bachoc", "--word", "[[1,0],[0,1]];;[[1,1],[0,0]]"),
+        ("encode", "--code", "repetition", "--msg", "[[1,0],[0,1]];"),
+    ],
+    ids=["bachoc-only-separator", "bachoc-empty-middle", "encode-trailing-separator"],
+)
+def test_empty_matrix_chunk_is_refused(capsys, argv):
+    """An empty ';' chunk of a matrix word is a malformed symbol, refused
+    like an empty ring symbol, not dropped."""
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: matrix literal must look like [[...],[...]]: ''\n"
+
+
+def test_weight_choices_are_the_weight_kinds():
+    """--weight lists its choices literally, so that building the parser
+    imports no outer_codes; they must stay the WeightKind values."""
+    from cosetcodes.outer_codes import WeightKind
+
+    mindist = cli.build_parser()._subparsers._group_actions[0].choices["mindist"]
+    (weight,) = [a for a in mindist._actions if a.dest == "weight"]
+    assert weight.choices == [k.value for k in WeightKind]
+
+
+def test_unknown_claim_message_lists_every_claim(capsys):
+    """--claim is validated by argparse against verify.CLAIMS, read only
+    when a claim is given; the refusal names all sixteen claims."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--claim", "nosuch"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(verify.CLAIMS) == 16
+    listed = ", ".join(repr(name) for name in sorted(verify.CLAIMS))
+    assert err.endswith(f"argument --claim: invalid choice: 'nosuch' (choose from {listed})\n")
+
+
 def test_iso_element_images(capsys):
     rc, out, _ = run(capsys, "iso", "--which", "f8m3", "--element", "w; 1; 0")
     assert rc == 0

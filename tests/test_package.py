@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import os
 import pathlib
 import re
+import subprocess
 import sys
 import types
+
+import pytest
 
 import cosetcodes
 
@@ -21,6 +26,88 @@ def test_all_is_the_public_surface():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public <= set(cosetcodes.__all__)
+
+
+# __all__ as published, in its order.
+PUBLIC_NAMES = [
+    "SQRT2", "SqrtVal", "bachoc_bound", "gv_bound", "hamming_bound",
+    "hamming_bound_m2f2i", "multilevel_bound_m4", "multilevel_min_m2f2i",
+    "multilevel_min_m4", "multilevel_rate_m4", "normalized_redundancy", "rate_m2f2i",
+    "CyclicElement", "iso_f16_to_m4", "iso_f8_to_m3", "matrix_to_pair",
+    "multiplication_matrix", "pair_to_matrix", "regular_representation", "twisted_pair_mul",
+    "GaussianInt", "GoldenCodeword", "GoldenInt", "ProjectionClass", "abs_det_sq",
+    "classify_projection", "golden_norm", "min_abs_det_sq", "project_mod_1pi",
+    "project_mod_2", "scan_det_floors",
+    "RingMatrix", "all_matrices", "count_invertible",
+    "LinearCode", "MatrixSpace", "WeightKind", "dual_repetition_code", "hexacode",
+    "inner_parity_pair_code", "lee_weight", "lift_code", "min_distance", "named_code",
+    "pushforward_pairs", "reed_solomon_code", "rs_distance_certificate",
+    "F2", "F2I", "F4", "F4I", "F8", "F16", "F16_ALT", "QuotientRing", "RingElement",
+    "get_ring", "quadratic_norm",
+    "OracleReport", "brute_delta_min", "run_all", "run_claim",
+    "__version__",
+]
+SUBMODULES = ["bounds", "cli", "cyclic", "golden", "matrices", "outer_codes", "rings", "verify"]
+
+
+def test_facade_names_are_the_submodules_objects():
+    """Each public name is read from the submodule its table entry names,
+    and __all__ keeps its order."""
+    assert cosetcodes.__all__ == PUBLIC_NAMES
+    for name in cosetcodes.__all__[:-1]:
+        module = importlib.import_module(f"cosetcodes.{cosetcodes._MODULE_OF[name]}")
+        assert getattr(cosetcodes, name) is getattr(module, name), name
+
+
+def test_facade_dir_star_import_and_unknown_names():
+    assert set(cosetcodes.__all__) | set(SUBMODULES) <= set(dir(cosetcodes))
+    namespace: dict = {}
+    exec("from cosetcodes import *", namespace)
+    assert set(cosetcodes.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match=r"^module 'cosetcodes' has no attribute 'nosuch'$"):
+        cosetcodes.nosuch
+    assert not hasattr(cosetcodes, "nosuch")
+
+
+# Loads the package and its CLI in a fresh interpreter, runs the command
+# given in argv (if any) and prints the cosetcodes modules then loaded.
+_PROBE = """
+import contextlib, io, sys
+import cosetcodes, cosetcodes.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cosetcodes.cli.main(sys.argv[1:]) == 0
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "cosetcodes"))
+"""
+_BASE = {"cosetcodes", "cosetcodes.cli"}
+_ALGEBRA = {"cosetcodes.rings", "cosetcodes.matrices", "cosetcodes.cyclic"}
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        ((), _BASE),
+        (("mindet", "--box", "1"), _BASE | _ALGEBRA | {"cosetcodes.golden"}),
+        (("mindist", "--code", "dualrep"), _BASE | _ALGEBRA | {"cosetcodes.outer_codes"}),
+        (("bounds", "--which", "gv"), _BASE | {"cosetcodes.bounds"}),
+        (("iso", "--which", "f8m3", "--element", "1"), _BASE | _ALGEBRA),
+        (
+            ("verify", "--claim", "counts"),
+            {f"cosetcodes.{name}" for name in SUBMODULES} | {"cosetcodes"},
+        ),
+    ],
+    ids=["import", "mindet", "mindist", "bounds", "iso", "verify"],
+)
+def test_a_command_loads_only_its_layers(argv, loaded):
+    """Importing the package loads no submodule, and each command imports
+    the modules it uses and no others.  Run in a fresh interpreter: the
+    test process has already imported all of them."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == loaded
 
 
 def test_the_package_imports_only_the_standard_library():
