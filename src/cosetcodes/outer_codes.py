@@ -24,29 +24,20 @@ Weights:
   on norm pairs: one unit and one non-unit gives 1, two units give 2 or 4,
   two non-units give 0.
 
-Named codes used by the certification suite: the [4,3,2] dual-repetition and
-[6,3,4] hexacode over F4 with fixed generator rows, repetition and
-single-parity codes over arbitrary alphabets, extended Reed-Solomon codes of
-length 16 over the genuine field F16 (distance certified by parity-check
-column independence, not assumed), and the two-symbol inner parity code over
-F4[i] whose 64 members satisfy x + y in (1+i)F4[i].
-
 Enumeration works on packed words.  A symbol packs into ``alphabet.dim``
-bits (its F2-dimension: ``ring.dim``, or ``n*n*ring.dim`` for M_n(ring)) as
-its index in the alphabet's enumeration order, and symbol j of a word sits at
-bits ``dim*j``; every alphabet here has characteristic 2, so adding words is
-XOR of their packings.  Each call first tabulates ``scaled[i][a]``, the
-packed word ``a * row_i``, with the public ring or matrix product; a codeword
-is then the XOR of one entry per row.  ``codewords()`` visits every message
-in ``itertools.product`` order and unpacks each word into symbols.
-:func:`min_distance` visits one nonzero message per orbit of the units that
-keep the weight (every one over a matrix alphabet) and scores a word by
-table lookups, one per block: a symbol for Hamming and Bachoc weights, a
-pair for Lee, the map's block for a :class:`MappedCode`.  The public map and
-weight functions fill each table once per block value, so the weights keep
-a single definition.  :meth:`LinearCode.encode` keeps the object route, one
-multiply-add per symbol, so that tests can check the packed route against
-it.  Tables live only inside one call.
+bits (``ring.dim``, or ``n*n*ring.dim`` for M_n(ring)) as its index in the
+alphabet's enumeration order, symbol j of a word at bits ``dim*j``; every
+alphabet has characteristic 2, so adding words is XOR.  Each call first
+tabulates ``scaled[i][a]``, the packed word ``a * row_i``, by the public ring
+or matrix product; a codeword is the XOR of one entry per row.
+``codewords()`` visits every message in ``itertools.product`` order and
+unpacks each word.  :func:`min_distance` visits one nonzero message per
+orbit of the units that keep the weight; the public map and weight
+functions fill its table of block weights (a block is a symbol, a Lee pair
+or a map's block) once per block value, so the weights keep a single
+definition.
+:meth:`LinearCode.encode` keeps the object route so that tests can check
+the packed route against it.  Tables live only inside one call.
 """
 
 from __future__ import annotations
@@ -183,6 +174,8 @@ class MappedCode:
     def _symbol_images(self) -> tuple[LinearCode, int, list[Symbol]]:
         """(base code, bits per block, the image of every packed block)."""
         base, width, symbols = self.base._symbol_images()
+        if base.L % self.block:
+            raise ValueError(f"blocks of {self.block} symbols do not tile length {base.L}")
         images = [
             self.symbol_map(*_unpack(v, width, self.block, symbols))
             for v in range(1 << (width * self.block))
@@ -255,21 +248,23 @@ def _unpack(word: int, width: int, count: int, table: Sequence) -> list:
     return [table[(word >> s) & mask] for s in range(0, width * count, width)]
 
 
-def _scaled_rows(code: LinearCode) -> list[list[int]]:
-    """scaled[i][a]: the packed word a * row_i, for every alphabet symbol a.
+def _scaled_rows(code: LinearCode, per: int = 1, pad: int = 0) -> list[list[int]]:
+    """scaled[i][a]: the packed word a * row_i, for every alphabet symbol a,
+    with ``pad`` zero bits on top of each block of ``per`` symbols.
 
     Packing is F2-linear and a -> a * g is additive, so each table is the
     XOR span of the products by the ``dim`` one-bit symbols, built in index
     order.  A product is read from a binary string so that packing stays
     linear in the length."""
     dim = code.alphabet.dim
-    fmt = f"0{dim}b"
+    fmts = [f"0{dim + pad}b", *[f"0{dim}b"] * (per - 1)]  # a block's top symbol first
     symbols = [code.alphabet.element(1 << bit) for bit in range(dim)]
     scaled = []
     for row in code.rows:
         table = [0]
         for a in symbols:
-            v = int("0" + "".join(format(_pack(a * g), fmt) for g in reversed(row)), 2)
+            digits = (format(_pack(a * g), f) for g, f in zip(reversed(row), itertools.cycle(fmts)))
+            v = int("0" + "".join(digits), 2)
             table += [t ^ v for t in table]
         scaled.append(table)
     return scaled
@@ -325,17 +320,19 @@ def bachoc_word_weight(word: Iterable[RingMatrix]) -> int:
     return sum(bachoc_weight(m) for m in word)
 
 
-_NORM_LIFT = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}  # F2I mask -> Z[i]
+_NORM_LIFT = ((0, 0), (1, 0), (0, 1), (1, 1))  # F2I mask -> Z[i]
+# F4I mask -> lift(N(x)), read by lee_weight
+_LIFTED_NORMS = [_NORM_LIFT[quadratic_norm(x).mask] for x in F4I.elements]
 
 
 def lee_weight(x: RingElement, y: RingElement) -> int:
     """|lift(N(x)) + lift(N(y))|^2 for a pair over F4[i]."""
-    if x.ring is not F4I or y.ring is not F4I:
+    if not (
+        isinstance(x, RingElement) and x.ring is F4I and isinstance(y, RingElement) and y.ring is F4I
+    ):
         raise ValueError("lee weight is defined on pairs over f4i")
-    nx = quadratic_norm(x)
-    ny = quadratic_norm(y)
-    xr, xi = _NORM_LIFT[nx.mask]
-    yr, yi = _NORM_LIFT[ny.mask]
+    xr, xi = _LIFTED_NORMS[x.mask]
+    yr, yi = _LIFTED_NORMS[y.mask]
     return (xr + yr) ** 2 + (xi + yi) ** 2
 
 
@@ -360,18 +357,23 @@ def min_distance(code: LinearCode | MappedCode, kind: WeightKind = WeightKind.HA
     symbol is the least of its orbit under U, the units that keep every
     block's weight.  A nonzero message m has u in U taking that symbol to
     the least, so u*m is visited; its codeword u*c is nonzero iff c is, and
-    has the weight of c."""
+    has the weight of c.
+
+    Blocks of at most 8 bits, spread if they do not tile a byte (3-bit f8
+    symbols), are weighed a byte at a time by a 256-entry table."""
     if code.message_space_size > MESSAGE_SPACE_LIMIT:
         raise ValueError("message space too large for exhaustive distance search")
     base, width, images = code._symbol_images()
-    scaled = _scaled_rows(base)
+    group = 2 if kind is WeightKind.LEE else 1
+    bits = width * group
+    # A block fills a field of 1, 2, 4 or 8 bits; a wider one keeps its width.
+    field = bits if bits > 8 else 1 << (bits - 1).bit_length()
+    scaled = _scaled_rows(base, bits // base.alphabet.dim, field - bits)
     if not any(map(any, scaled)):
         raise ValueError("code has no nonzero codeword")
     # Weights are undefined by alphabet or length, never by value: the zero
     # word raises the weight's own error wherever kind does not apply.
     word_weight((code.alphabet.zero,) * code.L, kind)
-    group = 2 if kind is WeightKind.LEE else 1
-    bits = width * group
     table = [
         word_weight(_unpack(v, width, group, images), kind)
         for v in range(1 << bits)
@@ -395,13 +397,19 @@ def min_distance(code: LinearCode | MappedCode, kind: WeightKind = WeightKind.HA
             if list(map(table.__getitem__, act)) == table:
                 units.append(row)
     reps = sorted({*map(min, zip(*units))} - {0})  # the least of each orbit
+    if field <= 8:  # the weight of the fields packed in each byte; a spread
+        # field repeats the table, whose first copy alone is read (top bits 0)
+        table = bytes(map(sum, itertools.product(table * (1 << field - bits), repeat=8 // field)))
     # first nonzero symbol at row i: a representative, then any tail
     words = []
     for i, row in enumerate(scaled):
         heads = [*map(row.__getitem__, reps)]
         words.append(_packed_words([heads, *scaled[i + 1 :]]))
+    size = (blocks * field + 7) // 8
     return min(
-        sum(_unpack(word, bits, blocks, table))
+        sum(word.to_bytes(size, "little").translate(table))
+        if field <= 8
+        else sum(_unpack(word, bits, blocks, table))
         for word in itertools.chain(*words)
         if word
     )

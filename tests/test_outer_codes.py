@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 import re
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, seed, settings
 
 from cosetcodes import outer_codes
 from cosetcodes.cyclic import multiplication_matrix, pair_to_matrix
@@ -35,7 +38,7 @@ from cosetcodes.outer_codes import (
     rs_distance_certificate,
     word_weight,
 )
-from cosetcodes.rings import F2, F2I, F4, F4I, F16, RING_BY_NAME
+from cosetcodes.rings import F2, F2I, F4, F4I, F8, F16, RING_BY_NAME, quadratic_norm
 
 
 def test_repetition_and_parity_basics():
@@ -460,3 +463,122 @@ def test_benchmark_code_distances_match_the_codeword_minimum():
     for code, kind, weight in jobs:
         want = min(weight(w) for w in code.codewords() if hamming_weight(w))
         assert min_distance(code, kind) == want, (code, kind)
+
+
+# ----------------------------------------------------------------------
+# weighing packed words: byte tables, spread fields and wide blocks
+
+
+def test_lee_weight_reads_the_lifted_norms():
+    """On all 256 pairs, lee_weight is |lift N(x) + lift N(y)|^2 with each
+    relative norm lifted from F2[i] into Z[i] (1 -> 1, i -> i)."""
+    lift = {F2I.parse(s): z for s, z in (("0", 0), ("1", 1), ("i", 1j), ("1+i", 1 + 1j))}
+    for x in F4I:
+        for y in F4I:
+            z = lift[quadratic_norm(x)] + lift[quadratic_norm(y)]
+            assert lee_weight(x, y) == z.real**2 + z.imag**2, (x, y)
+
+
+@pytest.mark.parametrize("pair", ["matrix-first", "matrix-second"])
+def test_lee_weight_refuses_matrices_over_f4i(pair):
+    m = MatrixSpace(F4I, 2).one
+    x, y = (m, F4I.one) if pair == "matrix-first" else (F4I.one, m)
+    with pytest.raises(ValueError, match="^lee weight is defined on pairs over f4i$"):
+        lee_weight(x, y)
+
+
+def _first_nonzero_then_last(a, b, c):
+    """A 3-symbol f4 block to M2(F2): the pair image of (first nonzero
+    symbol, c).  The pair map is a bijection, so only zero maps to zero."""
+    return pair_to_matrix(a if a else b if b else c, c)
+
+
+def _sparse_top_code(ring, L, top):
+    """All-ones row plus a row whose ``top`` nonzero symbols end the word:
+    the minimum-weight words sit in the word's highest bytes."""
+    tail = [ring.element(1 + j % (ring.size - 1)) for j in range(top)]
+    return LinearCode(
+        ring, L, 2, ((ring.one,) * L, (ring.zero,) * (L - top) + tuple(tail)), name=f"top{top}"
+    )
+
+
+LAYOUT_CODES = [
+    # 3-bit f8 symbols, spread to 4-bit fields
+    repetition_code(5, F8),
+    parity_check_code(4, F8),
+    LinearCode(F8, 5, 2, ((F8.one, F8.zero, F8.gen_w, F8.one, F8.zero),
+                          (F8.zero, F8.gen_w, F8.one, F8.one, F8.gen_w)), name="f8[5,2]"),
+    # 6-bit blocks of three f4 symbols, spread to bytes
+    MappedCode(parity_check_code(6, F4), MatrixSpace(F2, 2), 3, _first_nonzero_then_last, name="triples"),
+    # 16-bit M2(F4[i]) symbols, weighed block by block
+    repetition_code(2, MatrixSpace(F4I, 2)),
+    # long words with the minimum at the top: 1-, 3- and 4-bit symbols
+    _sparse_top_code(F2, 200, 3),
+    _sparse_top_code(F8, 131, 2),
+    _sparse_top_code(F16, 70, 3),
+]
+
+
+@pytest.mark.parametrize("code", LAYOUT_CODES, ids=lambda c: f"{c.name}-{c.alphabet.name}")
+def test_min_distance_is_the_codeword_minimum_on_every_layout(code):
+    words = list(code.codewords())
+    for kind in WeightKind:
+        try:
+            want = _brute_min_distance(words, kind)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                min_distance(code, kind)
+        else:
+            assert min_distance(code, kind) == want, kind
+
+
+def test_sparse_top_codes_have_their_minimum_at_the_top():
+    for code, top in zip(LAYOUT_CODES[-3:], (3, 2, 3)):
+        assert min_distance(code) == top
+
+
+@pytest.mark.parametrize("block", [4, 5])
+def test_mapped_code_blocks_must_tile_the_length(block):
+    code = MappedCode(parity_check_code(6, F4), MatrixSpace(F2, 2), block, pair_to_matrix)
+    message = f"^blocks of {block} symbols do not tile length 6$"
+    with pytest.raises(ValueError, match=message):
+        min_distance(code)
+    with pytest.raises(ValueError, match=message):
+        next(code.codewords())
+
+
+PROPERTY_ALPHABETS = [*RING_BY_NAME.values(), MatrixSpace(F2, 2), MatrixSpace(F2I, 2)]
+
+
+@st.composite
+def _random_codes(draw):
+    """Random generator rows over one alphabet, at most 4096 messages."""
+    alphabet = draw(st.sampled_from(PROPERTY_ALPHABETS))
+    k = draw(st.integers(0, int(math.log(4096, alphabet.size) + 1e-9)))
+    L = draw(st.integers(1, 6))
+    index = st.integers(0, alphabet.size - 1)
+    rows = draw(st.lists(st.lists(index, min_size=L, max_size=L), min_size=k, max_size=k))
+    rows = tuple(tuple(map(alphabet.element, row)) for row in rows)
+    return LinearCode(alphabet, L, k, rows, name="drawn")
+
+
+@seed(20240)
+@settings(max_examples=200, deadline=None, database=None)
+@given(_random_codes())
+def test_min_distance_is_the_codeword_minimum_on_random_codes(code):
+    """For every transform the code admits and every weight kind."""
+    variants = [code]
+    if code.alphabet in (F4, F4I):
+        variants.append(lift_code(code))
+        if code.L % 2 == 0:
+            variants.append(pushforward_pairs(code))
+    for variant in variants:
+        words = list(variant.codewords())
+        for kind in WeightKind:
+            try:
+                want = _brute_min_distance(words, kind)
+            except ValueError as exc:
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    min_distance(variant, kind)
+            else:
+                assert min_distance(variant, kind) == want, (variant, kind)
