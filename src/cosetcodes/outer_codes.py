@@ -360,7 +360,10 @@ def min_distance(code: LinearCode | MappedCode, kind: WeightKind = WeightKind.HA
     has the weight of c.
 
     Blocks of at most 8 bits, spread if they do not tile a byte (3-bit f8
-    symbols), are weighed a byte at a time by a 256-entry table."""
+    symbols), are weighed a byte at a time by a 256-entry table.
+
+    LEE gives 0 on every F4[i]-linear code: (1+i)c is a codeword whose
+    coordinates have norm 0, and if (1+i)c = 0, c has only such coordinates."""
     if code.message_space_size > MESSAGE_SPACE_LIMIT:
         raise ValueError("message space too large for exhaustive distance search")
     base, width, images = code._symbol_images()

@@ -22,9 +22,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 import time
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bounds, golden, outer_codes
@@ -93,7 +96,8 @@ class OracleReport:
 # zero-argument function that times it and builds its report: a failing
 # claim's witness is its first failure, and the later ones follow the details
 # as ``FAILURE:`` lines.  A scan that stops at its first counterexample is a
-# generator of failure messages handed to ``_first_failure``.
+# generator of failure messages handed to ``_first_failure``, or, for a lane
+# scan, a loop that appends its one message and stops.
 
 # Every claim, in definition order; filled by @_claim.
 CLAIMS: dict[str, Callable[[], OracleReport]] = {}
@@ -138,12 +142,79 @@ def _first_failure(failures: list[str], messages: Iterable[str]) -> None:
 # index in ``itertools.product`` order, which packs its coefficient masks, and
 # a matrix is one int of packed rows, row 0 and column 0 highest.  The scans
 # build small tables from the live ``ring._mul`` (rebuilt on every call, never
-# cached): per-coefficient term tables give the index of x*y for every y,
-# per-scalar row tables give rep(x)rep(y) and the pair-model products, and a
-# span table of image(y)'s rows gives image(x)image(y).  Each pair still gets
-# its own product and its own matrix product, compared on their own; no pair
-# is inferred from others by linearity, and the first failing pair in scan
-# order is the one reported.
+# cached): per-coefficient term tables give the index of x*y for every y, and
+# per-scalar row tables give image(x)image(y) and the pair-model products.
+# Each pair still gets its own product and its own matrix product, compared
+# on their own; no pair is inferred from others by linearity, and the first
+# failing pair in scan order is the one reported.
+#
+# ``regular_rep`` and ``iso_f8m3`` take one row (one x, every y) at a time
+# on lanes: lane y of one int holds y's value, in a width of bytes that the
+# largest value the row can hold decides, so one XOR or shift acts on the
+# whole row in C.  A lane table holds y's own entries, never another pair's.
+# Lanes do not mix under XOR, so when a row differs from its target, the
+# lowest set bit of the difference lies in the first failing lane: the
+# witness is the one a pair loop finds.
+
+# array type codes by item size
+_LANE_CODES = {array(code).itemsize: code for code in "BHIQ"}
+
+
+def _lane_width(bound: int) -> int:
+    """Bytes per lane for values in range(bound), computed from the bound:
+    the least array item size that holds them, or as many bytes as they
+    need past the widest one."""
+    need = max(1, ((bound - 1).bit_length() + 7) // 8)
+    return min((w for w in _LANE_CODES if w >= need), default=need)
+
+
+def _lanes(values: Iterable[int], width: int) -> int:
+    """Pack: value k in lane k of one int, little-endian on every host."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
+def _unpack_lanes(packed: int, count: int, width: int) -> Sequence[int]:
+    """The first ``count`` lanes of a nonnegative int, as an array whose
+    items are byte-swapped on a big-endian host, so every host reads the
+    same values; as a list past the widest item size."""
+    data = packed.to_bytes(count * width, "little")
+    if width not in _LANE_CODES:
+        return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    items = array(_LANE_CODES[width])
+    items.frombytes(data)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items
+
+
+def _product_failure(ring, n: int, base, rows: list, images: list[int]) -> tuple | None:
+    """The first (x, y), x outer, with image(x*y) != image(x)image(y), or
+    None.  x*y multiplies in the degree-n algebra over ``ring``; image i is
+    images[i], and rows[i] holds its n packed rows of entries over ``base``."""
+    d = base.dim
+    width = _lane_width(1 << n * n * d)
+    table = [v.to_bytes(width, "little") for v in images]
+    # term[k][a]: lane y holds a times row k of image(y); row r of
+    # image(x)image(y) is the XOR over k of term[k][entry (r, k) of image(x)]
+    term = [
+        [_lanes(map(t.__getitem__, col), width) for t in _scalar_rows(base, n)]
+        for col in zip(*rows)
+    ]
+    entries = list(itertools.product(range(base.size), repeat=n))
+    elems = list(itertools.product(range(ring.size), repeat=n))
+    for x, rx in zip(elems, rows):
+        got = 0
+        for row in rx:
+            got <<= n * d
+            for a, t in zip(entries[row], term):
+                got ^= t[a]
+        # lane y: the image of x*y
+        want = int.from_bytes(b"".join(itemgetter(*_cyclic_products(ring, x))(table)), "little")
+        if got != want:
+            diff = got ^ want
+            return x, elems[((diff & -diff).bit_length() - 1) // (8 * width)]
+    return None
+
 
 def _span(rows: Sequence[int]) -> list[int]:
     """Entry v is the XOR of the rows picked out by the bits of v."""
@@ -215,6 +286,20 @@ def _sigma_tables(ring, n: int) -> list[list[int]]:
 # ``_key_mod_*``, never the library's half keys).  It then visits every
 # pair, left half outer and right half inner, which is lexicographic
 # codeword order, and gives each codeword its own m and its own key.
+#
+# A nonzero left half with norm p + q*i scores every right half at once, on
+# lanes: lane j of (p^2 + q^2)*ones + 2p*lanes_s - 2q*lanes_r + lanes_rs is
+# m_j = (p + s_j)^2 + (q - r_j)^2, where lane j of ones, lanes_r, lanes_s and
+# lanes_rs holds 1, r_j, s_j and r_j^2 + s_j^2 of right half j with norm
+# r_j + s_j*i.  Every m_j is an exact int below 256**width, the width
+# computed from the largest norm parts, so the lanes decode uniquely.  The
+# right halves sit in key order, stably, so each key's lanes form one slice
+# in scan order: the slice's length is the key's count, its ``min`` the
+# key's least m and its first index of that m the first minimizer.  The
+# zero left half (which skips the zero codeword) and, while fewer than five
+# violations are recorded, any left half with a codeword below its floor
+# take the codeword loop, so the violations are the first five in
+# lexicographic order.
 
 _Minimizer = tuple[int, tuple[int, ...]]
 
@@ -253,7 +338,36 @@ def brute_box_scan(
     violations: list[tuple[int, ...]] = []
     key_counts = [0] * len(table)
     best: list[_Minimizer | None] = [None] * len(table)
+
+    # lane j of a row holds the m of the codeword with right half grouped[j]
+    grouped = sorted(right, key=itemgetter(3))
+    halves_r, rs, ss, keys = zip(*grouped)
+    spans = [(kr, keys.index(kr), keys.index(kr) + keys.count(kr)) for kr in sorted(set(keys))]
+    # m = (p + s)^2 + (q - r)^2 <= 2(max|r| + max|s|)^2: p and r range over
+    # the real parts of the half norms, q and s over the imaginary parts
+    width = _lane_width(2 * (max(map(abs, rs)) + max(map(abs, ss))) ** 2 + 1)
+    bits = 8 * width
+    # each lane int is the plain sum of v_j * 2^(bits*j), signs and all
+    ones = lanes_r = lanes_s = lanes_rs = 0
+    for r, s in zip(rs[::-1], ss[::-1]):
+        ones = ones << bits | 1
+        lanes_r = (lanes_r << bits) + r
+        lanes_s = (lanes_s << bits) + s
+        lanes_rs = (lanes_rs << bits) + r * r + s * s
     for hl, p, q, kl in left:
+        row = (p * p + q * q) * ones + 2 * p * lanes_s - 2 * q * lanes_r + lanes_rs
+        ms = _unpack_lanes(row, len(keys), width)
+        lows = [min(ms[i:j]) for _, i, j in spans]
+        if any(hl) and (
+            len(violations) == 5
+            or all(low >= table[kl | kr] for (kr, _, _), low in zip(spans, lows))
+        ):
+            for (kr, i, j), low in zip(spans, lows):
+                key = kl | kr
+                key_counts[key] += j - i
+                if best[key] is None or low < best[key][0]:
+                    best[key] = (low, hl + halves_r[ms.index(low, i, j)])
+            continue
         for hr, r, s, kr in right if any(hl) else nonzero_right:
             zr, zi = p + s, q - r  # N_ab - i*N_cd
             m = zr * zr + zi * zi
@@ -326,27 +440,9 @@ def certify_regular_rep(failures: list[str], details: list[str]) -> None:
             ).masks, d) != reps[_pack(x, d)]
         ))
 
-        # cols[k][i]: row k of rep(elems[i])
-        smul = _scalar_rows(ring, n)
-        cols = list(zip(*rows))
-
-        def products(rx: list[int]) -> list[int]:
-            """rep(x)rep(y) for every y, packed: row r is the XOR over k of
-            entry (r, k) of rep(x) times row k of rep(y)."""
-            out = [0] * len(elems)
-            for row in rx:
-                out = [m << n * d for m in out]
-                for a, col in zip(elems[row], cols):
-                    table = smul[a]
-                    out = [m ^ table[v] for m, v in zip(out, col)]
-            return out
-
-        _first_failure(failures, (
-            f"rep(x*y) != rep(x)rep(y) at {(x, y)} over {ring.name}"
-            for x, rx in zip(elems, rows)
-            for y, xy, m in zip(elems, _cyclic_products(ring, x), products(rx))
-            if reps[xy] != m
-        ))
+        failure = _product_failure(ring, n, ring, rows, reps)
+        if failure:
+            failures.append(f"rep(x*y) != rep(x)rep(y) at {failure} over {ring.name}")
 
 
 @_claim("iso_f8m3", "512 images; 512x512 additivity and multiplicativity")
@@ -359,9 +455,6 @@ def certify_iso_f8m3(failures: list[str], details: list[str]) -> None:
         for x in elems
     ]
     rows = [(v >> 6, v >> 3 & 7, v & 7) for v in packed]
-    # spans[i][v]: the XOR of the rows of image(elems[i]) picked out by v;
-    # the rows go in reversed, so bit 2 of v (column 0 of a row) picks row 0
-    spans = [_span(rs[::-1]) for rs in rows]
 
     if len(set(packed)) != 512:
         failures.append("f8m3 images are not distinct (not injective)")
@@ -370,21 +463,31 @@ def certify_iso_f8m3(failures: list[str], details: list[str]) -> None:
 
     # additivity: the map is linear over F2, so XOR of packed images must
     # match the image of the coefficient-wise XOR, whose index is ix ^ iy
-    _first_failure(failures, (
-        f"additivity fails at {elems[ix]}, {elems[iy]}"
-        for ix, px in enumerate(packed)
-        for iy, py in enumerate(packed)
-        if packed[ix ^ iy] != px ^ py
-    ))
+    width = _lane_width(512)
+    bits = 8 * width
+    lanes, ones = _lanes(packed, width), _lanes([1] * 512, width)
+    # keep[b]: full lanes at the indices with bit b clear
+    keep = [
+        _lanes([0 if i >> b & 1 else (1 << bits) - 1 for i in range(512)], width)
+        for b in range(9)
+    ]
+    for ix, px in enumerate(packed):
+        # lane iy: packed[ix ^ iy], by one swap of lane blocks 2^b wide for
+        # each set bit b of ix
+        got = lanes
+        for b in range(ix.bit_length()):
+            if ix >> b & 1:
+                got = (got & keep[b]) << (bits << b) | (got >> (bits << b)) & keep[b]
+        diff = got ^ lanes ^ px * ones
+        if diff:
+            iy = ((diff & -diff).bit_length() - 1) // bits
+            failures.append(f"additivity fails at {elems[ix]}, {elems[iy]}")
+            break
     if not failures:
-        # row r of image(x)image(y) is the span of image(y)'s rows picked
-        # out by row r of image(x)
-        _first_failure(failures, (
-            f"multiplicativity fails at {x}, {y}"
-            for x, (r0, r1, r2) in zip(elems, rows)
-            for y, xy, s in zip(elems, _cyclic_products(F8, x), spans)
-            if packed[xy] != s[r0] << 6 | s[r1] << 3 | s[r2]
-        ))
+        # image(x)image(y) against image(x*y), on image(y)'s bit rows
+        failure = _product_failure(F8, 3, F2, rows, packed)
+        if failure:
+            failures.append("multiplicativity fails at %s, %s" % failure)
     details.append("generator relation e^3 = 1 and twist verified implicitly")
 
 

@@ -582,3 +582,26 @@ def test_min_distance_is_the_codeword_minimum_on_random_codes(code):
                     min_distance(variant, kind)
             else:
                 assert min_distance(variant, kind) == want, (variant, kind)
+
+
+@pytest.mark.parametrize(
+    "name, ring_name",
+    [("parity", "f4i"), ("repetition", "f4i"), ("inner_pair", None)],
+)
+def test_lee_weight_gives_no_distance_on_f4i_linear_codes(name, ring_name):
+    """For a codeword c, (1+i)c is a codeword whose coordinates all have
+    norm N(1+i)N(x) = 0, so Lee weight 0; where (1+i)c = 0, every coordinate
+    of c is a multiple of 1+i, and c has Lee weight 0 itself.  So some
+    nonzero codeword weighs 0 and the Lee distance is 0."""
+    code = named_code(name, ring_name=ring_name) if ring_name else named_code(name)
+    one_plus_i = F4I.parse("1+i")
+    zero = (F4I.zero,) * code.L
+    words = set(code.codewords())
+    for c in words:
+        scaled = tuple(one_plus_i * x for x in c)
+        assert scaled in words
+        assert lee_word_weight(scaled) == 0
+        if scaled == zero:
+            assert lee_word_weight(c) == 0
+    assert any(c != zero and lee_word_weight(c) == 0 for c in words)
+    assert min_distance(code, WeightKind.LEE) == 0

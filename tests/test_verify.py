@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -567,3 +569,166 @@ def test_brute_box_scan_matches_a_per_codeword_reference(monkeypatch):
             reference = _reference_box1_scan(ideal, floors(), scored)
             assert len(reference[1]) == (5 if raised else 0)
             assert verify.brute_box_scan(ideal, 1) == reference
+
+
+def _per_codeword_box_scan(ideal, box):
+    """brute_box_scan one codeword at a time: left half outer, right half
+    inner, each codeword scored and keyed on its own."""
+    keyfn = golden._key_mod_1pi if ideal == "1pi" else golden._key_mod_2
+    table = (golden.floor_table_mod_1pi if ideal == "1pi" else golden.floor_table_mod_2)()
+    norm = golden.norm_ints
+    pad = (0,) * 4
+    halves = list(itertools.product(range(-box, box + 1), repeat=4))
+    left = [(h, *norm(*h), keyfn(h + pad)) for h in halves]
+    right = [(h, *norm(*h), keyfn(pad + h)) for h in halves]
+    nonzero_right = [r for r in right if any(r[0])]
+    violations, key_counts, best = [], [0] * len(table), [None] * len(table)
+    for hl, p, q, kl in left:
+        for hr, r, s, kr in right if any(hl) else nonzero_right:
+            m = (p + s) ** 2 + (q - r) ** 2
+            key = kl | kr
+            key_counts[key] += 1
+            if m < table[key] and len(violations) < 5:
+                violations.append(hl + hr)
+            if best[key] is None or m < best[key][0]:
+                best[key] = (m, hl + hr)
+    counts = [sum(n for f, n in zip(table, key_counts) if f == floor) for floor in (4, 2, 1)]
+    return sum(key_counts), violations, counts, best
+
+
+def _raise_floors(monkeypatch, floors):
+    """Replace both floor tables: ``floors(key)`` gives each key's floor."""
+    monkeypatch.setattr(golden, "floor_table_mod_1pi", lambda: [floors(k) for k in range(16)])
+    monkeypatch.setattr(golden, "floor_table_mod_2", lambda: [floors(k) for k in range(256)])
+
+
+@pytest.mark.parametrize("floors", ["library", "all 4", "sparse 2"])
+@pytest.mark.parametrize("ideal", ["1pi", "2"])
+def test_brute_box_scan_matches_the_codeword_loop_at_box_2(monkeypatch, ideal, floors):
+    """At box 2, with the library's floors (no violation), every floor
+    raised to 4 (five violations in the first row), and floor 2 on the keys
+    with one right-half bit set (violations in two rows, between rows that
+    go on lanes)."""
+    if floors == "all 4":
+        _raise_floors(monkeypatch, lambda key: 4)
+    elif floors == "sparse 2":
+        bit = 2 if ideal == "1pi" else 5
+        _raise_floors(monkeypatch, lambda key: 2 if key >> bit & 1 else 1)
+    reference = _per_codeword_box_scan(ideal, 2)
+    rows = {"library": 0, "all 4": 1, "sparse 2": 2}[floors]
+    assert len({v[:4] for v in reference[1]}) == rows
+    assert len(reference[1]) == (5 if rows else 0)
+    assert verify.brute_box_scan(ideal, 2) == reference
+
+
+@pytest.mark.parametrize("scale", [2**20, 2**40])
+@pytest.mark.parametrize("ideal", ["1pi", "2"])
+def test_brute_box_scan_widens_its_lanes_to_the_norms(monkeypatch, ideal, scale):
+    """Norms scaled by 2^20 make m need more than 32 bits, and by 2^40 more
+    than 64: the lane width follows the norms, and the pass still equals
+    the codeword loop."""
+    real = golden.norm_ints
+    monkeypatch.setattr(golden, "norm_ints", lambda *h: tuple(scale * v for v in real(*h)))
+    reference = _per_codeword_box_scan(ideal, 1)
+    assert max(b[0] for b in reference[3] if b) >= (2**32 if scale == 2**20 else 2**64)
+    assert verify.brute_box_scan(ideal, 1) == reference
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 9, 16])
+def test_lanes_round_trip(width):
+    values = [(k * 2654435761) % 256**width for k in range(37)] + [256**width - 1, 0]
+    assert verify._lane_width(256**width) == {3: 4}.get(width, width)
+    assert list(verify._unpack_lanes(verify._lanes(values, width), len(values), width)) == values
+
+
+def _sigma_tables(ring, n):
+    sig = [list(range(ring.size))]
+    for _ in range(1, n):
+        sig.append([ring._mul[m][m] for m in sig[-1]])
+    return sig
+
+
+def _algebra_product(ring, sig, x, y):
+    """Coefficient s of x*y is the sum over k of sigma^k(x_{s-k}) * y_k."""
+    n = len(x)
+    return tuple(
+        functools.reduce(operator.xor, (ring._mul[sig[k][x[(s - k) % n]]][y[k]] for k in range(n)))
+        for s in range(n)
+    )
+
+
+def _matrix_product(ring, a, b):
+    n = len(a)
+    return [
+        [functools.reduce(operator.xor, (ring._mul[a[r][k]][b[k][c]] for k in range(n))) for c in range(n)]
+        for r in range(n)
+    ]
+
+
+def _per_pair_regular_rep_witness():
+    """regular_rep's product check, one pair at a time on entry lists."""
+    for ring, n in ((F4, 2), (F8, 3)):
+        sig = _sigma_tables(ring, n)
+
+        def rep(x):
+            return [[sig[c][x[(r - c) % n]] for c in range(n)] for r in range(n)]
+
+        elems = list(itertools.product(range(ring.size), repeat=n))
+        for x in elems:
+            for y in elems:
+                if rep(_algebra_product(ring, sig, x, y)) != _matrix_product(ring, rep(x), rep(y)):
+                    return f"rep(x*y) != rep(x)rep(y) at {(x, y)} over {ring.name}"
+    return "-"
+
+
+def _per_pair_iso_f8m3_witness():
+    """iso_f8m3's additivity, then multiplicativity, one pair at a time."""
+    elems = list(itertools.product(range(8), repeat=3))
+    masks = [verify.iso_f8_to_m3(CyclicElement(F8, [F8.elements[c] for c in x])).masks for x in elems]
+    packed = [int("".join(map(str, m)), 2) for m in masks]
+    for ix, x in enumerate(elems):
+        for iy, y in enumerate(elems):
+            if packed[ix ^ iy] != packed[ix] ^ packed[iy]:
+                return f"additivity fails at {x}, {y}"
+    sig = _sigma_tables(F8, 3)
+    index = {x: i for i, x in enumerate(elems)}
+
+    def image(i):
+        return [list(masks[i][3 * r:3 * r + 3]) for r in range(3)]
+
+    for ix, x in enumerate(elems):
+        for iy, y in enumerate(elems):
+            if image(index[_algebra_product(F8, sig, x, y)]) != _matrix_product(F2, image(ix), image(iy)):
+                return f"multiplicativity fails at {x}, {y}"
+    return "-"
+
+
+@pytest.mark.parametrize(
+    "ring, flips",
+    [
+        (F8, ((3, 5), (5, 3))),
+        (F8, ((2, 6),)),
+        (F8, ((1, 4),)),
+        (F8, ((4, 4),)),
+        (F4, ((1, 2),)),
+        (F4, ((3, 1),)),
+    ],
+    ids=["f8-3x5-5x3", "f8-2x6", "f8-1x4", "f8-4x4", "f4-1x2", "f4-3x1"],
+)
+def test_algebra_scans_report_the_per_pair_witness(monkeypatch, ring, flips):
+    """Bit 0 of the listed products flipped, on a copy of the table: the
+    lane scans name the pair that a per-pair scan names first, also where
+    it is not the first y of its row."""
+    table = [row[:] for row in ring._mul]
+    for a, b in flips:
+        table[a][b] ^= 1
+    monkeypatch.setattr(ring, "_mul", table)
+    rep = verify.run_claim("regular_rep")
+    assert not rep.passed
+    assert rep.witness == _per_pair_regular_rep_witness()
+    iso = verify.run_claim("iso_f8m3")
+    if ring is F8:
+        assert not iso.passed
+        assert iso.witness == _per_pair_iso_f8m3_witness()
+    else:  # the degree-3 map reads no F4 product
+        assert iso.passed
