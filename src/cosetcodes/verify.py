@@ -162,10 +162,11 @@ _LANE_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
 def _lane_width(bound: int) -> int:
     """Bytes per lane for values in range(bound), computed from the bound:
-    the least array item size that holds them, or as many bytes as they
-    need past the widest one."""
-    need = max(1, ((bound - 1).bit_length() + 7) // 8)
-    return min((w for w in _LANE_CODES if w >= need), default=need)
+    the least array item size that holds them."""
+    for width in sorted(_LANE_CODES):
+        if bound <= 256**width:
+            return width
+    raise ValueError("lane values must fit in 64 bits")
 
 
 def _lanes(values: Iterable[int], width: int) -> int:
@@ -173,15 +174,12 @@ def _lanes(values: Iterable[int], width: int) -> int:
     return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
 
 
-def _unpack_lanes(packed: int, count: int, width: int) -> Sequence[int]:
+def _unpack_lanes(packed: int, count: int, width: int) -> array:
     """The first ``count`` lanes of a nonnegative int, as an array whose
     items are byte-swapped on a big-endian host, so every host reads the
-    same values; as a list past the widest item size."""
-    data = packed.to_bytes(count * width, "little")
-    if width not in _LANE_CODES:
-        return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    same values."""
     items = array(_LANE_CODES[width])
-    items.frombytes(data)
+    items.frombytes(packed.to_bytes(count * width, "little"))
     if sys.byteorder == "big":
         items.byteswap()
     return items

@@ -621,24 +621,28 @@ def test_brute_box_scan_matches_the_codeword_loop_at_box_2(monkeypatch, ideal, f
     assert verify.brute_box_scan(ideal, 2) == reference
 
 
-@pytest.mark.parametrize("scale", [2**20, 2**40])
 @pytest.mark.parametrize("ideal", ["1pi", "2"])
-def test_brute_box_scan_widens_its_lanes_to_the_norms(monkeypatch, ideal, scale):
-    """Norms scaled by 2^20 make m need more than 32 bits, and by 2^40 more
-    than 64: the lane width follows the norms, and the pass still equals
-    the codeword loop."""
+def test_brute_box_scan_widens_its_lanes_to_the_norms(monkeypatch, ideal):
+    """Norms scaled by 2^20 make m need more than 32 bits: the lane width
+    follows the norms, and the pass still equals the codeword loop."""
     real = golden.norm_ints
-    monkeypatch.setattr(golden, "norm_ints", lambda *h: tuple(scale * v for v in real(*h)))
+    monkeypatch.setattr(golden, "norm_ints", lambda *h: tuple(2**20 * v for v in real(*h)))
     reference = _per_codeword_box_scan(ideal, 1)
-    assert max(b[0] for b in reference[3] if b) >= (2**32 if scale == 2**20 else 2**64)
+    assert max(b[0] for b in reference[3] if b) >= 2**32
     assert verify.brute_box_scan(ideal, 1) == reference
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 9, 16])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 8])
 def test_lanes_round_trip(width):
     values = [(k * 2654435761) % 256**width for k in range(37)] + [256**width - 1, 0]
-    assert verify._lane_width(256**width) == {3: 4}.get(width, width)
-    assert list(verify._unpack_lanes(verify._lanes(values, width), len(values), width)) == values
+    lane = verify._lane_width(256**width)
+    assert lane == {3: 4}.get(width, width)
+    assert list(verify._unpack_lanes(verify._lanes(values, lane), len(values), lane)) == values
+
+
+def test_lanes_refuse_values_past_64_bits():
+    with pytest.raises(ValueError, match="64 bits"):
+        verify._lane_width(2**64 + 1)
 
 
 def _sigma_tables(ring, n):
