@@ -517,9 +517,11 @@ def floor_table_mod_1pi() -> list[int]:
 
 def floor_table_mod_2() -> list[int]:
     """floor on m, indexed by the 8-bit coordinate-parity key, via the
-    determinant-compatible norm classification."""
-    norms = [quadratic_norm(x) for x in F4I]
-    return [FLOOR_BY_CLASS[_mod2_pair_class(n0, n1)] for n1 in norms for n0 in norms]
+    determinant-compatible norm classification.  The norms of the 16
+    elements of F4[i] lie in F2[i], so 4 x 4 classes cover the 256 pairs."""
+    norms = [quadratic_norm(x).mask for x in F4I]
+    floors = [FLOOR_BY_CLASS[_mod2_pair_class(n0, n1)] for n1 in F2I for n0 in F2I]
+    return [floors[n0 | n1 << F2I.dim] for n1 in norms for n0 in norms]
 
 
 # ----------------------------------------------------------------------
@@ -637,8 +639,9 @@ def min_abs_det_sq(
         left = right = _first_halves(halves)
     else:
         half_key, bits = _HALF_KEYS[ideal]
-        left = _first_halves(x for x in halves if half_key(x[0]) == key & ((1 << bits) - 1))
-        right = _first_halves(x for x in halves if half_key(x[0]) == key >> bits)
+        keys = [half_key(h) for h, _ in halves]
+        left = _first_halves(x for x, k in zip(halves, keys) if k == key & ((1 << bits) - 1))
+        right = _first_halves(x for x, k in zip(halves, keys) if k == key >> bits)
     if not left or not right or left.keys() | right.keys() == {(0, 0)}:
         raise ValueError("no nonzero codeword matches the requested coset in the box")
     # The left norms come in the order of their first halves, so the first
@@ -671,9 +674,12 @@ def scan_det_floors(
     offending coordinate tuples in lexicographic order.
 
     Class sizes are products of the per-key half counts, less the zero
-    codeword.  A violation needs m < floor <= 4, so only the right halves at
+    codeword.  A violation needs m < floor <= 4, so only the right norms at
     the nine offsets of norm < 4 around each distinct left norm's target are
-    visited, and a heap keeps the five least.
+    visited.  The halves are grouped by norm and key: m depends only on the
+    two norms and the floor only on the two keys, so one comparison decides
+    every codeword of a (left group, right group) pair.  Only a violating
+    pair is expanded into codewords, and a heap keeps the five least.
     """
     if ideal not in _HALF_KEYS:
         raise ValueError("ideal must be '1pi' or '2'")
@@ -681,11 +687,12 @@ def scan_det_floors(
     table = floor_table_mod_1pi() if ideal == "1pi" else floor_table_mod_2()
     half_key, bits = _HALF_KEYS[ideal]
     key_counts = [0] * (1 << bits)
-    groups: dict[_Norm, list[tuple[_Half, int]]] = {}
+    # norm -> key -> the halves of that norm and key, in lexicographic order
+    groups: dict[_Norm, dict[int, list[_Half]]] = {}
     for h, n in _box_halves(box):
         k = half_key(h)
         key_counts[k] += 1
-        groups.setdefault(n, []).append((h, k))
+        groups.setdefault(n, {}).setdefault(k, []).append(h)
 
     floor_index = {4: 0, 2: 1, 1: 2}
     counts = [0, 0, 0]  # floors 4, 2, 1
@@ -694,12 +701,16 @@ def scan_det_floors(
             counts[floor_index[table[kl | kr << bits]]] += count_l * count_r
     counts[floor_index[table[0]]] -= 1  # the zero codeword
 
+    # the two zero norms at offset (0, 0) are the zero codeword alone
     violations = heapq.nsmallest(5, (
         h + r
-        for (p, q), group in groups.items()
+        for (p, q), left in groups.items()
         for dx, dy in _NEAR_OFFSETS
-        for r, kr in groups.get((q + dx, dy - p), ())
-        for h, kl in group
-        if dx * dx + dy * dy < table[kl | kr << bits] and (any(h) or any(r))
+        if (n := (q + dx, dy - p)) in groups and (dx or dy or p or q)
+        for kl, left_halves in left.items()
+        for kr, right_halves in groups[n].items()
+        if dx * dx + dy * dy < table[kl | kr << bits]
+        for h in left_halves
+        for r in right_halves
     ))
     return sum(key_counts) ** 2 - 1, violations, counts

@@ -200,6 +200,7 @@ def _product_failure(ring, n: int, base, rows: list, images: list[int]) -> tuple
     ]
     entries = list(itertools.product(range(base.size), repeat=n))
     elems = list(itertools.product(range(ring.size), repeat=n))
+    sig = _sigma_tables(ring, n)
     for x, rx in zip(elems, rows):
         got = 0
         for row in rx:
@@ -207,7 +208,8 @@ def _product_failure(ring, n: int, base, rows: list, images: list[int]) -> tuple
             for a, t in zip(entries[row], term):
                 got ^= t[a]
         # lane y: the image of x*y
-        want = int.from_bytes(b"".join(itemgetter(*_cyclic_products(ring, x))(table)), "little")
+        products = _cyclic_products(ring, sig, x)
+        want = int.from_bytes(b"".join(itemgetter(*products)(table)), "little")
         if got != want:
             diff = got ^ want
             return x, elems[((diff & -diff).bit_length() - 1) // (8 * width)]
@@ -237,8 +239,9 @@ def _scalar_rows(ring, n: int) -> list[list[int]]:
     return [[_pack(map(row.__getitem__, e), ring.dim) for e in elems] for row in ring._mul]
 
 
-def _cyclic_products(ring, x: Sequence[int]) -> list[int]:
-    """Index of x*y for every y, in product order (gamma = 1).
+def _cyclic_products(ring, sig: list[list[int]], x: Sequence[int]) -> list[int]:
+    """Index of x*y for every y, in product order (gamma = 1), from the
+    sigma tables ``sig`` of ``ring``.
 
     Coefficient s of x*y is the sum over k of sigma^k(x_{s-k}) * y_k, so the
     index is the XOR over k of ``term[y_k]``, where ``term[b]`` packs those
@@ -246,7 +249,6 @@ def _cyclic_products(ring, x: Sequence[int]) -> list[int]:
     that prefix.  Oracle-local: written independently of
     CyclicElement.__mul__ on purpose."""
     n = len(x)
-    sig = _sigma_tables(ring, n)
     out = [0]
     for k in range(n):
         term = [0] * ring.size
@@ -259,10 +261,9 @@ def _cyclic_products(ring, x: Sequence[int]) -> list[int]:
 def _sigma_tables(ring, n: int) -> list[list[int]]:
     """sig[k][mask] = mask of sigma^k(element), sigma = squaring."""
     mul = ring._mul
-    sq = [mul[m][m] for m in range(ring.size)]
     sig = [list(range(ring.size))]
     for _ in range(1, n):
-        sig.append([sq[m] for m in sig[-1]])
+        sig.append([mul[m][m] for m in sig[-1]])
     return sig
 
 

@@ -239,19 +239,24 @@ def test_floor_tables():
 
 
 def test_floor_table_mod_2_takes_each_norm_once(monkeypatch):
-    """F4[i] has 16 elements, so the 256 classes need only their 16 norms."""
+    """F4[i] has 16 elements, so the 256 classes need only their 16 norms;
+    the norms lie in F2[i], so only its 4 x 4 norm pairs are classified."""
     expected = floor_table_mod_2()
-    calls = 0
-    real = golden.quadratic_norm
+    calls = {"quadratic_norm": 0, "_mod2_pair_class": 0}
 
-    def counted(x):
-        nonlocal calls
-        calls += 1
-        return real(x)
+    def counting(name):
+        real = getattr(golden, name)
 
-    monkeypatch.setattr(golden, "quadratic_norm", counted)
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(golden, name, counting(name))
     assert floor_table_mod_2() == expected
-    assert calls <= 16
+    assert max(calls.values()) <= 16
 
 
 def test_min_abs_det_sq_box1():
@@ -383,6 +388,48 @@ def test_factorized_floor_violations_match_the_brute_oracle(monkeypatch, raised)
             scan = scan_det_floors(ideal, box)
             assert len(scan[1]) == 5
             assert scan == brute_box_scan(ideal, box)[:3]
+
+
+# Floor plants that depend on the residue key.  Bit 2 of a "1pi" key and
+# bit 5 of a "2" key come from the right half, bit 0 from the left half.
+_KEYED_FLOORS = {
+    "right bit 2": lambda key, ideal: 2 if key >> (2 if ideal == "1pi" else 5) & 1 else 1,
+    "odd left 4": lambda key, ideal: 4 if key & 1 else 1,
+    "cycle 1/2/4": lambda key, ideal: (1, 2, 4)[key % 3],
+}
+
+
+@pytest.mark.parametrize("plant", list(_KEYED_FLOORS))
+@pytest.mark.parametrize("ideal", ["1pi", "2"])
+def test_grouped_floor_decisions_read_each_key_pairs_floor(monkeypatch, ideal, plant):
+    """The scan decides a (norm, key) group pair at once: with floors that
+    differ by key, a decision that read another key pair's floor would
+    change the violations or the class sizes.  Against the brute oracle,
+    which keys every codeword on its own, at box 2."""
+    floors = _KEYED_FLOORS[plant]
+    monkeypatch.setattr(golden, "floor_table_mod_1pi", lambda: [floors(k, "1pi") for k in range(16)])
+    monkeypatch.setattr(golden, "floor_table_mod_2", lambda: [floors(k, "2") for k in range(256)])
+    scan = scan_det_floors(ideal, 2)
+    assert len(scan[1]) == 5 and sum(map(bool, scan[2])) >= 2
+    assert scan == brute_box_scan(ideal, 2)[:3]
+
+
+@pytest.mark.parametrize("ideal,ring", [("1pi", F4), ("2", F4I)], ids=["1pi", "2"])
+def test_coset_search_keys_each_half_once(monkeypatch, ideal, ring):
+    """The coset search filters both sides from one key per half."""
+    half_key, bits = golden._HALF_KEYS[ideal]
+    calls = 0
+
+    def counted(h):
+        nonlocal calls
+        calls += 1
+        return half_key(h)
+
+    coset = pair_to_matrix(ring.elements[1], ring.elements[2])
+    expected = min_abs_det_sq(2, coset=coset, ideal=ideal)
+    monkeypatch.setattr(golden, "_HALF_KEYS", {ideal: (counted, bits)})
+    assert min_abs_det_sq(2, coset=coset, ideal=ideal) == expected
+    assert calls == 5**4
 
 
 def test_box3_results_pinned():

@@ -110,6 +110,24 @@ def test_a_command_loads_only_its_layers(argv, loaded):
     assert set(proc.stdout.split()) == loaded
 
 
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (("verify", "--claim", "counts"), 0, "counts\tpass\t-\n", ""),
+        (("mindet", "--box", "0"), 2, "", "error: box must be at least 1\n"),
+    ],
+    ids=["verify", "refused"],
+)
+def test_python_m_runs_the_command_line(argv, code, out, err):
+    """``python -m cosetcodes`` runs the console script's main without an
+    install, and passes its exit code on."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cosetcodes", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
 def test_the_package_imports_only_the_standard_library():
     """Every import under src/cosetcodes is relative or names a standard
     library module, and pyproject.toml declares no runtime dependency."""

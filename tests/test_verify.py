@@ -736,3 +736,20 @@ def test_algebra_scans_report_the_per_pair_witness(monkeypatch, ring, flips):
         assert iso.witness == _per_pair_iso_f8m3_witness()
     else:  # the degree-3 map reads no F4 product
         assert iso.passed
+
+
+def test_product_scans_build_the_sigma_tables_once_per_scan(monkeypatch):
+    """A product scan builds the sigma tables once, from the live ``_mul``
+    table, for all of its ``_cyclic_products`` calls."""
+    built = []
+    real = verify._sigma_tables
+
+    def counted(ring, n):
+        built.append((ring.name, n))
+        return real(ring, n)
+
+    monkeypatch.setattr(verify, "_sigma_tables", counted)
+    assert verify.run_claim("regular_rep").passed
+    assert verify.run_claim("iso_f8m3").passed
+    # regular_rep builds one set for its rows and one per scan, per ring
+    assert built == [("f4", 2), ("f4", 2), ("f8", 3), ("f8", 3), ("f8", 3)]
