@@ -27,7 +27,7 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, xor
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bounds, golden, outer_codes
@@ -96,8 +96,8 @@ class OracleReport:
 # zero-argument function that times it and builds its report: a failing
 # claim's witness is its first failure, and the later ones follow the details
 # as ``FAILURE:`` lines.  A scan that stops at its first counterexample is a
-# generator of failure messages handed to ``_first_failure``, or, for a lane
-# scan, a loop that appends its one message and stops.
+# generator of failure messages handed to ``_first_failure``, or a lane scan
+# (``_map_failures``, ``_product_failure``) that stops at its first failing row.
 
 # Every claim, in definition order; filled by @_claim.
 CLAIMS: dict[str, Callable[[], OracleReport]] = {}
@@ -142,19 +142,19 @@ def _first_failure(failures: list[str], messages: Iterable[str]) -> None:
 # index in ``itertools.product`` order, which packs its coefficient masks, and
 # a matrix is one int of packed rows, row 0 and column 0 highest.  The scans
 # build small tables from the live ``ring._mul`` (rebuilt on every call, never
-# cached): per-coefficient term tables give the index of x*y for every y, and
-# per-scalar row tables give image(x)image(y) and the pair-model products.
-# Each pair still gets its own product and its own matrix product, compared
-# on their own; no pair is inferred from others by linearity, and the first
+# cached): per-scalar row tables give image(x)image(y), and the index of x*y
+# comes from ``_cyclic_products`` or, in the pair models, ``twisted_pair_mul``.
+# Each pair gets its own product and its own matrix product, compared on
+# their own; no pair is inferred from others by linearity, and the first
 # failing pair in scan order is the one reported.
 #
-# ``regular_rep`` and ``iso_f8m3`` take one row (one x, every y) at a time
-# on lanes: lane y of one int holds y's value, in a width of bytes that the
-# largest value the row can hold decides, so one XOR or shift acts on the
-# whole row in C.  A lane table holds y's own entries, never another pair's.
-# Lanes do not mix under XOR, so when a row differs from its target, the
-# lowest set bit of the difference lies in the first failing lane: the
-# witness is the one a pair loop finds.
+# All four take one row (one x, every y) at a time on lanes: lane y of one
+# int holds y's value, in a width of bytes that the largest value the row
+# can hold decides, so one XOR or shift acts on the whole row in C.  A lane
+# table holds y's own entries, never another pair's.  Lanes do not mix under
+# XOR, so when a row differs from its target, the lowest set bit of the
+# difference lies in the first failing lane: the witness is the one a pair
+# loop finds.  A ring map scans additivity first, then products.
 
 # array type codes by item size
 _LANE_CODES = {array(code).itemsize: code for code in "BHIQ"}
@@ -185,11 +185,12 @@ def _unpack_lanes(packed: int, count: int, width: int) -> array:
     return items
 
 
-def _product_failure(ring, n: int, base, rows: list, images: list[int]) -> tuple | None:
+def _product_failure(products, labels: list, base, rows: list, images: list[int]) -> tuple | None:
     """The first (x, y), x outer, with image(x*y) != image(x)image(y), or
-    None.  x*y multiplies in the degree-n algebra over ``ring``; image i is
-    images[i], and rows[i] holds its n packed rows of entries over ``base``."""
-    d = base.dim
+    None.  ``products`` gives, for each x in turn, the index of x*y for
+    every y; labels[i] names element i, image i is images[i], and rows[i]
+    holds its n packed rows of entries over ``base``."""
+    n, d = len(rows[0]), base.dim
     width = _lane_width(1 << n * n * d)
     table = [v.to_bytes(width, "little") for v in images]
     # term[k][a]: lane y holds a times row k of image(y); row r of
@@ -199,29 +200,50 @@ def _product_failure(ring, n: int, base, rows: list, images: list[int]) -> tuple
         for col in zip(*rows)
     ]
     entries = list(itertools.product(range(base.size), repeat=n))
-    elems = list(itertools.product(range(ring.size), repeat=n))
-    sig = _sigma_tables(ring, n)
-    for x, rx in zip(elems, rows):
+    for x, rx, xy in zip(labels, rows, products):
         got = 0
         for row in rx:
             got <<= n * d
             for a, t in zip(entries[row], term):
                 got ^= t[a]
         # lane y: the image of x*y
-        products = _cyclic_products(ring, sig, x)
-        want = int.from_bytes(b"".join(itemgetter(*products)(table)), "little")
+        want = int.from_bytes(b"".join(itemgetter(*xy)(table)), "little")
         if got != want:
             diff = got ^ want
-            return x, elems[((diff & -diff).bit_length() - 1) // (8 * width)]
+            return x, labels[((diff & -diff).bit_length() - 1) // (8 * width)]
     return None
 
 
-def _span(rows: Sequence[int]) -> list[int]:
-    """Entry v is the XOR of the rows picked out by the bits of v."""
-    out = [0]
-    for row in rows:
-        out += [t ^ row for t in out]
-    return out
+def _map_failures(failures: list[str], labels: list, packed: list[int], products, base, rows):
+    """Additivity of i -> packed[i] on all pairs (the index of a sum is the
+    XOR of the indices), then, if no check has failed so far, products as
+    in ``_product_failure``."""
+    count = len(packed)
+    # XORs of values below 2^k stay below 2^k
+    width = _lane_width(1 << max(packed).bit_length())
+    bits = 8 * width
+    lanes, ones = _lanes(packed, width), _lanes([1] * count, width)
+    # keep[b]: full lanes at the indices with bit b clear
+    keep = [
+        _lanes([0 if i >> b & 1 else (1 << bits) - 1 for i in range(count)], width)
+        for b in range((count - 1).bit_length())
+    ]
+    for ix, px in enumerate(packed):
+        # lane iy: packed[ix ^ iy], by one swap of lane blocks 2^b wide for
+        # each set bit b of ix
+        got = lanes
+        for b in range(ix.bit_length()):
+            if ix >> b & 1:
+                got = (got & keep[b]) << (bits << b) | (got >> (bits << b)) & keep[b]
+        diff = got ^ lanes ^ px * ones
+        if diff:
+            iy = ((diff & -diff).bit_length() - 1) // bits
+            failures.append(f"additivity fails at {labels[ix]}, {labels[iy]}")
+            break
+    if not failures:
+        failure = _product_failure(products, labels, base, rows, packed)
+        if failure:
+            failures.append("multiplicativity fails at %s, %s" % failure)
 
 
 def _pack(masks: Iterable[int], bits: int) -> int:
@@ -439,7 +461,9 @@ def certify_regular_rep(failures: list[str], details: list[str]) -> None:
             ).masks, d) != reps[_pack(x, d)]
         ))
 
-        failure = _product_failure(ring, n, ring, rows, reps)
+        # a build of its own, so the rows and the x*y route share no table
+        products = map(functools.partial(_cyclic_products, ring, _sigma_tables(ring, n)), elems)
+        failure = _product_failure(products, elems, ring, rows, reps)
         if failure:
             failures.append(f"rep(x*y) != rep(x)rep(y) at {failure} over {ring.name}")
 
@@ -460,33 +484,10 @@ def certify_iso_f8m3(failures: list[str], details: list[str]) -> None:
     if rows[64] != (0b100, 0b010, 0b001):  # 64 is the index of (1, 0, 0)
         failures.append("f8m3 does not send 1 to the identity")
 
-    # additivity: the map is linear over F2, so XOR of packed images must
-    # match the image of the coefficient-wise XOR, whose index is ix ^ iy
-    width = _lane_width(512)
-    bits = 8 * width
-    lanes, ones = _lanes(packed, width), _lanes([1] * 512, width)
-    # keep[b]: full lanes at the indices with bit b clear
-    keep = [
-        _lanes([0 if i >> b & 1 else (1 << bits) - 1 for i in range(512)], width)
-        for b in range(9)
-    ]
-    for ix, px in enumerate(packed):
-        # lane iy: packed[ix ^ iy], by one swap of lane blocks 2^b wide for
-        # each set bit b of ix
-        got = lanes
-        for b in range(ix.bit_length()):
-            if ix >> b & 1:
-                got = (got & keep[b]) << (bits << b) | (got >> (bits << b)) & keep[b]
-        diff = got ^ lanes ^ px * ones
-        if diff:
-            iy = ((diff & -diff).bit_length() - 1) // bits
-            failures.append(f"additivity fails at {elems[ix]}, {elems[iy]}")
-            break
-    if not failures:
-        # image(x)image(y) against image(x*y), on image(y)'s bit rows
-        failure = _product_failure(F8, 3, F2, rows, packed)
-        if failure:
-            failures.append("multiplicativity fails at %s, %s" % failure)
+    # the map is linear over F2: the index of a coefficient-wise XOR is
+    # ix ^ iy; image(x)image(y) against image(x*y), on image(y)'s bit rows
+    products = map(functools.partial(_cyclic_products, F8, _sigma_tables(F8, 3)), elems)
+    _map_failures(failures, elems, packed, products, F2, rows)
     details.append("generator relation e^3 = 1 and twist verified implicitly")
 
 
@@ -525,8 +526,10 @@ def certify_iso_f16m4(failures: list[str], details: list[str]) -> None:
         + ("pass" if poly_true.is_zero else "fail")
     )
 
-    # additive bijectivity via the 16 basis images (linearity of the map);
-    # spans[mask] is the XOR of the basis images picked out by its bits
+    # additive bijectivity via the 16 basis images (linearity of the map):
+    # the extension hits 2^rank matrices.  Rank by XOR-basis insertion: a row
+    # reduced by each kept row in turn lacks their leading bits, so it is 0
+    # exactly when it lies in their span.
     basis = [
         _pack(iso_f16_to_m4(CyclicElement(
             F16_ALT,
@@ -535,19 +538,26 @@ def certify_iso_f16m4(failures: list[str], details: list[str]) -> None:
         for j in range(4)
         for k in range(4)
     ]
-    spans = _span(basis)
-    hits = len(set(spans))
+    kept: list[int] = []
+    for row in basis:
+        for k in kept:
+            row = min(row, row ^ k)
+        if row:
+            kept.append(row)
+    hits = 1 << len(kept)
     if hits != 1 << 16:
         failures.append(f"extended map hits only {hits} of 65536 matrices")
     else:
         details.append("additive extension is a bijection onto M4(F2)")
 
-    # the linear reconstruction must agree with the object-path map
+    # the linear reconstruction, the XOR of the basis images picked out by
+    # the bits of the mask, must agree with the object-path map
     sample = [(m * 2654435761) % (1 << 16) for m in range(64)]
     _first_failure(failures, (
         f"linearity reconstruction differs at mask {mask}"
         for mask in sample
-        if spans[mask] != _pack(iso_f16_to_m4(CyclicElement(
+        if functools.reduce(xor, (b for k, b in enumerate(basis) if mask >> k & 1), 0)
+        != _pack(iso_f16_to_m4(CyclicElement(
             F16_ALT, [F16_ALT.elements[(mask >> (4 * j)) & 15] for j in range(4)]
         )).masks, 1)
     ))
@@ -573,26 +583,15 @@ def _pair_model(
     ))
 
     # on ints: pair (x, y) has index x.mask * ring.size + y.mask, so the
-    # index of a sum is the XOR of the indices; row r of image(p)image(q) is
-    # the XOR over k of entry (r, k) of image(p) times row k of image(q)
-    size, bits = ring.size, 2 * base.dim
+    # index of a sum is the XOR of the indices
+    size = ring.size
     packed = [_pack(m.masks, base.dim) for m in images]
-    smul = _scalar_rows(base, 2)
-
-    def product_failures() -> Iterator[str]:
-        for ix, (p, px, m) in enumerate(zip(pairs, packed, images)):
-            s11, s12, s21, s22 = map(smul.__getitem__, m.masks)
-            for iy, (q, py) in enumerate(zip(pairs, packed)):
-                if packed[ix ^ iy] != px ^ py:
-                    yield f"additivity fails at {p}, {q}"
-                r0, r1 = twisted_pair_mul(p, q)
-                q1, q2 = divmod(py, 1 << bits)
-                if packed[r0.mask * size + r1.mask] != (
-                    (s11[q1] ^ s12[q2]) << bits | s21[q1] ^ s22[q2]
-                ):
-                    yield f"multiplicativity fails at {p}, {q}"
-
-    _first_failure(failures, product_failures())
+    products = (
+        [r0.mask * size + r1.mask for r0, r1 in map(functools.partial(twisted_pair_mul, p), pairs)]
+        for p in pairs
+    )
+    rows = [divmod(v, 1 << 2 * base.dim) for v in packed]
+    _map_failures(failures, pairs, packed, products, base, rows)
 
 
 # The F4-pair model phi onto M2(F2), all 16^2 pairs, and the F4[i]-pair

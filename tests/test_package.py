@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import marshal
 import os
 import pathlib
 import re
@@ -144,3 +145,35 @@ def test_the_package_imports_only_the_standard_library():
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name} imports {name}"
     assert re.search(r"^dependencies = \[\]$", (ROOT / "pyproject.toml").read_text(), re.M)
+
+
+def _compiled_size(module: str) -> int:
+    """Bytes of the module's code object, compiled under its repo-relative
+    path (the size depends on the path string)."""
+    path = f"src/cosetcodes/{module}.py"
+    return len(marshal.dumps(compile((ROOT / path).read_text(), path, "exec")))
+
+
+def _spaced(n: int) -> str:
+    return f"{n:,}".replace(",", " ")
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the README gives code-object sizes on CPython 3.11",
+)
+def test_readme_states_the_compiled_sizes():
+    """The module map's "compiled" column, and the share of it that
+    ``cosetcodes mindet`` compiles, match the sources."""
+    readme = (ROOT / "README.md").read_text()
+    modules = sorted(path.stem for path in (ROOT / "src" / "cosetcodes").glob("*.py"))
+    sizes = {m: _compiled_size(m) for m in modules}
+    column = dict(re.findall(r"^\| `(\w+)` \|.*\| ([\d ]+) \|$", readme, re.M))
+    assert column == {m: _spaced(n) for m, n in sizes.items()}
+    mindet = sum(sizes[m] for m in ("rings", "matrices", "cyclic", "golden"))
+    sentence = re.search(
+        r"compiles only rings, matrices, cyclic and golden"
+        r" \((\d[\d ]*) bytes of the package's (\d[\d ]*)\)",
+        " ".join(readme.split()),
+    )
+    assert sentence and sentence.groups() == (_spaced(mindet), _spaced(sum(sizes.values())))

@@ -10,10 +10,12 @@ import pytest
 
 from cosetcodes import cli, golden, verify
 from cosetcodes.bounds import SqrtVal
+from cosetcodes import cyclic
 from cosetcodes.cyclic import CyclicElement, pair_to_matrix
 from cosetcodes.golden import GaussianInt, GoldenCodeword, GoldenInt
+from cosetcodes.matrices import RingMatrix
 from cosetcodes.outer_codes import LinearCode, MatrixSpace, repetition_code
-from cosetcodes.rings import F2, F2I, F4, F4I, F8
+from cosetcodes.rings import F2, F2I, F4, F4I, F8, F16_ALT
 
 ALL_CLAIMS = list(verify.CLAIMS)
 
@@ -418,6 +420,42 @@ def test_pair_model_needs_the_conjugation(monkeypatch):
     assert rep.details == ()
 
 
+def test_iso_f16m4_finds_two_equal_basis_images(monkeypatch):
+    """The basis element w (bit 1 of coefficient 0) is sent to the image of
+    1: the 16 basis images have rank 15 and span half of M4(F2)."""
+    real = verify.iso_f16_to_m4
+
+    def merged(x):
+        if x.masks == (2, 0, 0, 0):
+            x = CyclicElement(F16_ALT, [F16_ALT.one, F16_ALT.zero, F16_ALT.zero, F16_ALT.zero])
+        return real(x)
+
+    monkeypatch.setattr(verify, "iso_f16_to_m4", merged)
+    rep = verify.run_claim("iso_f16m4")
+    assert not rep.passed
+    assert rep.witness == "extended map hits only 32768 of 65536 matrices"
+    # the first sample mask with bit 1 set is rebuilt from the wrong image
+    assert rep.details[-1] == "FAILURE: linearity reconstruction differs at mask 62306"
+
+
+def test_iso_f16m4_finds_a_perturbed_sample_image(monkeypatch):
+    """The image of sample mask 31153, which is no basis element, gains the
+    identity: the basis still spans M4(F2), and that sample is the first
+    whose reconstruction from the basis images differs."""
+    real = verify.iso_f16_to_m4
+    masks = tuple(31153 >> 4 * j & 15 for j in range(4))
+
+    def perturbed(x):
+        image = real(x)
+        return image + RingMatrix.identity(F2, 4) if x.masks == masks else image
+
+    monkeypatch.setattr(verify, "iso_f16_to_m4", perturbed)
+    rep = verify.run_claim("iso_f16m4")
+    assert not rep.passed
+    assert rep.witness == "linearity reconstruction differs at mask 31153"
+    assert rep.details[-1] == "additive extension is a bijection onto M4(F2)"
+
+
 def test_f_basis_finds_a_dropped_term(monkeypatch):
     """to_f_basis with x_3 left out of y_0 breaks the round trip first at
     the first element with x_3 != 0."""
@@ -753,3 +791,95 @@ def test_product_scans_build_the_sigma_tables_once_per_scan(monkeypatch):
     assert verify.run_claim("iso_f8m3").passed
     # regular_rep builds one set for its rows and one per scan, per ring
     assert built == [("f4", 2), ("f4", 2), ("f8", 3), ("f8", 3), ("f8", 3)]
+
+
+def _per_pair_pair_model_failures(ring, base):
+    """The first pair (x, y), in pair order, at which a pair model's
+    additivity fails and the first at which its multiplicativity fails, each
+    as ((ix, iy), message) or None.  One pair at a time on entry lists,
+    through the live ``pair_to_matrix`` and ``twisted_pair_mul`` of verify."""
+    pairs = list(itertools.product(ring, repeat=2))
+    masks = [verify.pair_to_matrix(*p).masks for p in pairs]
+    index = {p: i for i, p in enumerate(pairs)}
+
+    def image(i):
+        return [list(masks[i][:2]), list(masks[i][2:])]
+
+    add = mul = None
+    for ix, p in enumerate(pairs):
+        for iy, q in enumerate(pairs):
+            total = tuple(ring.elements[a.mask ^ b.mask] for a, b in zip(p, q))
+            if add is None and masks[index[total]] != tuple(map(operator.xor, masks[ix], masks[iy])):
+                add = (ix, iy), f"additivity fails at {p}, {q}"
+            if mul is None and image(index[verify.twisted_pair_mul(p, q)]) != _matrix_product(
+                base, image(ix), image(iy)
+            ):
+                mul = (ix, iy), f"multiplicativity fails at {p}, {q}"
+    return add, mul
+
+
+def _per_pair_pair_model_witness(ring, base):
+    """Additivity over all pairs, then multiplicativity."""
+    add, mul = _per_pair_pair_model_failures(ring, base)
+    return (add or mul or (None, "-"))[1]
+
+
+# flipped table -> (claim, pair ring, matrix entry ring)
+_PAIR_MODELS = {
+    F2: ("iso_m2f2_f4j", F4, F2),
+    F4: ("iso_m2f2_f4j", F4, F2),
+    F2I: ("iso_m2f2i_f4ij", F4I, F2I),
+    F4I: ("iso_m2f2i_f4ij", F4I, F2I),
+}
+
+
+@pytest.mark.parametrize(
+    "table, flips",
+    [
+        (F2, ((1, 1),)),
+        (F4, ((2, 3),)),
+        (F4, ((3, 2), (1, 3))),
+        (F2I, ((2, 3),)),
+        (F4I, ((1, 4),)),
+        (F4I, ((10, 13),)),
+        (F4I, ((5, 9), (9, 5))),
+    ],
+    ids=["f2-1x1", "f4-2x3", "f4-3x2-1x3", "f2i-2x3", "f4i-1x4", "f4i-10x13", "f4i-5x9-9x5"],
+)
+def test_pair_model_scans_report_the_per_pair_witness(monkeypatch, table, flips):
+    """Bit 0 of the listed products flipped, on a copy of the table of the
+    pair ring or of the matrix entries' ring: the pair model's lane scans
+    name the pair that a per-pair scan names first."""
+    claim, ring, base = _PAIR_MODELS[table]
+    mul = [row[:] for row in table._mul]
+    for a, b in flips:
+        mul[a][b] ^= 1
+    monkeypatch.setattr(table, "_mul", mul)
+    rep = verify.run_claim(claim)
+    assert not rep.passed
+    assert rep.witness == _per_pair_pair_model_witness(ring, base)
+    assert rep.details == ()
+
+
+def test_pair_model_scans_additivity_before_products(monkeypatch):
+    """The phi images of (0, 1) and (0, w) trade places, and so do their
+    inverses, so the map stays a bijection with that inverse.  In pair
+    order a product fails, at ((0, 1), (0, w)), before additivity does, at
+    ((0, 1), (1, 0)); the additivity scan runs over all pairs first, and
+    the product scan only when nothing has failed."""
+    a, b = (F4.zero, F4.one), (F4.zero, F4.parse("w"))
+    swap = {a: b, b: a}
+
+    def swapped_inverse(m, ring):
+        pair = cyclic.matrix_to_pair(m, ring)
+        return swap.get(pair, pair)
+
+    monkeypatch.setattr(verify, "pair_to_matrix", lambda *p: pair_to_matrix(*swap.get(p, p)))
+    monkeypatch.setattr(verify, "matrix_to_pair", swapped_inverse)
+    add, mul = _per_pair_pair_model_failures(F4, F2)
+    assert mul == ((1, 2), "multiplicativity fails at (f4:0, f4:1), (f4:0, f4:w)")
+    assert add == ((1, 4), "additivity fails at (f4:0, f4:1), (f4:1, f4:0)")
+    rep = verify.run_claim("iso_m2f2_f4j")
+    assert not rep.passed
+    assert rep.witness == add[1]
+    assert rep.details == ()
