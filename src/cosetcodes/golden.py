@@ -29,11 +29,11 @@ matrices whose invertibility class dictates an exact floor on |det|^2:
     ideal (2):    classify u = N(x0bar) + i*N(x1bar) in F2[i];
                   u = 0 -> 4/5,  u nonzero non-unit -> 2/5,  u unit -> 1/5
 
-Each coset has one residue key, x0bar.mask | x1bar.mask << ring.dim for its
-pair over F4 or F4[i].  It is also the word of coordinate parities: mod (1+i)
-bit k is the parity of re + im of the k-th of (a, b, c, d), mod 2 bit k is
-the parity of the k-th of the eight integer coordinates.  The floor tables
-are indexed by it, and the verify oracle keys every codeword of its box by it.
+The ideals are (1+i)^k at depths k = 1 and 2 ((1+i)^2 = 2i).  Each coset
+has one residue key, x0bar.mask | x1bar.mask << ring.dim for its pair over F4
+or F4[i]: the residues of a, b, c, d modulo (1+i)^k in k bits each, a lowest.
+The floor tables are indexed by it.  The scans key halves at the two depths
+written out; the verify oracle keys codewords by ``_key_mod``'s general rule.
 
 The i-twist in u is forced by the algebra: the codeword algebra has e^2 = i
 while the 2x2 pair model uses j^2 = 1, and reducing the determinant identity
@@ -61,71 +61,78 @@ import itertools
 import math
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .cyclic import matrix_to_pair, pair_to_matrix
 from .matrices import ENUMERATION_LIMIT, RingMatrix
-from .rings import F2, F2I, F4, F4I, RingElement, quadratic_norm
+from .rings import F2I, F4, F4I, RingElement, quadratic_norm
 
 
 # ----------------------------------------------------------------------
 # Gaussian integers and golden integers
 
 class GaussianInt:
-    """Exact element of Z[i]."""
+    """Exact element of Z[i], an immutable value like ``GoldenCodeword``:
+    private slots behind the read-only parts ``re`` and ``im``."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_re", "_im")
 
     def __init__(self, re: int = 0, im: int = 0):
-        self.re = re
-        self.im = im
+        self._re, self._im = re, im
+
+    re = property(attrgetter("_re"))
+    im = property(attrgetter("_im"))
 
     def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re + other.re, self.im + other.im)
+        return GaussianInt(self._re + other._re, self._im + other._im)
 
     def __sub__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re - other.re, self.im - other.im)
+        return GaussianInt(self._re - other._re, self._im - other._im)
 
     def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
+        return GaussianInt(-self._re, -self._im)
 
     def __mul__(self, other: "GaussianInt") -> "GaussianInt":
         return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+            self._re * other._re - self._im * other._im,
+            self._re * other._im + self._im * other._re,
         )
 
     def conj(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
+        return GaussianInt(self._re, -self._im)
 
     def abs_sq(self) -> int:
-        return self.re * self.re + self.im * self.im
+        return self._re * self._re + self._im * self._im
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._re == 0 and self._im == 0
+
+    def __reduce__(self) -> tuple:
+        return (GaussianInt, (self._re, self._im))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GaussianInt)
-            and other.re == self.re
-            and other.im == self.im
+            and other._re == self._re
+            and other._im == self._im
         )
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self._re, self._im))
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.im > 0:
-            imag = "i" if self.im == 1 else f"{self.im}i"
-            return f"{self.re}+{imag}" if self.re else imag
-        imag = "-i" if self.im == -1 else f"{self.im}i"
-        return f"{self.re}{imag}" if self.re else imag
+        if self._im == 0:
+            return str(self._re)
+        if self._im > 0:
+            imag = "i" if self._im == 1 else f"{self._im}i"
+            return f"{self._re}+{imag}" if self._re else imag
+        imag = "-i" if self._im == -1 else f"{self._im}i"
+        return f"{self._re}{imag}" if self._re else imag
 
     def __repr__(self) -> str:
-        return f"GaussianInt({self.re}, {self.im})"
+        return f"GaussianInt({self._re}, {self._im})"
 
 
 # An element u + v*theta of Z[i, theta] as the ints (u.re, u.im, v.re, v.im),
@@ -154,13 +161,16 @@ def _golden_sigma(x: _GoldenInts) -> _GoldenInts:
 
 
 class GoldenInt:
-    """Exact element u + v*theta of Z[i, theta], theta^2 = theta + 1."""
+    """Exact element u + v*theta of Z[i, theta], theta^2 = theta + 1, an
+    immutable value with the read-only Gaussian coefficients ``u`` and ``v``."""
 
-    __slots__ = ("u", "v")
+    __slots__ = ("_u", "_v")
 
     def __init__(self, u: GaussianInt, v: GaussianInt):
-        self.u = u
-        self.v = v
+        self._u, self._v = u, v
+
+    u = property(attrgetter("_u"))
+    v = property(attrgetter("_v"))
 
     @classmethod
     def _of(cls, x: _GoldenInts) -> "GoldenInt":
@@ -168,47 +178,50 @@ class GoldenInt:
         return cls(GaussianInt(ur, ui), GaussianInt(vr, vi))
 
     def _ints(self) -> _GoldenInts:
-        return (self.u.re, self.u.im, self.v.re, self.v.im)
+        return (self._u._re, self._u._im, self._v._re, self._v._im)
 
     def __add__(self, other: "GoldenInt") -> "GoldenInt":
-        return GoldenInt(self.u + other.u, self.v + other.v)
+        return GoldenInt(self._u + other._u, self._v + other._v)
 
     def __sub__(self, other: "GoldenInt") -> "GoldenInt":
-        return GoldenInt(self.u - other.u, self.v - other.v)
+        return GoldenInt(self._u - other._u, self._v - other._v)
 
     def __mul__(self, other: "GoldenInt") -> "GoldenInt":
         return GoldenInt._of(_golden_mul(self._ints(), other._ints()))
 
     def galois_conj(self) -> "GoldenInt":
         """theta -> 1 - theta."""
-        return GoldenInt(self.u + self.v, -self.v)
+        return GoldenInt(self._u + self._v, -self._v)
 
     def complex_conj(self) -> "GoldenInt":
         """i -> -i on both coefficients (theta is real)."""
-        return GoldenInt(self.u.conj(), self.v.conj())
+        return GoldenInt(self._u.conj(), self._v.conj())
 
     @property
     def is_zero(self) -> bool:
-        return self.u.is_zero and self.v.is_zero
+        return self._u.is_zero and self._v.is_zero
+
+    def __reduce__(self) -> tuple:
+        return (GoldenInt, (self._u, self._v))
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, GoldenInt) and other.u == self.u and other.v == self.v
+            isinstance(other, GoldenInt) and other._u == self._u and other._v == self._v
         )
 
     def __hash__(self) -> int:
-        return hash((self.u, self.v))
+        return hash((self._u, self._v))
 
     def __str__(self) -> str:
-        return f"({self.u})+({self.v})t"
+        return f"({self._u})+({self._v})t"
 
     def __repr__(self) -> str:
-        return f"GoldenInt({self.u!r}, {self.v!r})"
+        return f"GoldenInt({self._u!r}, {self._v!r})"
 
 
 def golden_norm(x: GoldenInt) -> GaussianInt:
     """N(u + v*theta) = x * galois_conj(x) = u^2 + uv - v^2, in Z[i]."""
-    return x.u * x.u + x.u * x.v - x.v * x.v
+    return x._u * x._u + x._u * x._v - x._v * x._v
 
 
 ALPHA = GoldenInt(GaussianInt(1, 1), GaussianInt(0, -1))     # 1 + i - i*theta
@@ -232,8 +245,8 @@ class GoldenCodeword:
     __slots__ = ("_left", "_right")
 
     def __init__(self, a: GaussianInt, b: GaussianInt, c: GaussianInt, d: GaussianInt):
-        self._left = (a.re, a.im, b.re, b.im)
-        self._right = (c.re, c.im, d.re, d.im)
+        self._left = (a._re, a._im, b._re, b._im)
+        self._right = (c._re, c._im, d._re, d._im)
 
     @classmethod
     def _of(cls, left: _Half, right: _Half) -> "GoldenCodeword":
@@ -338,7 +351,7 @@ def det_complex(cw: GoldenCodeword) -> complex:
     theta_bar = 1.0 - theta
 
     def ev(x: GoldenInt, t: float) -> complex:
-        return complex(x.u.re, x.u.im) + complex(x.v.re, x.v.im) * t
+        return complex(x._u._re, x._u._im) + complex(x._v._re, x._v._im) * t
 
     x0, x1 = cw.x0(), cw.x1()
     a0, a0c = ev(x0, theta), ev(x0, theta_bar)
@@ -381,20 +394,10 @@ class ProjectionClass(Enum):
     UNIT = "unit"
 
 
-def reduce_mod_1pi(g: GaussianInt) -> RingElement:
-    """Z[i] -> Z[i]/(1+i) = F2; the residue is (re + im) mod 2."""
-    return F2.elements[(g.re + g.im) & 1]
-
-
-def reduce_mod_2(g: GaussianInt) -> RingElement:
-    """Z[i] -> Z[i]/(2) = F2[i], coordinatewise parity."""
-    return F2I.elements[(g.re & 1) | ((g.im & 1) << 1)]
-
-
-# The residue key of a half is the mask of its reduction: mod (1+i) bit 0 is
-# the parity of re + im of its first Gaussian coordinate and bit 1 that of
-# its second (F4 = F2 + F2*w), mod 2 the four bits are the parities of its
-# integer coordinates (F4[i] = F2[i] + F2[i]*w).
+# The residue key of a half is ``_key_mod`` at depth 1 or 2 written out: mod
+# (1+i) a Gaussian coordinate leaves the parity of re + im (F4 = F2 + F2*w),
+# mod 2 the parities of re and im (F4[i] = F2[i] + F2[i]*w).  The verify claim
+# projection_compat checks both keys on a window of Gaussians.
 
 def _half_key_1pi(h: Sequence[int]) -> int:
     ar, ai, br, bi = h
@@ -480,28 +483,20 @@ FLOOR_BY_CLASS = {
 }
 
 
-def _key_mod_1pi(coords: Sequence[int]) -> int:
-    ar, ai, br, bi, cr, ci, dr, di = coords
-    return (
-        ((ar + ai) & 1)
-        | ((br + bi) & 1) << 1
-        | ((cr + ci) & 1) << 2
-        | ((dr + di) & 1) << 3
-    )
-
-
-def _key_mod_2(coords: Sequence[int]) -> int:
-    ar, ai, br, bi, cr, ci, dr, di = coords
-    return (
-        (ar & 1)
-        | (ai & 1) << 1
-        | (br & 1) << 2
-        | (bi & 1) << 3
-        | (cr & 1) << 4
-        | (ci & 1) << 5
-        | (dr & 1) << 6
-        | (di & 1) << 7
-    )
+def _key_mod(coords: Sequence[int], depth: int) -> int:
+    """The residue key of the Gaussian coordinates (re, im, re, im, ...)
+    modulo (1+i)^depth: each coordinate's residue in ``depth`` bits, the
+    first coordinate lowest.  With depth = 2j + r (r = 0 or 1) and
+    t = floor(y / 2^j), x + y*i less the ideal's element 2^j*t*(1+i) is
+    (x - 2^j*t) + (y mod 2^j)*i, and 2^(j+r) lies in the ideal: the residue is
+    (x - 2^j*t) mod 2^(j+r) in the low j + r bits, y mod 2^j above them."""
+    j, r = divmod(depth, 2)
+    low, high = (1 << j + r) - 1, (1 << j) - 1
+    key = 0
+    pairs = reversed(coords)  # (im, re) of each coordinate, the last first
+    for y, x in zip(pairs, pairs):
+        key = key << depth | (x - (y >> j << j)) & low | (y & high) << j + r
+    return key
 
 
 # The floor tables list the pairs in residue-key order: x1 outer, x0 inner.

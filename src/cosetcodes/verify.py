@@ -303,10 +303,10 @@ def _sigma_tables(ring, n: int) -> list[list[int]]:
 #
 # The pass tabulates each of the (2*box+1)^4 halves once as a left half
 # (a, b) and once as a right half (c, d): its norm and the full-coordinate
-# key of the codeword that pads it with zeros (the oracle's own
-# ``_key_mod_*``, never the library's half keys).  It then visits every
-# pair, left half outer and right half inner, which is lexicographic
-# codeword order, and gives each codeword its own m and its own key.
+# key of the codeword that pads it with zeros (``golden._key_mod``, never
+# the library's half keys).  It then visits every pair, left half outer and
+# right half inner, which is lexicographic codeword order, and gives each
+# codeword its own m and its own key.
 #
 # A nonzero left half with norm p + q*i scores every right half at once, on
 # lanes: lane j of (p^2 + q^2)*ones + 2p*lanes_s - 2q*lanes_r + lanes_rs is
@@ -329,9 +329,9 @@ def _ideal_key_and_floors(ideal: str) -> tuple[Callable, Callable[[], list[int]]
     """The full-coordinate residue key function and the floor table builder
     of ideal "1pi" or "2", looked up in golden at call time."""
     if ideal == "1pi":
-        return golden._key_mod_1pi, golden.floor_table_mod_1pi
+        return functools.partial(golden._key_mod, depth=1), golden.floor_table_mod_1pi
     if ideal == "2":
-        return golden._key_mod_2, golden.floor_table_mod_2
+        return functools.partial(golden._key_mod, depth=2), golden.floor_table_mod_2
     raise ValueError("ideal must be '1pi' or '2'")
 
 
@@ -852,24 +852,23 @@ def certify_projection_compat(failures: list[str], details: list[str]) -> None:
     the conjugated labeling fails, precisely when both second slots are
     units (e^2 = i in the algebra, j^2 = 1 in the model, i != 1 mod 2).
     The claim asserts exactly this three-way split."""
-    # single-coordinate additivity + membership over a +/-2 window
+    # the library's half keys, read at call time as the scans read them, on a
+    # +/-2 window: g in either slot, and additivity (g, h) + (h, g) = (g+h, g+h)
     window = [GaussianInt(r, i) for r in range(-2, 3) for i in range(-2, 3)]
+    keys = (("mod-(1+i)", golden._HALF_KEYS["1pi"][0]), ("mod-2", golden._HALF_KEYS["2"][0]))
 
     def window_failures() -> Iterator[str]:
         for g in window:
             # g divisible by (1+i) iff g*(1-i)/2 is integral; by 2 iff both parts even
-            div_1pi = (g.re + g.im) % 2 == 0
-            if golden.reduce_mod_1pi(g).is_zero != div_1pi:
-                yield f"mod-(1+i) membership mismatch at {g}"
-            div_2 = g.re % 2 == 0 and g.im % 2 == 0
-            if golden.reduce_mod_2(g).is_zero != div_2:
-                yield f"mod-2 membership mismatch at {g}"
+            divides = ((g.re + g.im) % 2 == 0, g.re % 2 == 0 and g.im % 2 == 0)
+            for (label, key), div in zip(keys, divides):
+                if (key((g.re, g.im, 0, 0)) == 0) != div or (key((0, 0, g.re, g.im)) == 0) != div:
+                    yield f"{label} membership mismatch at {g}"
             for h in window:
-                s = g + h
-                if golden.reduce_mod_1pi(s) != golden.reduce_mod_1pi(g) + golden.reduce_mod_1pi(h):
-                    yield f"mod-(1+i) additivity fails at {g}, {h}"
-                if golden.reduce_mod_2(s) != golden.reduce_mod_2(g) + golden.reduce_mod_2(h):
-                    yield f"mod-2 additivity fails at {g}, {h}"
+                gh, hg, s = (g.re, g.im, h.re, h.im), (h.re, h.im, g.re, g.im), g + h
+                for label, key in keys:
+                    if key(gh) ^ key(hg) != key((s.re, s.im, s.re, s.im)):
+                        yield f"{label} additivity fails at {g}, {h}"
 
     _first_failure(failures, window_failures())
 
@@ -889,29 +888,32 @@ def certify_projection_compat(failures: list[str], details: list[str]) -> None:
     def at(x: GoldenCodeword, y: GoldenCodeword, sep: str) -> str:
         return f"x=({x.x0()}{sep}{x.x1()}), y=({y.x0()}{sep}{y.x1()})"
 
-    def product_failures() -> Iterator[str]:
-        nonlocal raw_mismatch, raw_mismatches, mod2_mismatch, mod2_mismatches
-        for ix, x in enumerate(elements):
-            x1_unit = hom2[ix][1].is_unit
-            for iy, y in enumerate(elements):
-                z = golden_pair_mul(x, y)
-                rz1 = golden.project_pair_mod_1pi(z)
-                if (rz1[0], conj4[rz1[1]]) != twisted_pair_mul(hom1[ix], hom1[iy]):
-                    yield f"conjugated mod-(1+i) multiplicativity fails at {at(x, y, ',')}"
-                if rz1 != twisted_pair_mul(raw1[ix], raw1[iy]):
-                    raw_mismatches += 1
-                    if raw_mismatch is None:
-                        raw_mismatch = at(x, y, ", ")
-                rz2 = golden.project_pair_mod_2(z)
-                differs = (rz2[0], conj4i[rz2[1]]) != twisted_pair_mul(hom2[ix], hom2[iy])
-                if differs != (x1_unit and hom2[iy][1].is_unit):
-                    yield f"mod-2 failure locus breaks the both-units rule at {at(x, y, ',')}"
-                if differs:
-                    mod2_mismatches += 1
-                    if mod2_mismatch is None:
-                        mod2_mismatch = at(x, y, ", ")
-
-    _first_failure(failures, product_failures())
+    # every product is scanned, so both summaries count all 65536; the
+    # failures are the first conjugated and the first locus failure
+    first: dict[str, str] = {}
+    for ix, x in enumerate(elements):
+        x1_unit = hom2[ix][1].is_unit
+        for iy, y in enumerate(elements):
+            z = golden_pair_mul(x, y)
+            rz1 = golden.project_pair_mod_1pi(z)
+            conj_differs = (rz1[0], conj4[rz1[1]]) != twisted_pair_mul(hom1[ix], hom1[iy])
+            if conj_differs and "conj" not in first:
+                first["conj"] = f"conjugated mod-(1+i) multiplicativity fails at {at(x, y, ',')}"
+            if rz1 != twisted_pair_mul(raw1[ix], raw1[iy]):
+                raw_mismatches += 1
+                if raw_mismatch is None:
+                    raw_mismatch = at(x, y, ", ")
+            rz2 = golden.project_pair_mod_2(z)
+            differs = (rz2[0], conj4i[rz2[1]]) != twisted_pair_mul(hom2[ix], hom2[iy])
+            if differs != (x1_unit and hom2[iy][1].is_unit) and "locus" not in first:
+                first["locus"] = (
+                    f"mod-2 failure locus breaks the both-units rule at {at(x, y, ',')}"
+                )
+            if differs:
+                mod2_mismatches += 1
+                if mod2_mismatch is None:
+                    mod2_mismatch = at(x, y, ", ")
+    failures.extend(first.values())
 
     if raw_mismatch is None:
         failures.append(
@@ -919,11 +921,11 @@ def certify_projection_compat(failures: list[str], details: list[str]) -> None:
             "the left/right twist should break it"
         )
     else:
+        repairs = "" if "conj" in first else "; conjugating the second slot repairs all 65536"
         details.append(
             f"plain pair (x0bar, x1bar) is not multiplicative mod (1+i) "
             f"(expected, e sits left of x1): {raw_mismatches} of 65536 "
-            f"products differ, first at {raw_mismatch}; conjugating the "
-            f"second slot repairs all 65536"
+            f"products differ, first at {raw_mismatch}{repairs}"
         )
     if mod2_mismatch is None:
         failures.append(

@@ -36,8 +36,6 @@ from cosetcodes.golden import (
     project_mod_1pi,
     project_pair_mod_1pi,
     project_pair_mod_2,
-    reduce_mod_1pi,
-    reduce_mod_2,
     scan_det_floors,
 )
 from cosetcodes.matrices import RingMatrix
@@ -170,6 +168,29 @@ def test_codeword_value_semantics():
     assert len({cw, same, product, golden_pair_mul(cw, one)}) == 1
 
 
+def test_gaussian_and_golden_ints_are_values():
+    """Like GoldenCodeword: read-only parts, so a set keeps finding its
+    members, and every pickle protocol round-trips."""
+    g = GaussianInt(1, 0)
+    x = GoldenInt(GaussianInt(1, -2), GaussianInt(0, 3))
+    members = {g, x}
+    for value, names in ((g, ("re", "im")), (x, ("u", "v"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 3)
+        with pytest.raises(AttributeError):
+            value.w = 0
+        assert not hasattr(value, "__dict__")
+    assert (g.re, g.im, x.u, x.v) == (1, 0, GaussianInt(1, -2), GaussianInt(0, 3))
+    assert g in members and GaussianInt(1, 0) in members and GaussianInt(3, 0) not in members
+    assert GoldenInt(GaussianInt(1, -2), GaussianInt(0, 3)) in members
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for value in (g, GaussianInt(1, 2), x):
+            copied = pickle.loads(pickle.dumps(value, protocol))
+            assert copied == value and hash(copied) == hash(value)
+    assert copy.copy(x) == x and copy.deepcopy(x) == x
+
+
 def test_golden_pair_mul_e_squared_is_i():
     zero = GoldenInt(GaussianInt(0, 0), GaussianInt(0, 0))
     one = GoldenInt(GaussianInt(1, 0), GaussianInt(0, 0))
@@ -187,13 +208,48 @@ def test_golden_pair_mul_associative(t1, t2, t3):
     )
 
 
+def _reduce_mod_1pi(re, im):
+    """Z[i] -> Z[i]/(1+i) = F2 through the oracle's residue key."""
+    return F2.elements[golden._key_mod((re, im), 1)]
+
+
+def _reduce_mod_2(re, im):
+    """Z[i] -> Z[i]/(2) = F2[i] through the oracle's residue key."""
+    return F2I.elements[golden._key_mod((re, im), 2)]
+
+
 def test_reductions():
-    assert reduce_mod_1pi(GaussianInt(1, 1)).is_zero
-    assert reduce_mod_1pi(GaussianInt(2, -1)) == F2.one
-    assert reduce_mod_2(GaussianInt(2, 2)).is_zero
-    assert reduce_mod_2(GaussianInt(1, 0)) == F2I.one
-    assert reduce_mod_2(GaussianInt(0, 1)) == F2I.gen_i
-    assert reduce_mod_2(GaussianInt(-1, 3)) == F2I.one + F2I.gen_i
+    assert _reduce_mod_1pi(1, 1).is_zero
+    assert _reduce_mod_1pi(2, -1) == F2.one
+    assert _reduce_mod_2(2, 2).is_zero
+    assert _reduce_mod_2(1, 0) == F2I.one
+    assert _reduce_mod_2(0, 1) == F2I.gen_i
+    assert _reduce_mod_2(-1, 3) == F2I.one + F2I.gen_i
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_key_mod_is_the_residue_mod_a_power_of_1_plus_i(depth):
+    """Two Gaussians x + y*i with |x|, |y| <= 9 share their key iff
+    (1+i)^depth divides their difference, i.e. iff the difference times
+    (1-i)^depth has both parts divisible by 2^depth; all 2^depth residues
+    occur, and a codeword's key packs its coordinates' keys, a lowest."""
+    span = range(-9, 10)
+    divisible = {}
+    for dx, dy in itertools.product(range(-18, 19), repeat=2):
+        z = GaussianInt(dx, dy)
+        for _ in range(depth):
+            z = z * GaussianInt(1, -1)
+        divisible[dx, dy] = z.re % 2**depth == 0 and z.im % 2**depth == 0
+    keys = {g: golden._key_mod(g, depth) for g in itertools.product(span, repeat=2)}
+    assert set(keys.values()) == set(range(2**depth))
+    for (x, y), key in keys.items():
+        for (u, v), other in keys.items():
+            assert (key == other) == divisible[x - u, y - v], ((x, y), (u, v))
+    rng = random.Random(depth)
+    for _ in range(200):
+        coords = [rng.choice(span) for _ in range(8)]
+        packed = sum(keys[tuple(coords[2 * k:2 * k + 2])] << depth * k for k in range(4))
+        assert golden._key_mod(coords, depth) == packed
 
 
 @given(s=coords8, t=coords8)
@@ -312,20 +368,17 @@ def test_empty_coset_keeps_its_message():
 
 
 @pytest.mark.parametrize(
-    "ideal,ring,keyfn,project",
-    [
-        ("1pi", F4, golden._key_mod_1pi, project_pair_mod_1pi),
-        ("2", F4I, golden._key_mod_2, project_pair_mod_2),
-    ],
+    "ideal,ring,depth,project",
+    [("1pi", F4, 1, project_pair_mod_1pi), ("2", F4I, 2, project_pair_mod_2)],
     ids=["1pi", "2"],
 )
-def test_one_residue_key(ideal, ring, keyfn, project):
+def test_one_residue_key(ideal, ring, depth, project):
     """The oracle's coordinate key of every codeword in the +/-1 box is
     x0.mask | x1.mask << ring.dim of its projected pair, and the library
     keys the coset of every pair the same way."""
     for coords in itertools.product(range(-1, 2), repeat=8):
         x0, x1 = project(GoldenCodeword.from_ints(coords))
-        assert keyfn(coords) == x0.mask | x1.mask << ring.dim
+        assert golden._key_mod(coords, depth) == x0.mask | x1.mask << ring.dim
     for x0 in ring:
         for x1 in ring:
             key = golden._coset_key(pair_to_matrix(x0, x1), ideal)
@@ -333,19 +386,21 @@ def test_one_residue_key(ideal, ring, keyfn, project):
 
 
 def test_key_mod_2_matches_the_bitwise_loop():
-    """The one-expression mod-2 key is the full-coordinate parity key: bit
-    pos is the parity of coordinate pos, negative coordinates included."""
+    """At depths 1 and 2 the key is the word of coordinate parities: at
+    depth 2 bit pos is the parity of coordinate pos, at depth 1 bit k the
+    parity of re + im of Gaussian coordinate k, negatives included."""
 
-    def loop_key(coords):
+    def loop_key(coords, depth):
         key = 0
         for pos, v in enumerate(coords):
-            key |= (v & 1) << pos
+            key ^= (v & 1) << (pos if depth == 2 else pos // 2)
         return key
 
     rng = random.Random(20261018)
     for _ in range(2000):
         coords = tuple(rng.randint(-5, 5) for _ in range(8))
-        assert golden._key_mod_2(coords) == loop_key(coords)
+        for depth in (1, 2):
+            assert golden._key_mod(coords, depth) == loop_key(coords, depth)
 
 
 @pytest.mark.parametrize("ideal,ring", [("1pi", F4), ("2", F4I)], ids=["1pi", "2"])
@@ -503,12 +558,12 @@ def test_projections_match_the_reduction_route():
     box2 = [[rng.randint(-2, 2) for _ in range(8)] for _ in range(2000)]
     for coords in itertools.chain(box1, box2):
         cw = GoldenCodeword.from_ints(coords)
-        a, b, c, d = cw.coords()
+        a, b, c, d = (coords[k:k + 2] for k in range(0, 8, 2))
         assert project_pair_mod_1pi(cw) == (
-            F4.from_w_components(reduce_mod_1pi(a), reduce_mod_1pi(b)),
-            F4.from_w_components(reduce_mod_1pi(c), reduce_mod_1pi(d)),
+            F4.from_w_components(_reduce_mod_1pi(*a), _reduce_mod_1pi(*b)),
+            F4.from_w_components(_reduce_mod_1pi(*c), _reduce_mod_1pi(*d)),
         )
         assert project_pair_mod_2(cw) == (
-            F4I.from_w_components(reduce_mod_2(a), reduce_mod_2(b)),
-            F4I.from_w_components(reduce_mod_2(c), reduce_mod_2(d)),
+            F4I.from_w_components(_reduce_mod_2(*a), _reduce_mod_2(*b)),
+            F4I.from_w_components(_reduce_mod_2(*c), _reduce_mod_2(*d)),
         )

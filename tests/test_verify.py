@@ -478,8 +478,8 @@ def _reversed_pair(monkeypatch, name):
 
 
 def test_projection_compat_finds_a_reversed_1pi_pair(monkeypatch):
-    """The scan stops at its first product failure, before any mod-2
-    mismatch is counted, so the mod-2 summary reports a failure too."""
+    """The scan goes on past its first product failure, so the mod-2
+    summary, which the reversal does not touch, still counts every product."""
     _reversed_pair(monkeypatch, "project_pair_mod_1pi")
     rep = verify.run_claim("projection_compat")
     assert not rep.passed
@@ -488,9 +488,34 @@ def test_projection_compat_finds_a_reversed_1pi_pair(monkeypatch):
         "x=((0)+(0)t,(0)+(i)t), y=((0)+(0)t,(0)+(i)t)"
     )
     assert rep.details[-1] == (
-        "FAILURE: mod-2 multiplicativity unexpectedly holds — "
-        "the e^2 = i twist should break it"
+        "mod-2 multiplicativity fails exactly when both second slots are units "
+        "(expected, e^2 = i vs j^2 = 1): 36864 of 65536 products differ, "
+        "first at x=((0)+(0)t, (0)+(i)t), y=((0)+(0)t, (0)+(i)t)"
     )
+
+
+def test_projection_compat_counts_every_product_past_a_late_defect(monkeypatch):
+    """A 1pi projection reversed from its 40 000th call on: both summaries
+    count all 65536 products, and the plain-pair line no longer says that
+    conjugating repairs them all."""
+    real = golden.project_pair_mod_1pi
+    calls = 0
+
+    def late(cw):
+        nonlocal calls
+        calls += 1
+        return real(cw)[::-1] if calls >= 40000 else real(cw)
+
+    monkeypatch.setattr(golden, "project_pair_mod_1pi", late)
+    rep = verify.run_claim("projection_compat")
+    assert not rep.passed
+    assert rep.witness == (
+        "conjugated mod-(1+i) multiplicativity fails at "
+        "x=((1)+(i)t,(1)+(1+i)t), y=((i)+(0)t,(0)+(0)t)"
+    )
+    plain, mod2 = rep.details
+    assert "45888 of 65536 products differ" in plain and "repairs" not in plain
+    assert "36864 of 65536 products differ" in mod2
 
 
 def test_projection_compat_finds_a_reversed_mod2_pair(monkeypatch):
@@ -501,6 +526,19 @@ def test_projection_compat_finds_a_reversed_mod2_pair(monkeypatch):
         "mod-2 failure locus breaks the both-units rule at "
         "x=((0)+(0)t,(0)+(i)t), y=((0)+(0)t,(0)+(i)t)"
     )
+
+
+@pytest.mark.parametrize("ideal,label", [("1pi", "mod-(1+i)"), ("2", "mod-2")])
+def test_projection_compat_checks_the_half_keys_the_scans_run(monkeypatch, ideal, label):
+    """A half key whose second slot reads ai for bi keeps g = -2-i in the
+    second slot in the ideal: the window check reads the keys from
+    golden._HALF_KEYS at call time, as the scans do."""
+    half_key, bits = golden._HALF_KEYS[ideal]
+    misread = (lambda h: half_key((h[0], h[1], h[2], h[1])), bits)
+    monkeypatch.setitem(golden._HALF_KEYS, ideal, misread)
+    rep = verify.run_claim("projection_compat")
+    assert not rep.passed
+    assert rep.witness == f"{label} membership mismatch at -2-i"
 
 
 def test_projection_compat_stays_exhaustive(monkeypatch):
@@ -612,7 +650,7 @@ def test_brute_box_scan_matches_a_per_codeword_reference(monkeypatch):
 def _per_codeword_box_scan(ideal, box):
     """brute_box_scan one codeword at a time: left half outer, right half
     inner, each codeword scored and keyed on its own."""
-    keyfn = golden._key_mod_1pi if ideal == "1pi" else golden._key_mod_2
+    keyfn = functools.partial(golden._key_mod, depth=1 if ideal == "1pi" else 2)
     table = (golden.floor_table_mod_1pi if ideal == "1pi" else golden.floor_table_mod_2)()
     norm = golden.norm_ints
     pad = (0,) * 4
@@ -632,6 +670,27 @@ def _per_codeword_box_scan(ideal, box):
                 best[key] = (m, hl + hr)
     counts = [sum(n for f, n in zip(table, key_counts) if f == floor) for floor in (4, 2, 1)]
     return sum(key_counts), violations, counts, best
+
+
+def _key_mod_without_t(coords, depth):
+    """golden._key_mod with the correction x - 2^j*t dropped to x."""
+    j, r = divmod(depth, 2)
+    key = 0
+    for pos in range(len(coords) // 2):
+        x, y = coords[2 * pos], coords[2 * pos + 1]
+        key |= (x % 2 ** (j + r) | y % 2**j << j + r) << depth * pos
+    return key
+
+
+def test_box_claims_catch_a_key_mod_without_its_t_correction(monkeypatch):
+    """Without t the depth-1 key is the parity of re alone, so the oracle's
+    cosets mod (1+i) are wrong; at depth 2, 2^j*t is 0 mod 2 and the keys
+    do not change."""
+    expected = verify.run_claim("det_floors_2")
+    monkeypatch.setattr(golden, "_key_mod", _key_mod_without_t)
+    for claim in ("det_floors_1pi", "delta_min_rep2"):
+        assert not verify.run_claim(claim).passed, claim
+    assert verify.run_claim("det_floors_2").tsv_line() == expected.tsv_line()
 
 
 def _raise_floors(monkeypatch, floors):
