@@ -853,21 +853,21 @@ def certify_projection_compat(failures: list[str], details: list[str]) -> None:
     units (e^2 = i in the algebra, j^2 = 1 in the model, i != 1 mod 2).
     The claim asserts exactly this three-way split."""
     # the library's half keys, read at call time as the scans read them, on a
-    # +/-2 window: g in either slot, and additivity (g, h) + (h, g) = (g+h, g+h)
-    window = [GaussianInt(r, i) for r in range(-2, 3) for i in range(-2, 3)]
+    # +/-2 window of g = x + y*i: g in either slot of a half, and additivity
+    # on the halves (g, h) + (h, g) = (g + h, g + h)
+    window = list(itertools.product(range(-2, 3), repeat=2))
     keys = (("mod-(1+i)", golden._HALF_KEYS["1pi"][0]), ("mod-2", golden._HALF_KEYS["2"][0]))
 
     def window_failures() -> Iterator[str]:
-        for g in window:
+        for x, y in window:
             # g divisible by (1+i) iff g*(1-i)/2 is integral; by 2 iff both parts even
-            divides = ((g.re + g.im) % 2 == 0, g.re % 2 == 0 and g.im % 2 == 0)
-            for (label, key), div in zip(keys, divides):
-                if (key((g.re, g.im, 0, 0)) == 0) != div or (key((0, 0, g.re, g.im)) == 0) != div:
-                    yield f"{label} membership mismatch at {g}"
-            for h in window:
-                gh, hg, s = (g.re, g.im, h.re, h.im), (h.re, h.im, g.re, g.im), g + h
+            for (label, key), div in zip(keys, ((x + y) % 2 == 0, x % 2 == 0 and y % 2 == 0)):
+                if (key((x, y, 0, 0)) == 0) != div or (key((0, 0, x, y)) == 0) != div:
+                    yield f"{label} membership mismatch at {GaussianInt(x, y)}"
+            for u, v in window:
                 for label, key in keys:
-                    if key(gh) ^ key(hg) != key((s.re, s.im, s.re, s.im)):
+                    if key((x, y, u, v)) ^ key((u, v, x, y)) != key((x + u, y + v) * 2):
+                        g, h = GaussianInt(x, y), GaussianInt(u, v)
                         yield f"{label} additivity fails at {g}, {h}"
 
     _first_failure(failures, window_failures())
