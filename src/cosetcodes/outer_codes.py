@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -360,7 +361,8 @@ def min_distance(code: LinearCode | MappedCode, kind: WeightKind = WeightKind.HA
     has the weight of c.
 
     Blocks of at most 8 bits, spread if they do not tile a byte (3-bit f8
-    symbols), are weighed a byte at a time by a 256-entry table.
+    symbols), are weighed a byte at a time by a 256-entry table, many words
+    per call as lanes of one int.
 
     LEE gives 0 on every F4[i]-linear code: (1+i)c is a codeword whose
     coordinates have norm 0, and if (1+i)c = 0, c has only such coordinates."""
@@ -400,22 +402,73 @@ def min_distance(code: LinearCode | MappedCode, kind: WeightKind = WeightKind.HA
             if list(map(table.__getitem__, act)) == table:
                 units.append(row)
     reps = sorted({*map(min, zip(*units))} - {0})  # the least of each orbit
+    size = (blocks * field + 7) // 8
+    # The words of the last rows, at most 2^12, are weighed as one block of
+    # lanes while every lane sum fits in a byte; heavier words and wide
+    # blocks are weighed one word at a time.
+    dim = base.alphabet.dim
+    depth = 12 // dim if field <= 8 and max(blocks * max(table), size) < 256 else 0
     if field <= 8:  # the weight of the fields packed in each byte; a spread
         # field repeats the table, whose first copy alone is read (top bits 0)
         table = bytes(map(sum, itertools.product(table * (1 << field - bits), repeat=8 // field)))
-    # first nonzero symbol at row i: a representative, then any tail
-    words = []
+    least = math.inf
     for i, row in enumerate(scaled):
-        heads = [*map(row.__getitem__, reps)]
-        words.append(_packed_words([heads, *scaled[i + 1 :]]))
-    size = (blocks * field + 7) // 8
-    return min(
-        sum(word.to_bytes(size, "little").translate(table))
-        if field <= 8
-        else sum(_unpack(word, bits, blocks, table))
-        for word in itertools.chain(*words)
-        if word
-    )
+        # first nonzero symbol at row i: a representative, then any tail;
+        # the last ``depth`` rows make the lanes, the rows before a prefix
+        split = max(i + 1, len(scaled) - depth)
+        lanes, ones = _lanes(scaled[split:], size)
+        count = 1 << dim * (len(scaled) - split)
+        for prefix in _packed_words([[*map(row.__getitem__, reps)], *scaled[i + 1 : split]]):
+            least = min(least, _least_weight(lanes ^ prefix * ones, count, size, table, field))
+    return least
+
+
+_NONZERO = bytes(map(bool, range(256)))  # 1 for each nonzero byte
+
+
+def _lanes(tables: list[list[int]], size: int) -> tuple[int, int]:
+    """Every XOR of one entry per table as size-byte lanes, and 1 in each."""
+    # Lanes in message order, grown a table at a time from the last: one
+    # XOR of the block so far per table entry, never one step per word.
+    lanes, ones, width = 0, 1, size
+    for table in reversed(tables):
+        pieces = ((lanes ^ t * ones).to_bytes(width, "little") for t in table)
+        lanes = int.from_bytes(b"".join(pieces), "little")
+        ones = int.from_bytes(ones.to_bytes(width, "little") * len(table), "little")
+        width *= len(table)
+    return lanes, ones
+
+
+def _lane_sums(raw: bytes, table: bytes, size: int) -> bytes:
+    """The sum of table[b] over the bytes b of each size-byte lane."""
+    # Times 0x0101...01, byte p holds the sum of the ``size`` bytes up to p:
+    # a whole lane at its top byte.  No such sum may reach 256 (a carry).
+    total = int.from_bytes(raw.translate(table), "little") * int.from_bytes(b"\1" * size, "little")
+    return total.to_bytes(len(raw) + size, "little")[size - 1 : len(raw) : size]
+
+
+def _least_weight(
+    lanes: int, count: int, size: int, table: bytes | list[int], field: int
+) -> int | float:
+    """The least weight of a nonzero word in the lanes, or inf."""
+    # table weighs a byte, or a field if fields are wider than 8 bits
+    if count == 1:  # one word of any weight, also 256 or more
+        if not lanes:
+            return math.inf
+        if field > 8:
+            return sum(_unpack(lanes, field, 8 * size // field, table))
+        return sum(lanes.to_bytes(size, "little").translate(table))
+    raw = lanes.to_bytes(count * size, "little")
+    weights = _lane_sums(raw, table, size)
+    # Every kind weighs the zero word 0: where as many words weigh 0 as
+    # have no nonzero byte, those are zero words, and the least is above 0.
+    start = 0
+    if 0 in weights and weights.count(0) == _lane_sums(raw, _NONZERO, size).count(0):
+        start = 1
+    for w in range(start, 256):  # a byte search each, not a loop over words
+        if w in weights:
+            return w
+    return math.inf
 
 
 # ----------------------------------------------------------------------

@@ -248,6 +248,13 @@ def test_mindist(capsys, argv, expected):
     assert out == expected + "\n"
 
 
+def test_mindist_searches_four_million_messages(capsys):
+    """The [13,12] parity code over f4 has 4^12 messages; the search weighs
+    the 5 592 405 words after a head 1 in blocks of lanes."""
+    rc, out, _ = run(capsys, "mindist", "--code", "parity", "--L", "13", "--ring", "f4")
+    assert (rc, out) == (0, "2\n")
+
+
 def test_enumerate_streams_lexicographically(capsys):
     rc, out, _ = run(capsys, "enumerate", "--ring", "f2", "--n", "2")
     assert rc == 0

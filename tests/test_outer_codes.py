@@ -410,17 +410,16 @@ def test_scaled_rows_do_not_enumerate_the_alphabet(monkeypatch):
     ids=["rs16_4", "pairs-parity8-f4", "lee-parity4-f4i", "parity3-m2f2"],
 )
 def test_min_distance_visits_one_message_per_unit_orbit(monkeypatch, code, kind, words):
-    """Counted as the words the packed generator yields."""
+    """Counted as the words of the lane blocks that are weighed."""
     seen = 0
-    packed = outer_codes._packed_words
+    least_weight = outer_codes._least_weight
 
-    def counted(scaled):
+    def counted(lanes, count, *args):
         nonlocal seen
-        for word in packed(scaled):
-            seen += 1
-            yield word
+        seen += count
+        return least_weight(lanes, count, *args)
 
-    monkeypatch.setattr(outer_codes, "_packed_words", counted)
+    monkeypatch.setattr(outer_codes, "_least_weight", counted)
     min_distance(code, kind)
     assert seen == words
 
@@ -605,3 +604,120 @@ def test_lee_weight_gives_no_distance_on_f4i_linear_codes(name, ring_name):
             assert lee_word_weight(c) == 0
     assert any(c != zero and lee_word_weight(c) == 0 for c in words)
     assert min_distance(code, WeightKind.LEE) == 0
+
+
+# ----------------------------------------------------------------------
+# lane blocks: many words weighed per call
+
+
+def _recorded_blocks(monkeypatch):
+    """(word count, least weight) of every block min_distance weighs."""
+    blocks = []
+    least_weight = outer_codes._least_weight
+
+    def recorded(lanes, count, *args):
+        blocks.append((count, least_weight(lanes, count, *args)))
+        return blocks[-1][1]
+
+    monkeypatch.setattr(outer_codes, "_least_weight", recorded)
+    return blocks
+
+
+def test_min_distance_spans_several_lane_blocks(monkeypatch):
+    """RS[16,5] is MDS, so d = 16 - 5 + 1 = 12.  Its first row's words come
+    in 16 blocks of 4096, one per prefix over the first two rows."""
+    blocks = _recorded_blocks(monkeypatch)
+    assert min_distance(reed_solomon_code(5)) == 12
+    assert [count for count, _ in blocks] == [4096] * 17 + [256, 16, 1]
+
+
+def _doubled_inner_pair():
+    """inner_pair with its row (0, 1+i) twice: after a head h(0, 1+i), the
+    lanes add a(0, 1+i), and the word is zero wherever (h + a)(1+i) = 0."""
+    code = inner_parity_pair_code()
+    return dataclasses.replace(code, k=3, rows=code.rows + code.rows[1:], name="inner-pair2")
+
+
+def test_lane_blocks_skip_zero_words(monkeypatch):
+    """Zero words inside a lane block weigh 0 but are no distance.  A route
+    that drops the zero-word check (planted here by counting every byte as
+    nonzero) reads 0."""
+    code = _doubled_inner_pair()
+    want = _brute_min_distance(list(code.codewords()), WeightKind.HAMMING)
+    assert want == min_distance(code) == 1
+    assert min_distance(inner_parity_pair_code()) == 1
+    monkeypatch.setattr(outer_codes, "_NONZERO", bytes([1]) * 256)
+    assert min_distance(code) == 0
+
+
+def test_lane_blocks_keep_nonzero_words_of_lee_weight_zero(monkeypatch):
+    """Nonzero words whose coordinates are multiples of 1+i weigh 0 under
+    Lee; a lane block that holds them reads 0."""
+    blocks = _recorded_blocks(monkeypatch)
+    code = parity_check_code(4, F4I)
+    assert _brute_min_distance(list(code.codewords()), WeightKind.LEE) == 0
+    assert min_distance(code, WeightKind.LEE) == 0
+    assert any(count > 1 and least == 0 for count, least in blocks)
+
+
+def test_lane_blocks_weigh_spread_f8_fields(monkeypatch):
+    """3-bit f8 symbols in 4-bit fields: a parity code has d = 2."""
+    blocks = _recorded_blocks(monkeypatch)
+    assert min_distance(parity_check_code(6, F8)) == 2
+    assert max(count for count, _ in blocks) == 4096
+
+
+def _heavy_code(L):
+    """Rows all-ones and all-ones but the last over f16: the words after
+    head 1 weigh L, except (0, ..., 0, 1), which weighs 1."""
+    one = (F16.one,) * L
+    return LinearCode(F16, L, 2, (one, one[:-1] + (F16.zero,)), name=f"heavy{L}")
+
+
+@pytest.mark.parametrize("L", [255, 256])
+def test_lane_sums_stop_below_256(monkeypatch, L):
+    """A lane sum must fit in its byte: words of weight 255 share a block,
+    words that may weigh 256 are weighed one at a time (a sum of 256 would
+    read 0 and carry into the next lane)."""
+    assert min_distance(repetition_code(L, F16)) == L
+    blocks = _recorded_blocks(monkeypatch)
+    code = _heavy_code(L)
+    assert min_distance(code) == 1 == _brute_min_distance(list(code.codewords()), WeightKind.HAMMING)
+    assert max(count for count, _ in blocks) == (16 if L == 255 else 1)
+
+
+def _fold_to_m2f2i(*symbols):
+    """Five f4 symbols (a 10-bit block) to one of the 255 nonzero matrices
+    of M2(F2[i]), or zero: only the zero block maps to zero."""
+    v = sum(x.mask << 2 * j for j, x in enumerate(symbols))
+    return MatrixSpace(F2I, 2).element(v and 1 + (v - 1) % 255)
+
+
+def _wide(base):
+    return MappedCode(base, MatrixSpace(F2I, 2), 5, _fold_to_m2f2i, name=f"wide({base.name})")
+
+
+def test_wide_blocks_are_weighed_field_by_field():
+    """10-bit blocks are wider than a byte and take the one-word route.
+    The repetition image and a drawn [10,4] code are checked against the
+    brute minimum, for every weight kind.  The parity image reads 1: the
+    word (1, 1, 0, ..., 0) has a zero second block, and every nonzero word
+    has a nonzero block (its brute minimum takes ~1 s)."""
+    rng = random.Random(3)
+    rows = tuple(tuple(F4.element(rng.randrange(4)) for _ in range(10)) for _ in range(4))
+    drawn = LinearCode(F4, 10, 4, rows, name="drawn")
+    for code in (_wide(repetition_code(10, F4)), _wide(drawn)):
+        words = list(code.codewords())
+        for kind in WeightKind:
+            try:
+                want = _brute_min_distance(words, kind)
+            except ValueError as exc:
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    min_distance(code, kind)
+            else:
+                assert min_distance(code, kind) == want, (code, kind)
+    code = _wide(parity_check_code(10, F4))
+    witness = code.base.encode([F4.one, F4.one] + [F4.zero] * 7)
+    assert hamming_weight([_fold_to_m2f2i(*witness[:5]), _fold_to_m2f2i(*witness[5:])]) == 1
+    assert min_distance(code) == 1
+    assert min_distance(_wide(repetition_code(10, F4))) == 2
