@@ -240,19 +240,14 @@ def test_encode_wrong_length(capsys):
         (("mindist", "--code", "hexacode"), "4"),
         (("mindist", "--code", "rs16_13", "--certified"), "4"),
         (("mindist", "--code", "rs16_14", "--certified"), "3"),
+        # 4^12 messages: the 5 592 405 words after head 1, weighed in lane blocks
+        (("mindist", "--code", "parity", "--L", "13", "--ring", "f4"), "2"),
     ],
 )
 def test_mindist(capsys, argv, expected):
     rc, out, _ = run(capsys, *argv)
     assert rc == 0
     assert out == expected + "\n"
-
-
-def test_mindist_searches_four_million_messages(capsys):
-    """The [13,12] parity code over f4 has 4^12 messages; the search weighs
-    the 5 592 405 words after a head 1 in blocks of lanes."""
-    rc, out, _ = run(capsys, "mindist", "--code", "parity", "--L", "13", "--ring", "f4")
-    assert (rc, out) == (0, "2\n")
 
 
 def test_enumerate_streams_lexicographically(capsys):

@@ -394,6 +394,19 @@ def test_scaled_rows_do_not_enumerate_the_alphabet(monkeypatch):
 # min_distance over unit orbits
 
 
+def _recorded_blocks(monkeypatch):
+    """(word count, least weight) of every block min_distance weighs."""
+    blocks = []
+    least_weight = outer_codes._least_weight
+
+    def recorded(lanes, count, *args):
+        blocks.append((count, least_weight(lanes, count, *args)))
+        return blocks[-1][1]
+
+    monkeypatch.setattr(outer_codes, "_least_weight", recorded)
+    return blocks
+
+
 @pytest.mark.parametrize(
     "code,kind,words",
     [
@@ -411,17 +424,9 @@ def test_scaled_rows_do_not_enumerate_the_alphabet(monkeypatch):
 )
 def test_min_distance_visits_one_message_per_unit_orbit(monkeypatch, code, kind, words):
     """Counted as the words of the lane blocks that are weighed."""
-    seen = 0
-    least_weight = outer_codes._least_weight
-
-    def counted(lanes, count, *args):
-        nonlocal seen
-        seen += count
-        return least_weight(lanes, count, *args)
-
-    monkeypatch.setattr(outer_codes, "_least_weight", counted)
+    blocks = _recorded_blocks(monkeypatch)
     min_distance(code, kind)
-    assert seen == words
+    assert sum(count for count, _ in blocks) == words
 
 
 def test_unit_orbits_keep_only_weight_preserving_units():
@@ -501,6 +506,25 @@ def _sparse_top_code(ring, L, top):
     )
 
 
+def _fold_to_m2f2i(*symbols):
+    """Five f4 symbols (a 10-bit block) to one of the 255 nonzero matrices
+    of M2(F2[i]), or zero: only the zero block maps to zero."""
+    v = sum(x.mask << 2 * j for j, x in enumerate(symbols))
+    return MatrixSpace(F2I, 2).element(v and 1 + (v - 1) % 255)
+
+
+def _wide(base):
+    """base in 10-bit blocks of five f4 symbols, wider than a byte: weighed
+    one word at a time, field by field."""
+    return MappedCode(base, MatrixSpace(F2I, 2), 5, _fold_to_m2f2i, name=f"wide({base.name})")
+
+
+def _drawn_code(ring, L, k, seed):
+    rng = random.Random(seed)
+    rows = tuple(tuple(ring.element(rng.randrange(ring.size)) for _ in range(L)) for _ in range(k))
+    return LinearCode(ring, L, k, rows, name=f"drawn[{L},{k}]")
+
+
 LAYOUT_CODES = [
     # 3-bit f8 symbols, spread to 4-bit fields
     repetition_code(5, F8),
@@ -509,8 +533,10 @@ LAYOUT_CODES = [
                           (F8.zero, F8.gen_w, F8.one, F8.one, F8.gen_w)), name="f8[5,2]"),
     # 6-bit blocks of three f4 symbols, spread to bytes
     MappedCode(parity_check_code(6, F4), MatrixSpace(F2, 2), 3, _first_nonzero_then_last, name="triples"),
-    # 16-bit M2(F4[i]) symbols, weighed block by block
+    # 16-bit M2(F4[i]) symbols and 10-bit mapped blocks, weighed block by block
     repetition_code(2, MatrixSpace(F4I, 2)),
+    _wide(repetition_code(10, F4)),
+    _wide(_drawn_code(F4, 10, 4, seed=3)),
     # long words with the minimum at the top: 1-, 3- and 4-bit symbols
     _sparse_top_code(F2, 200, 3),
     _sparse_top_code(F8, 131, 2),
@@ -610,19 +636,6 @@ def test_lee_weight_gives_no_distance_on_f4i_linear_codes(name, ring_name):
 # lane blocks: many words weighed per call
 
 
-def _recorded_blocks(monkeypatch):
-    """(word count, least weight) of every block min_distance weighs."""
-    blocks = []
-    least_weight = outer_codes._least_weight
-
-    def recorded(lanes, count, *args):
-        blocks.append((count, least_weight(lanes, count, *args)))
-        return blocks[-1][1]
-
-    monkeypatch.setattr(outer_codes, "_least_weight", recorded)
-    return blocks
-
-
 def test_min_distance_spans_several_lane_blocks(monkeypatch):
     """RS[16,5] is MDS, so d = 16 - 5 + 1 = 12.  Its first row's words come
     in 16 blocks of 4096, one per prefix over the first two rows."""
@@ -686,38 +699,11 @@ def test_lane_sums_stop_below_256(monkeypatch, L):
     assert max(count for count, _ in blocks) == (16 if L == 255 else 1)
 
 
-def _fold_to_m2f2i(*symbols):
-    """Five f4 symbols (a 10-bit block) to one of the 255 nonzero matrices
-    of M2(F2[i]), or zero: only the zero block maps to zero."""
-    v = sum(x.mask << 2 * j for j, x in enumerate(symbols))
-    return MatrixSpace(F2I, 2).element(v and 1 + (v - 1) % 255)
-
-
-def _wide(base):
-    return MappedCode(base, MatrixSpace(F2I, 2), 5, _fold_to_m2f2i, name=f"wide({base.name})")
-
-
-def test_wide_blocks_are_weighed_field_by_field():
-    """10-bit blocks are wider than a byte and take the one-word route.
-    The repetition image and a drawn [10,4] code are checked against the
-    brute minimum, for every weight kind.  The parity image reads 1: the
-    word (1, 1, 0, ..., 0) has a zero second block, and every nonzero word
-    has a nonzero block (its brute minimum takes ~1 s)."""
-    rng = random.Random(3)
-    rows = tuple(tuple(F4.element(rng.randrange(4)) for _ in range(10)) for _ in range(4))
-    drawn = LinearCode(F4, 10, 4, rows, name="drawn")
-    for code in (_wide(repetition_code(10, F4)), _wide(drawn)):
-        words = list(code.codewords())
-        for kind in WeightKind:
-            try:
-                want = _brute_min_distance(words, kind)
-            except ValueError as exc:
-                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                    min_distance(code, kind)
-            else:
-                assert min_distance(code, kind) == want, (code, kind)
+def test_wide_parity_image_has_distance_1():
+    """The [10,9] parity code's image in 10-bit blocks reads 1: the word
+    (1, 1, 0, ..., 0) has a zero second block, and every nonzero word has a
+    nonzero block (the brute minimum over its 4^9 words takes ~1 s)."""
     code = _wide(parity_check_code(10, F4))
     witness = code.base.encode([F4.one, F4.one] + [F4.zero] * 7)
     assert hamming_weight([_fold_to_m2f2i(*witness[:5]), _fold_to_m2f2i(*witness[5:])]) == 1
     assert min_distance(code) == 1
-    assert min_distance(_wide(repetition_code(10, F4))) == 2
