@@ -27,7 +27,7 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter, xor
+from operator import itemgetter, ne, xor
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bounds, golden, outer_codes
@@ -134,6 +134,12 @@ def _first_failure(failures: list[str], messages: Iterable[str]) -> None:
     failures.extend(itertools.islice(messages, 1))
 
 
+def _first_difference(got: list, want: list) -> int:
+    """The first index where two lists of one length differ; they must
+    differ somewhere."""
+    return list(map(ne, got, want)).index(True)
+
+
 # ----------------------------------------------------------------------
 # packed matrix helpers (oracle-local, independent of RingMatrix)
 #
@@ -155,6 +161,13 @@ def _first_failure(failures: list[str], messages: Iterable[str]) -> None:
 # XOR, so when a row differs from its target, the lowest set bit of the
 # difference lies in the first failing lane: the witness is the one a pair
 # loop finds.  A ring map scans additivity first, then products.
+#
+# ``projection_compat`` and ``f_basis`` also take one row at a time, as
+# lists of objects compared in C, and search a row for its first failure
+# only when the row fails.  A deterministic library function is called once
+# per distinct operand and its value looked up for every pair that has that
+# operand; a lookup reads the function's own value, so, as above, nothing is
+# inferred from other pairs.
 
 # array type codes by item size
 _LANE_CODES = {array(code).itemsize: code for code in "BHIQ"}
@@ -622,16 +635,30 @@ def certify_f_basis(failures: list[str], details: list[str]) -> None:
     if to_f_basis(e_elem) != (F16_ALT.one, F16_ALT.one, F16_ALT.zero, F16_ALT.zero):
         failures.append("e does not rewrite to 1 + f")
 
-    def round_trip_failures() -> Iterator[str]:
-        for coeffs in itertools.product(F16_ALT.elements, repeat=4):
-            x = CyclicElement(F16_ALT, coeffs)
-            y = to_f_basis(x)
-            if from_f_basis(F16_ALT, y) != x:
-                yield f"f-basis round trip fails at ({x})"
-            if to_f_basis(CyclicElement(F16_ALT, y)) != coeffs:
-                yield f"f-basis transform is not an involution at ({x})"
-
-    _first_failure(failures, round_trip_failures())
+    # x, in product order, has index k = its packed masks; images[k] is the
+    # index of to_f_basis(x), so the transform is an involution at x exactly
+    # when images[images[k]] == k.  The first failure is the least failing k,
+    # the round trip first on one k.
+    elements = F16_ALT.elements
+    new = functools.partial(CyclicElement, F16_ALT)
+    back = functools.partial(from_f_basis, F16_ALT)
+    images = array("H")
+    round_trip = 1 << 16  # no failure: past the last index
+    for x0, x1 in itertools.product(elements, repeat=2):
+        xs = list(map(new, itertools.product((x0,), (x1,), elements, elements)))
+        ys = list(map(to_f_basis, xs))
+        # from_f_basis checks each y's coefficients before they are packed
+        rebuilt = list(map(back, ys))
+        if rebuilt != xs:
+            round_trip = min(round_trip, len(images) + _first_difference(rebuilt, xs))
+        images.extend(a.mask << 12 | b.mask << 8 | c.mask << 4 | d.mask for a, b, c, d in ys)
+    twice = array("H", map(images.__getitem__, images))
+    ks = array("H", range(len(images)))
+    k = min(round_trip, _first_difference(twice, ks) if twice != ks else round_trip)
+    if k < len(ks):
+        x = new(itemgetter(k >> 12, k >> 8 & 15, k >> 4 & 15, k & 15)(elements))
+        check = "round trip fails" if k == round_trip else "transform is not an involution"
+        failures.append(f"f-basis {check} at ({x})")
     if not failures:
         tails = list(itertools.product(F16_ALT.elements, repeat=3))
         _first_failure(failures, (
@@ -872,14 +899,41 @@ def certify_projection_compat(failures: list[str], details: list[str]) -> None:
 
     _first_failure(failures, window_failures())
 
-    # pair-level multiplicativity: project(x *_golden y) vs twisted product
+    # pair-level multiplicativity: project(x *_golden y) vs twisted product,
+    # one x (a row of 256 products) at a time
+    project1, project2 = golden.project_pair_mod_1pi, golden.project_pair_mod_2
     conj4 = {e: quadratic_conj(e) for e in F4}
     conj4i = {e: quadratic_conj(e) for e in F4I}
+    # conjugation is a bijection of F4 and of F4[i], so (r0, conj(r1)) == t
+    # exactly when r == unconj[t]: the conjugated checks compare the plain
+    # projections with unconjugated twisted products
+    unconj4 = {(a, c): (a, b) for a in F4 for b, c in conj4.items()}
+    unconj4i = {(a, c): (a, b) for a in F4I for b, c in conj4i.items()}
 
     elements = [GoldenCodeword.from_ints(b) for b in itertools.product(range(2), repeat=8)]
-    raw1 = [golden.project_pair_mod_1pi(x) for x in elements]
+    raw1 = list(map(project1, elements))
     hom1 = [(p0, conj4[p1]) for p0, p1 in raw1]
-    hom2 = [(p0, conj4i[p1]) for p0, p1 in map(golden.project_pair_mod_2, elements)]
+    hom2 = [(p0, conj4i[p1]) for p0, p1 in map(project2, elements)]
+
+    # p -> [p * q for q in pairs] for each distinct p of pairs, with each
+    # product of two distinct pairs taken once
+    def product_rows(pairs: list) -> dict:
+        distinct = dict.fromkeys(pairs)
+        rows = {}
+        for p in distinct:
+            products = {q: twisted_pair_mul(p, q) for q in distinct}
+            rows[p] = list(map(products.__getitem__, pairs))
+        return rows
+
+    # raw1 and hom1 take only the 16 F4 pairs; hom2 takes all 256 F4[i]
+    # pairs, so its products are taken one row at a time below
+    raw_rows = product_rows(raw1)
+    hom_rows = {
+        p: list(map(unconj4.__getitem__, row)) for p, row in product_rows(hom1).items()
+    }
+    # the both-units rule: row x fails at y exactly when locus[y] is True
+    units = [q[1].is_unit for q in hom2]
+    no_units = [False] * len(hom2)
     raw_mismatch: str | None = None
     raw_mismatches = 0
     mod2_mismatch: str | None = None
@@ -889,30 +943,37 @@ def certify_projection_compat(failures: list[str], details: list[str]) -> None:
         return f"x=({x.x0()}{sep}{x.x1()}), y=({y.x0()}{sep}{y.x1()})"
 
     # every product is scanned, so both summaries count all 65536; the
-    # failures are the first conjugated and the first locus failure
+    # failures are the first conjugated and the first locus failure in
+    # (x, y) order
     first: dict[str, str] = {}
     for ix, x in enumerate(elements):
-        x1_unit = hom2[ix][1].is_unit
-        for iy, y in enumerate(elements):
-            z = golden_pair_mul(x, y)
-            rz1 = golden.project_pair_mod_1pi(z)
-            conj_differs = (rz1[0], conj4[rz1[1]]) != twisted_pair_mul(hom1[ix], hom1[iy])
-            if conj_differs and "conj" not in first:
-                first["conj"] = f"conjugated mod-(1+i) multiplicativity fails at {at(x, y, ',')}"
-            if rz1 != twisted_pair_mul(raw1[ix], raw1[iy]):
-                raw_mismatches += 1
-                if raw_mismatch is None:
-                    raw_mismatch = at(x, y, ", ")
-            rz2 = golden.project_pair_mod_2(z)
-            differs = (rz2[0], conj4i[rz2[1]]) != twisted_pair_mul(hom2[ix], hom2[iy])
-            if differs != (x1_unit and hom2[iy][1].is_unit) and "locus" not in first:
-                first["locus"] = (
-                    f"mod-2 failure locus breaks the both-units rule at {at(x, y, ',')}"
-                )
-            if differs:
-                mod2_mismatches += 1
-                if mod2_mismatch is None:
-                    mod2_mismatch = at(x, y, ", ")
+        products = list(map(functools.partial(golden_pair_mul, x), elements))
+        rz1 = list(map(project1, products))
+        rz2 = list(map(project2, products))
+        found = []
+        if "conj" not in first and rz1 != hom_rows[hom1[ix]]:
+            iy = _first_difference(rz1, hom_rows[hom1[ix]])
+            found.append((iy, "conj", "conjugated mod-(1+i) multiplicativity fails"))
+        differs = list(map(ne, rz1, raw_rows[raw1[ix]]))
+        count = differs.count(True)
+        if count:
+            raw_mismatches += count
+            if raw_mismatch is None:
+                raw_mismatch = at(x, elements[differs.index(True)], ", ")
+        want2 = map(functools.partial(twisted_pair_mul, hom2[ix]), hom2)
+        differs = list(map(ne, rz2, map(unconj4i.__getitem__, want2)))
+        locus = units if hom2[ix][1].is_unit else no_units
+        if "locus" not in first and differs != locus:
+            iy = _first_difference(differs, locus)
+            found.append((iy, "locus", "mod-2 failure locus breaks the both-units rule"))
+        count = differs.count(True)
+        if count:
+            mod2_mismatches += count
+            if mod2_mismatch is None:
+                mod2_mismatch = at(x, elements[differs.index(True)], ", ")
+        # by y, and "conj" before "locus" on one y
+        for iy, kind, text in sorted(found):
+            first[kind] = f"{text} at {at(x, elements[iy], ',')}"
     failures.extend(first.values())
 
     if raw_mismatch is None:
@@ -1042,6 +1103,22 @@ def _eq2_holds(u: int, ms: Sequence[int]) -> bool:
     return t >= 0 and t * t >= 100 * m1 * m2
 
 
+def _hermitian_det(s00: Iterable[int], s11: Iterable[int], s01: Iterable[int]) -> int:
+    """s00*s11 - s01*conj(s01), an int, for entries u + v*theta given as
+    (u.re, u.im, v.re, v.im)."""
+    # with theta^2 = theta + 1, (A + B*theta)(C + D*theta) = AC + BD + (AD +
+    # BC + BD)*theta, and (E + F*theta)(conj E + conj F*theta) = |E|^2 + |F|^2
+    # + (2 Re(E conj F) + |F|^2)*theta is real
+    (ar, ai, br, bi), (cr, ci, dr, di), (er, ei, fr, fi) = s00, s11, s01
+    bd_im = br * di + bi * dr
+    if ar * ci + ai * cr + bd_im or ar * di + ai * dr + br * ci + bi * cr + bd_im:
+        raise ArithmeticError("hermitian determinant came out non-real")
+    ff = fr * fr + fi * fi
+    if ar * dr - ai * di + br * cr - bi * ci + br * dr - bi * di != 2 * (er * fr + ei * fi) + ff:
+        raise ArithmeticError("hermitian determinant came out irrational")
+    return ar * cr - ai * ci + br * dr - bi * di - (er * er + ei * ei + ff)
+
+
 # The representatives 0, 1, i, 1+i of a Gaussian coordinate, as (re, im).
 DEFAULT_REPRESENTATIVES = ((0, 0), (1, 0), (0, 1), (1, 1))
 
@@ -1084,6 +1161,9 @@ def brute_delta_min(
     if code.L not in (1, 2):
         raise ValueError("the exact cross-check is implemented for L <= 2")
     table = _representative_table(ideal)
+    # each Gram entry u + v*theta as the ints (u.re, u.im, v.re, v.im)
+    for reps in table.values():
+        reps[:] = [(cw, m, *map(GoldenInt._ints, gram)) for cw, m, *gram in reps]
     best = best_witness = None
     eq2_all = True
     examined = 0
@@ -1105,13 +1185,7 @@ def brute_delta_min(
             examined += 1
             if examined > DELTA_MIN_TUPLE_LIMIT:
                 raise ValueError(f"brute force exceeded {DELTA_MIN_TUPLE_LIMIT} tuples")
-            s00, s01, s11 = (sum(g[1:], g[0]) for g in (g00, g01, g11))
-            det = s00 * s11 - s01 * s01.complex_conj()
-            if det.u.im != 0 or det.v.im != 0:
-                raise ArithmeticError("hermitian determinant came out non-real")
-            if det.v.re != 0:
-                raise ArithmeticError("hermitian determinant came out irrational")
-            u = det.u.re
+            u = _hermitian_det(*(map(sum, zip(*g)) for g in (g00, g11, g01)))
             if not _eq2_holds(u, ms):
                 eq2_all = False
             if best is None or u < best:

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,41 @@ def test_representative_gram_entries_give_the_determinant(ideal, keys):
     for cw, m, g00, g01, g11 in entries:
         det = g00 * g11 - g01 * g01.complex_conj()
         assert det == GoldenInt(GaussianInt(5 * m, 0), GaussianInt(0, 0)), cw
+
+
+def test_hermitian_det_matches_golden_int_arithmetic():
+    """The int determinant against s00*s11 - s01*conj(s01) in GoldenInt
+    arithmetic, on seeded cases: sums of two representative Gram entries
+    (Hermitian, so the value is an int), (x, conj x, u*x) for a unit u of
+    Z[i] (an int, 0, from entries with imaginary parts) and small entries
+    (mostly refused).  Equal values, and the same refusal where the value is
+    not an int."""
+    rng = random.Random(28)
+    reps = [rep for group in verify._representative_table("1pi").values() for rep in group]
+
+    def small():
+        return GoldenInt(*(GaussianInt(*rng.choices(range(-3, 4), k=2)) for _ in range(2)))
+
+    cases = [
+        [a + b for a, b in zip(rng.choice(reps)[2:], rng.choice(reps)[2:])] for _ in range(200)
+    ]
+    for _ in range(200):
+        x = small()
+        u = GoldenInt(rng.choice([GaussianInt(1, 0), GaussianInt(0, 1)]), GaussianInt(0, 0))
+        cases.append([x, u * x, x.complex_conj()])
+        cases.append([small() for _ in range(3)])
+    for g00, g01, g11 in cases:
+        det = g00 * g11 - g01 * g01.complex_conj()
+        ints = [(g.u.re, g.u.im, g.v.re, g.v.im) for g in (g00, g11, g01)]
+        if det.u.im or det.v.im:
+            refusal = "non-real"
+        elif det.v.re:
+            refusal = "irrational"
+        else:
+            assert verify._hermitian_det(*ints) == det.u.re
+            continue
+        with pytest.raises(ArithmeticError, match=refusal):
+            verify._hermitian_det(*ints)
 
 
 def test_delta_min_rep2_needs_true_conjugates(monkeypatch):
@@ -471,6 +507,43 @@ def test_f_basis_finds_a_dropped_term(monkeypatch):
     assert rep.witness == "f-basis round trip fails at (0; 0; 0; 1)"
 
 
+@pytest.mark.parametrize(
+    "after_to,before_from,failure",
+    [
+        # R a 3-cycle of slots 1-3: to = R o T and from = T o R^-1 still
+        # round-trip, but to o to = R o T o R o T is not the identity
+        (
+            lambda y: (y[0], y[3], y[1], y[2]),
+            lambda y: (y[0], y[2], y[3], y[1]),
+            "f-basis transform is not an involution at (0; 0; 0; 1)",
+        ),
+        # an affine to_f_basis fails both checks first at x = 0, and the
+        # round trip is reported
+        (
+            lambda y: (y[0], y[1] + F16_ALT.one, y[2], y[3]),
+            lambda y: y,
+            "f-basis round trip fails at (0; 0; 0; 0)",
+        ),
+    ],
+    ids=["permuted-slots", "affine"],
+)
+def test_f_basis_finds_a_transform_that_is_no_involution(
+    monkeypatch, after_to, before_from, failure
+):
+    """Both plants move e off (1, 1, 0, 0), so that check fails first; the
+    scan over all 16^4 elements reports its own first failure after it."""
+    real_to, real_from = verify.to_f_basis, verify.from_f_basis
+    monkeypatch.setattr(verify, "to_f_basis", lambda x: after_to(real_to(x)))
+    monkeypatch.setattr(verify, "from_f_basis", lambda ring, y: real_from(ring, before_from(y)))
+    rep = verify.run_claim("f_basis")
+    assert not rep.passed
+    assert rep.witness == "e does not rewrite to 1 + f"
+    assert rep.details == (
+        "(I + E)^4 = 0: the f generator is nilpotent of index <= 4",
+        f"FAILURE: {failure}",
+    )
+
+
 def _reversed_pair(monkeypatch, name):
     """Make golden.<name> return its pair in reverse order."""
     real = getattr(golden, name)
@@ -542,9 +615,10 @@ def test_projection_compat_checks_the_half_keys_the_scans_run(monkeypatch, ideal
 
 
 def test_projection_compat_stays_exhaustive(monkeypatch):
-    """One passing run multiplies all 256^2 window pairs, projects the 256
-    window elements and the 65536 products under both ideals, and takes
-    three twisted products per pair."""
+    """One passing run multiplies all 256^2 window pairs and projects the
+    256 window elements and the 65536 products under both ideals.  Each
+    distinct twisted product is taken once: 16^2 for each of the two F4-pair
+    labelings and 256^2 for the F4[i] one."""
     counts = {}
 
     def counted(module, name):
@@ -566,8 +640,92 @@ def test_projection_compat_stays_exhaustive(monkeypatch):
         "golden_pair_mul": 65536,
         "project_pair_mod_1pi": 65792,
         "project_pair_mod_2": 65792,
-        "twisted_pair_mul": 196608,
+        "twisted_pair_mul": 66048,
     }
+
+
+def _pairs(ring, *texts):
+    """Parse "a, b" pairs of elements of ring."""
+    return [tuple(map(ring.parse, text.split(", "))) for text in texts]
+
+
+def _bump(slot):
+    """Add 1 to one slot of a twisted product."""
+    return lambda r: tuple(c + c.ring.one if k == slot else c for k, c in enumerate(r))
+
+
+_F4_PLANT = {tuple(_pairs(F4, "w, 1", "1, w+1")): _bump(0)}
+_F4I_PLANT = {tuple(_pairs(F4I, "w+1, iw+1", "(1+i)w, 1+i")): _bump(1)}
+_CONJ_AT = "x=((0)+(i)t,(i)+(0)t), y=((i)+(0)t,(0)+(i)t)"
+_PLAIN = (
+    "plain pair (x0bar, x1bar) is not multiplicative mod (1+i) (expected, e sits "
+    "left of x1): 43008 of 65536 products differ, first at x=((0)+(0)t, (0)+(i)t), "
+    "y=((0)+(0)t, (i)+(0)t)"
+)
+_MOD2 = (
+    "mod-2 multiplicativity fails exactly when both second slots are units "
+    "(expected, e^2 = i vs j^2 = 1): %d of 65536 products differ, first at "
+    "x=((0)+(0)t, (0)+(i)t), y=((0)+(0)t, (0)+(i)t)"
+)
+
+
+@pytest.mark.parametrize(
+    "plant,witness,details",
+    [
+        (
+            _F4_PLANT,
+            f"conjugated mod-(1+i) multiplicativity fails at {_CONJ_AT}",
+            (_PLAIN, _MOD2 % 36864),
+        ),
+        (
+            _F4I_PLANT,
+            "mod-2 failure locus breaks the both-units rule at "
+            "x=((1)+(1)t,(1+i)+(i)t), y=((0)+(1+i)t,(1+i)+(0)t)",
+            (_PLAIN + "; conjugating the second slot repairs all 65536", _MOD2 % 36865),
+        ),
+        # the F4 plant's first failure and a locus failure at a smaller y of
+        # the same x: the locus failure is the first in (x, y) order
+        (
+            {**_F4_PLANT, tuple(_pairs(F4I, "iw, i", "i, 0")): _bump(1)},
+            "mod-2 failure locus breaks the both-units rule at "
+            "x=((0)+(i)t,(i)+(0)t), y=((i)+(0)t,(0)+(0)t)",
+            (
+                _PLAIN,
+                _MOD2 % 36865,
+                f"FAILURE: conjugated mod-(1+i) multiplicativity fails at {_CONJ_AT}",
+            ),
+        ),
+        # both first failures on one pair: the conjugated one comes first
+        (
+            {
+                **_F4_PLANT,
+                tuple(_pairs(F4I, "iw, i", "i, iw+i")): lambda r: _pairs(F4I, "(1+i)w, 0")[0],
+            },
+            f"conjugated mod-(1+i) multiplicativity fails at {_CONJ_AT}",
+            (
+                _PLAIN,
+                _MOD2 % 36863,
+                f"FAILURE: mod-2 failure locus breaks the both-units rule at {_CONJ_AT}",
+            ),
+        ),
+    ],
+    ids=["f4-pair", "f4i-pair", "locus-first-in-row", "one-pair"],
+)
+def test_projection_compat_finds_a_planted_twisted_product(monkeypatch, plant, witness, details):
+    """A twisted product wrong on one operand pair, in either pair model, is
+    found at the first product that reads it, in (x, y) order, and moves the
+    summary counts by the products it touches."""
+    real = verify.twisted_pair_mul
+
+    def planted(p, q):
+        r = real(p, q)
+        return plant[p, q](r) if (p, q) in plant else r
+
+    monkeypatch.setattr(verify, "twisted_pair_mul", planted)
+    rep = verify.run_claim("projection_compat")
+    assert not rep.passed
+    assert rep.witness == witness
+    assert rep.details == details
 
 
 def _flipped_norm_ints(ar, ai, br, bi):
