@@ -28,14 +28,19 @@ Enumeration works on packed words.  A symbol packs into ``alphabet.dim``
 bits (``ring.dim``, or ``n*n*ring.dim`` for M_n(ring)) as its index in the
 alphabet's enumeration order, symbol j of a word at bits ``dim*j``; every
 alphabet has characteristic 2, so adding words is XOR.  Each call first
-tabulates ``scaled[i][a]``, the packed word ``a * row_i``, by the public ring
-or matrix product; a codeword is the XOR of one entry per row.
-``codewords()`` visits every message in ``itertools.product`` order and
-unpacks each word.  :func:`min_distance` visits one nonzero message per
-orbit of the units that keep the weight; the public map and weight
-functions fill its table of block weights (a block is a symbol, a Lee pair
-or a map's block) once per block value, so the weights keep a single
-definition.
+tabulates ``scaled[i][a]``, the packed word ``a * row_i``; a codeword is the
+XOR of one entry per row.  g -> pack(a * g) is F2-linear, so the public
+ring or matrix products of the one-bit symbols with each other, dim * dim
+of them, fix every table: a row is packed once and each entry is an XOR
+of shifted bit slices of it.  ``codewords()`` visits every message in
+``itertools.product`` order and unpacks each word.  :func:`min_distance`
+visits one nonzero message per orbit of the units that keep the weight.
+Each weight kind has one block weight (a symbol's Hamming weight,
+:func:`bachoc_weight`, :func:`lee_weight` on a pair) that weighs words
+and, through the public map, fills the search's table of block weights
+(a block is a symbol, a Lee pair or a map's block), so the weights keep a
+single definition; a unit's action on every block is built as byte lanes
+and checked against that table with ``bytes.translate``.
 :meth:`LinearCode.encode` keeps the object route so that tests can check
 the packed route against it.  Tables live only inside one call.
 """
@@ -254,19 +259,32 @@ def _scaled_rows(code: LinearCode, per: int = 1, pad: int = 0) -> list[list[int]
     with ``pad`` zero bits on top of each block of ``per`` symbols.
 
     Packing is F2-linear and a -> a * g is additive, so each table is the
-    XOR span of the products by the ``dim`` one-bit symbols, built in index
-    order.  A product is read from a binary string so that packing stays
-    linear in the length."""
+    XOR span of the words of the ``dim`` one-bit symbols a, built in index
+    order.  g -> pack(a * g) is F2-linear too, fixed by the products a * e_t
+    with the one-bit symbols e_t: a's word is the XOR of
+    ``(P >> t & ones) << s`` over the bits s of pack(a * e_t), with P the
+    row packed once (from a binary string, linear in the length) and
+    ``ones`` 1 at every symbol's bit 0."""
     dim = code.alphabet.dim
     fmts = [f"0{dim + pad}b", *[f"0{dim}b"] * (per - 1)]  # a block's top symbol first
-    symbols = [code.alphabet.element(1 << bit) for bit in range(dim)]
+
+    def packed(masks: Sequence[int]) -> int:
+        return int("0" + "".join(map(format, reversed(masks), itertools.cycle(fmts))), 2)
+
+    basis = [code.alphabet.element(1 << bit) for bit in range(dim)]
+    taps = []  # per one-bit symbol a, the (t, s) for which pack(a * e_t) has bit s
+    for a in basis:
+        images = [_pack(a * e) for e in basis]
+        taps.append([(t, s) for t, image in enumerate(images) for s in range(dim) if image >> s & 1])
+    ones = packed([1] * code.L)
     scaled = []
     for row in code.rows:
+        p = packed([*map(_pack, row)])
+        slices = [p >> t & ones for t in range(dim)]
         table = [0]
-        for a in symbols:
-            digits = (format(_pack(a * g), f) for g, f in zip(reversed(row), itertools.cycle(fmts)))
-            v = int("0" + "".join(digits), 2)
-            table += [t ^ v for t in table]
+        for pairs in taps:
+            v = functools.reduce(operator.xor, [slices[t] << s for t, s in pairs], 0)
+            table += [w ^ v for w in table]
         scaled.append(table)
     return scaled
 
@@ -300,8 +318,13 @@ class WeightKind(Enum):
     LEE = "lee"
 
 
+def _symbol_weight(x: Symbol) -> int:
+    """A symbol's Hamming weight."""
+    return 0 if x.is_zero else 1
+
+
 def hamming_weight(word: Iterable[Symbol]) -> int:
-    return sum(1 for x in word if not x.is_zero)
+    return word_weight(tuple(word), WeightKind.HAMMING)
 
 
 def bachoc_weight(m: RingMatrix) -> int:
@@ -318,7 +341,7 @@ def bachoc_weight(m: RingMatrix) -> int:
 
 
 def bachoc_word_weight(word: Iterable[RingMatrix]) -> int:
-    return sum(bachoc_weight(m) for m in word)
+    return word_weight(tuple(word), WeightKind.BACHOC)
 
 
 _NORM_LIFT = ((0, 0), (1, 0), (0, 1), (1, 1))  # F2I mask -> Z[i]
@@ -338,17 +361,24 @@ def lee_weight(x: RingElement, y: RingElement) -> int:
 
 
 def lee_word_weight(word: Sequence[RingElement]) -> int:
-    if len(word) % 2:
-        raise ValueError("lee weight needs an even-length word")
-    return sum(lee_weight(word[2 * j], word[2 * j + 1]) for j in range(len(word) // 2))
+    return word_weight(word, WeightKind.LEE)
+
+
+# Each kind's block size (in symbols) and block weight: the one definition
+# that words and min_distance's block tables are weighed by.
+_BLOCK_WEIGHTS: dict[WeightKind, tuple[int, Callable[..., int]]] = {
+    WeightKind.HAMMING: (1, _symbol_weight),
+    WeightKind.BACHOC: (1, bachoc_weight),
+    WeightKind.LEE: (2, lee_weight),
+}
 
 
 def word_weight(word: Sequence[Symbol], kind: WeightKind) -> int:
-    if kind is WeightKind.HAMMING:
-        return hamming_weight(word)
-    if kind is WeightKind.BACHOC:
-        return bachoc_word_weight(word)
-    return lee_word_weight(word)
+    """The sum of kind's block weight over the word's consecutive blocks."""
+    group, weight = _BLOCK_WEIGHTS[kind]
+    if len(word) % group:  # only Lee has blocks of more than one symbol: pairs
+        raise ValueError(f"{kind.value} weight needs an even-length word")
+    return sum(map(weight, *(word[s::group] for s in range(group))))
 
 
 def min_distance(code: LinearCode | MappedCode, kind: WeightKind = WeightKind.HAMMING) -> int:
@@ -369,7 +399,7 @@ def min_distance(code: LinearCode | MappedCode, kind: WeightKind = WeightKind.HA
     if code.message_space_size > MESSAGE_SPACE_LIMIT:
         raise ValueError("message space too large for exhaustive distance search")
     base, width, images = code._symbol_images()
-    group = 2 if kind is WeightKind.LEE else 1
+    group, weight = _BLOCK_WEIGHTS[kind]
     bits = width * group
     # A block fills a field of 1, 2, 4 or 8 bits; a wider one keeps its width.
     field = bits if bits > 8 else 1 << (bits - 1).bit_length()
@@ -379,28 +409,12 @@ def min_distance(code: LinearCode | MappedCode, kind: WeightKind = WeightKind.HA
     # Weights are undefined by alphabet or length, never by value: the zero
     # word raises the weight's own error wherever kind does not apply.
     word_weight((code.alphabet.zero,) * code.L, kind)
-    table = [
-        word_weight(_unpack(v, width, group, images), kind)
-        for v in range(1 << bits)
-    ]
+    # table[v]: the weight of block v.  v holds its first symbol lowest and
+    # product varies its last symbol fastest, so blocks are read backwards.
+    backwards = operator.itemgetter(slice(None, None, -1))
+    table = [*itertools.starmap(weight, map(backwards, itertools.product(images, repeat=group)))]
     blocks = code.L // group
-    # U holds the units u of a ring alphabet whose action act_u, u times each
-    # ring.dim-bit symbol field of a block, keeps the table: table[act_u(v)]
-    # == table[v] for every block v.  act_u is F2-linear, so it is the XOR
-    # span of the images of the block's bits.  The actions compose (act_uv =
-    # act_u act_v), so the finite set U is a group.  It is kept as rows of
-    # the multiplication table.
-    alphabet = base.alphabet
-    units = [range(alphabet.size)]  # a matrix alphabet keeps U = {1}
-    if isinstance(alphabet, QuotientRing):
-        units = []
-        for u in alphabet.units:
-            row, act = alphabet._mul[u.mask], [0]
-            for bit in range(bits):
-                image = row[1 << bit % alphabet.dim] << bit - bit % alphabet.dim
-                act += list(map(image.__xor__, act))
-            if list(map(table.__getitem__, act)) == table:
-                units.append(row)
+    units = _kept_units(base.alphabet, table, bits)
     reps = sorted({*map(min, zip(*units))} - {0})  # the least of each orbit
     size = (blocks * field + 7) // 8
     # The words of the last rows, at most 2^12, are weighed as one block of
@@ -421,6 +435,37 @@ def min_distance(code: LinearCode | MappedCode, kind: WeightKind = WeightKind.HA
         for prefix in _packed_words([[*map(row.__getitem__, reps)], *scaled[i + 1 : split]]):
             least = min(least, _least_weight(lanes ^ prefix * ones, count, size, table, field))
     return least
+
+
+def _kept_units(alphabet: Alphabet, table: list[int], bits: int) -> list[Sequence[int]]:
+    """U, as rows of the multiplication table: the units u of a ring alphabet
+    whose action act_u, u times each ring.dim-bit symbol field of a
+    ``bits``-bit block, keeps the block weights, table[act_u(v)] == table[v]
+    for every block v.  The actions compose (act_uv = act_u act_v), so the
+    finite set U is a group.  A matrix alphabet keeps U = {1}."""
+    if not isinstance(alphabet, QuotientRing):
+        return [range(alphabet.size)]
+    # act_u(v) is the XOR of one ``row << shift`` entry per field, so on the
+    # low fields that fit a byte it is a run of byte lanes.  For each value h
+    # of the high fields (none in a block of at most 8 bits), the weights at
+    # act_u(h, l) for every l are one translate of that run by the table's
+    # slice at act_u(h).
+    dim = alphabet.dim
+    low = min(bits, 8 // dim * dim)
+    weights, n = bytes(table), 1 << low
+    kept = []
+    for u in alphabet.units:
+        row = alphabet._mul[u.mask]
+        fields = [[m << shift for m in row] for shift in range(bits - dim, -1, -dim)]  # top first
+        split = len(fields) - low // dim
+        acts = _lanes(fields[split:], 1)[0].to_bytes(n, "little")
+        highs = map(sum, itertools.product(*fields[:split]))  # fields hold disjoint bits
+        if all(
+            acts.translate(weights[a : a + n].ljust(256, b"\0")) == weights[h : h + n]
+            for h, a in zip(range(0, len(weights), n), highs)
+        ):
+            kept.append(row)
+    return kept
 
 
 _NONZERO = bytes(map(bool, range(256)))  # 1 for each nonzero byte

@@ -38,7 +38,7 @@ from cosetcodes.outer_codes import (
     rs_distance_certificate,
     word_weight,
 )
-from cosetcodes.rings import F2, F2I, F4, F4I, F8, F16, RING_BY_NAME, quadratic_norm
+from cosetcodes.rings import F2, F2I, F4, F4I, F8, F16, RING_BY_NAME, QuotientRing, quadratic_norm
 
 
 def test_repetition_and_parity_basics():
@@ -346,9 +346,9 @@ def test_generator_size_is_refused_before_building():
 
 
 def test_scaled_rows_take_one_product_per_basis_symbol(monkeypatch):
-    """A row table is the XOR span of the products by the 4 one-bit symbols
-    of M2(F2), so the search makes 4 matrix products per generator entry,
-    not one per alphabet symbol (16)."""
+    """The row tables are read from the products of the 4 one-bit symbols
+    of M2(F2) with each other: dim^2 = 16 matrix products per search,
+    whatever the length, not one per generator entry and alphabet symbol."""
     calls = 0
     product = RingMatrix.__mul__
 
@@ -358,8 +358,42 @@ def test_scaled_rows_take_one_product_per_basis_symbol(monkeypatch):
         return product(self, other)
 
     monkeypatch.setattr(RingMatrix, "__mul__", counted)
-    assert min_distance(repetition_code(50, MatrixSpace(F2, 2))) == 50
-    assert calls <= 4 * 50
+    for L in (50, 2000):
+        calls = 0
+        assert min_distance(repetition_code(L, MatrixSpace(F2, 2))) == L
+        assert calls == 16, L
+
+
+def _object_scaled_rows(code, per, pad):
+    """scaled[i][a] by the object route: _pack(a * g) of every symbol a and
+    entry g, symbol j at bit (j // per) * (per * dim + pad) + (j % per) * dim."""
+    dim = code.alphabet.dim
+    shifts = [(j // per) * (per * dim + pad) + (j % per) * dim for j in range(code.L)]
+    return [
+        [sum(outer_codes._pack(a * g) << s for g, s in zip(row, shifts)) for a in code.alphabet]
+        for row in code.rows
+    ]
+
+
+def _scaled_rows_cases():
+    """54 drawn codes, one per alphabet (all seven rings, M2(F2) and
+    M2(F2[i])), per in {1, 2} and pad in {0, 1, 3}, plus one long row."""
+    rng = random.Random(29)
+    cases = []
+    for alphabet in PROPERTY_ALPHABETS:
+        for per, pad in itertools.product((1, 2), (0, 1, 3)):
+            L = per * rng.randint(1, 3 if alphabet.size > 16 else 5)
+            cases.append((_drawn_code(alphabet, L, rng.randint(1, 2), rng.randrange(1 << 16)), per, pad))
+    cases.append((_drawn_code(F16, 300, 1, seed=7), 2, 1))
+    return cases
+
+
+def test_scaled_rows_match_the_object_route():
+    cases = _scaled_rows_cases()
+    assert len(cases) == 55
+    for code, per, pad in cases:
+        want = _object_scaled_rows(code, per, pad)
+        assert outer_codes._scaled_rows(code, per, pad) == want, (code, per, pad)
 
 
 @pytest.mark.parametrize("ring", [F2, F2I], ids=lambda r: r.name)
@@ -507,9 +541,10 @@ def _sparse_top_code(ring, L, top):
 
 
 def _fold_to_m2f2i(*symbols):
-    """Five f4 symbols (a 10-bit block) to one of the 255 nonzero matrices
-    of M2(F2[i]), or zero: only the zero block maps to zero."""
-    v = sum(x.mask << 2 * j for j, x in enumerate(symbols))
+    """A block of symbols (five f4 symbols make 10 bits) to one of the 255
+    nonzero matrices of M2(F2[i]), or zero: only the zero block maps to
+    zero."""
+    v = sum(x.mask << x.ring.dim * j for j, x in enumerate(symbols))
     return MatrixSpace(F2I, 2).element(v and 1 + (v - 1) % 255)
 
 
@@ -570,6 +605,126 @@ def test_mapped_code_blocks_must_tile_the_length(block):
         min_distance(code)
     with pytest.raises(ValueError, match=message):
         next(code.codewords())
+
+
+def _recorded_units(monkeypatch, kept_units=outer_codes._kept_units):
+    """The unit sets U that min_distance keeps, as sets of unit masks (the
+    entry u * 1 of each multiplication-table row), or None for U = {1} of a
+    matrix alphabet."""
+    kept = []
+
+    def recorded(alphabet, table, bits):
+        rows = kept_units(alphabet, table, bits)
+        kept.append(None if rows == [range(alphabet.size)] else {row[1] for row in rows})
+        return rows
+
+    monkeypatch.setattr(outer_codes, "_kept_units", recorded)
+    return kept
+
+
+def _brute_units(code, kind):
+    """The units u of the base ring for which every block (a Lee pair of
+    mapped blocks, else one mapped block) weighs as much as u times it,
+    through the public u * x, the symbol map and word_weight."""
+    base = code.base if isinstance(code, MappedCode) else code
+    if not isinstance(base.alphabet, QuotientRing):
+        return None
+    block, symbol_map = (code.block, code.symbol_map) if isinstance(code, MappedCode) else (1, None)
+    count = block * (2 if kind is WeightKind.LEE else 1)
+
+    def weigh(symbols):
+        if symbol_map is not None:
+            symbols = [symbol_map(*symbols[j : j + block]) for j in range(0, count, block)]
+        return word_weight(symbols, kind)
+
+    blocks = [(b, weigh(b)) for b in itertools.product(base.alphabet, repeat=count)]
+    return {
+        u.mask for u in base.alphabet.units if all(weigh([u * x for x in b]) == w for b, w in blocks)
+    }
+
+
+def _low_then_high(lo, hi):
+    """Two f4 symbols to M2(F2): pair_to_matrix(hi, hi) at hi = 1,
+    pair_to_matrix(hi, 0) at hi = w, w^2, and pair_to_matrix(lo, 0) where
+    hi is 0.  The Bachoc weight reads lo only as zero or not, so scaling lo
+    alone keeps it, but scaling hi moves the weight 2 at hi = 1 to 1."""
+    if hi.is_zero:
+        return pair_to_matrix(lo, F4.zero)
+    return pair_to_matrix(hi, hi if hi == F4.one else F4.zero)
+
+
+def _named_variants():
+    """Every named code (repetition and parity also over each ring) with
+    each transform it admits; rs16_13 and rs16_14 are refused by
+    min_distance, so they drop out of the kind loop."""
+    codes = [named_code(name) for name in ("dualrep", "hexacode", "rs16_13", "rs16_14", "inner_pair")]
+    codes += [named_code(name) for name in ("repetition", "parity", "matrix_parity")]
+    codes += [named_code(name, ring_name=r) for name in ("repetition", "parity") for r in RING_BY_NAME]
+    variants = []
+    for code in codes:
+        variants.append((f"{code.name}-{code.alphabet.name}", code))
+        if code.alphabet in (F4, F4I):
+            variants.append((f"lift-{code.name}-{code.alphabet.name}", lift_code(code)))
+            if code.L % 2 == 0:
+                variants.append((f"pairs-{code.name}-{code.alphabet.name}", pushforward_pairs(code)))
+    return variants
+
+
+def _top_decides(*symbols):
+    """Five f4 symbols (a 10-bit block) to M2(F2) as _low_then_high of
+    (the first nonzero of the low four, the top one): the top symbol lies
+    above the byte of low fields, and scaling it alone can move the weight."""
+    return _low_then_high(next((x for x in symbols[:-1] if x), F4.zero), symbols[-1])
+
+
+UNIT_CODES = _named_variants() + [
+    (c.name, c)
+    for c in (
+        MappedCode(repetition_code(2, F4), MatrixSpace(F2, 2), 2, _low_then_high, name="low-high"),
+        LAYOUT_CODES[3],
+        _wide(repetition_code(10, F4)),
+        MappedCode(repetition_code(5, F4), MatrixSpace(F2, 2), 5, _top_decides, name="top-decides"),
+        MappedCode(repetition_code(3, F8), MatrixSpace(F2I, 2), 3, _fold_to_m2f2i, name="f8-triples"),
+    )
+]
+
+
+@pytest.mark.parametrize("code", [c for _, c in UNIT_CODES], ids=[n for n, _ in UNIT_CODES])
+def test_kept_units_are_the_brute_force_unit_set(monkeypatch, code):
+    """For every kind min_distance accepts on the code, the U it keeps is
+    the set of units that keep every block's weight: every named code with
+    each transform, and hand-built blocks of 4, 6, 9 and 10 bits, the last
+    two wider than a byte."""
+    kept = _recorded_units(monkeypatch)
+    for kind in WeightKind:
+        kept.clear()
+        try:
+            min_distance(code, kind)
+        except ValueError:
+            assert not kept  # refused before U is formed
+            continue
+        assert kept == [_brute_units(code, kind)], kind
+
+
+def test_kept_units_read_every_field_of_a_block(monkeypatch):
+    """A unit check whose action reads only the low field of a two-field
+    block (planted here as a one-field block width) keeps w and w^2 of F4,
+    which change the Bachoc weight of (0, 1); the search then visits only
+    message 1, and the distance would read 2 instead of 1."""
+    code = MappedCode(repetition_code(2, F4), MatrixSpace(F2, 2), 2, _low_then_high, name="planted")
+    assert sorted(bachoc_word_weight(w) for w in code.codewords() if hamming_weight(w)) == [1, 1, 2]
+    assert _brute_units(code, WeightKind.BACHOC) == {1}
+    kept_units = outer_codes._kept_units
+    kept = _recorded_units(monkeypatch)
+    assert min_distance(code, WeightKind.BACHOC) == 1
+    assert kept == [{1}]
+
+    def low_field_only(alphabet, table, bits):
+        return kept_units(alphabet, table, alphabet.dim)
+
+    kept = _recorded_units(monkeypatch, low_field_only)
+    assert min_distance(code, WeightKind.BACHOC) == 2
+    assert kept == [{1, 2, 3}]
 
 
 PROPERTY_ALPHABETS = [*RING_BY_NAME.values(), MatrixSpace(F2, 2), MatrixSpace(F2I, 2)]
