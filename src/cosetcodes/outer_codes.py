@@ -39,8 +39,12 @@ Each weight kind has one block weight (a symbol's Hamming weight,
 :func:`bachoc_weight`, :func:`lee_weight` on a pair) that weighs words
 and, through the public map, fills the search's table of block weights
 (a block is a symbol, a Lee pair or a map's block), so the weights keep a
-single definition; a unit's action on every block is built as byte lanes
-and checked against that table with ``bytes.translate``.
+single definition.  The units that keep the weight form a group, so they
+are decided by cosets: a unit is tested only while neither it nor its
+coset of the known subgroup is decided, its action on every block built as
+byte lanes and checked against that table with ``bytes.translate``.  Each
+search builds one lane block of the words of its last rows; the block of
+any later rows is its low bytes.
 :meth:`LinearCode.encode` keeps the object route so that tests can check
 the packed route against it.  Tables live only inside one call.
 """
@@ -182,10 +186,7 @@ class MappedCode:
         base, width, symbols = self.base._symbol_images()
         if base.L % self.block:
             raise ValueError(f"blocks of {self.block} symbols do not tile length {base.L}")
-        images = [
-            self.symbol_map(*_unpack(v, width, self.block, symbols))
-            for v in range(1 << (width * self.block))
-        ]
+        images = [*itertools.starmap(self.symbol_map, _blocks(symbols, self.block))]
         return base, width * self.block, images
 
     def __repr__(self) -> str:
@@ -252,6 +253,13 @@ def _unpack(word: int, width: int, count: int, table: Sequence) -> list:
         return _unpack(low, width, half, table) + _unpack(high, width, count - half, table)
     mask = (1 << width) - 1
     return [table[(word >> s) & mask] for s in range(0, width * count, width)]
+
+
+def _blocks(symbols: Sequence, count: int) -> Iterator[tuple]:
+    """The ``count``-symbol blocks in packed order, each lowest symbol
+    first: product varies its last symbol fastest, so each is read
+    backwards."""
+    return map(operator.itemgetter(slice(None, None, -1)), itertools.product(symbols, repeat=count))
 
 
 def _scaled_rows(code: LinearCode, per: int = 1, pad: int = 0) -> list[list[int]]:
@@ -409,10 +417,7 @@ def min_distance(code: LinearCode | MappedCode, kind: WeightKind = WeightKind.HA
     # Weights are undefined by alphabet or length, never by value: the zero
     # word raises the weight's own error wherever kind does not apply.
     word_weight((code.alphabet.zero,) * code.L, kind)
-    # table[v]: the weight of block v.  v holds its first symbol lowest and
-    # product varies its last symbol fastest, so blocks are read backwards.
-    backwards = operator.itemgetter(slice(None, None, -1))
-    table = [*itertools.starmap(weight, map(backwards, itertools.product(images, repeat=group)))]
+    table = [*itertools.starmap(weight, _blocks(images, group))]  # table[v]: block v's weight
     blocks = code.L // group
     units = _kept_units(base.alphabet, table, bits)
     reps = sorted({*map(min, zip(*units))} - {0})  # the least of each orbit
@@ -424,25 +429,39 @@ def min_distance(code: LinearCode | MappedCode, kind: WeightKind = WeightKind.HA
     depth = 12 // dim if field <= 8 and max(blocks * max(table), size) < 256 else 0
     if field <= 8:  # the weight of the fields packed in each byte; a spread
         # field repeats the table, whose first copy alone is read (top bits 0)
-        table = bytes(map(sum, itertools.product(table * (1 << field - bits), repeat=8 // field)))
+        table *= 1 << field - bits
+        while len(table) < 256:  # t[a << field | b] = t[a] + t[b], squared up
+            table = [a + b for a in table for b in table]
+        table = bytes(table)
+    # The words of the last ``depth`` rows (never row 0) make one lane
+    # block.  Message order puts the zero entry of each earlier row first,
+    # so the block of any later rows is its low bytes.
+    base_row = max(1, len(scaled) - depth)
+    lanes, ones = _lanes(scaled[base_row:], size)
     least = math.inf
     for i, row in enumerate(scaled):
         # first nonzero symbol at row i: a representative, then any tail;
-        # the last ``depth`` rows make the lanes, the rows before a prefix
-        split = max(i + 1, len(scaled) - depth)
-        lanes, ones = _lanes(scaled[split:], size)
+        # the rows from ``split`` make the lanes, the rows before a prefix
+        split = max(i + 1, base_row)
         count = 1 << dim * (len(scaled) - split)
+        # the low bytes, replacing the wider block; the mask is not kept
+        lanes, ones = [v & (1 << 8 * count * size) - 1 for v in (lanes, ones)]
         for prefix in _packed_words([[*map(row.__getitem__, reps)], *scaled[i + 1 : split]]):
             least = min(least, _least_weight(lanes ^ prefix * ones, count, size, table, field))
     return least
 
 
 def _kept_units(alphabet: Alphabet, table: list[int], bits: int) -> list[Sequence[int]]:
-    """U, as rows of the multiplication table: the units u of a ring alphabet
-    whose action act_u, u times each ring.dim-bit symbol field of a
-    ``bits``-bit block, keeps the block weights, table[act_u(v)] == table[v]
-    for every block v.  The actions compose (act_uv = act_u act_v), so the
-    finite set U is a group.  A matrix alphabet keeps U = {1}."""
+    """U, as rows of the multiplication table in ``alphabet.units`` order:
+    the units u of a ring alphabet whose action act_u, u times each
+    ring.dim-bit symbol field of a ``bits``-bit block, keeps the block
+    weights, table[act_u(v)] == table[v] for every block v.  The actions
+    compose (act_uv = act_u act_v), so U is a subgroup of the unit group,
+    which is commutative, and units are decided by cosets.  H, the units
+    known to be in U, starts as {1}; a tested unit m that keeps the table
+    grows H to <H, m>, the union of the m^k H, and one that does not puts
+    its whole coset m H outside U (m h in U would give m in U).  No decided
+    unit is tested again.  A matrix alphabet keeps U = {1}."""
     if not isinstance(alphabet, QuotientRing):
         return [range(alphabet.size)]
     # act_u(v) is the XOR of one ``row << shift`` entry per field, so on the
@@ -450,12 +469,14 @@ def _kept_units(alphabet: Alphabet, table: list[int], bits: int) -> list[Sequenc
     # of the high fields (none in a block of at most 8 bits), the weights at
     # act_u(h, l) for every l are one translate of that run by the table's
     # slice at act_u(h).
-    dim = alphabet.dim
+    dim, mul = alphabet.dim, alphabet._mul
     low = min(bits, 8 // dim * dim)
     weights, n = bytes(table), 1 << low
-    kept = []
+    kept, out = {1}, set()  # H, and a union of cosets of H outside U
     for u in alphabet.units:
-        row = alphabet._mul[u.mask]
+        if u.mask in kept or u.mask in out:
+            continue
+        row = mul[u.mask]
         fields = [[m << shift for m in row] for shift in range(bits - dim, -1, -dim)]  # top first
         split = len(fields) - low // dim
         acts = _lanes(fields[split:], 1)[0].to_bytes(n, "little")
@@ -464,8 +485,15 @@ def _kept_units(alphabet: Alphabet, table: list[int], bits: int) -> list[Sequenc
             acts.translate(weights[a : a + n].ljust(256, b"\0")) == weights[h : h + n]
             for h, a in zip(range(0, len(weights), n), highs)
         ):
-            kept.append(row)
-    return kept
+            power, grown = u.mask, set(kept)
+            while power not in kept:
+                grown.update(mul[power][h] for h in kept)
+                power = row[power]
+            kept = grown
+            out = {mul[m][h] for m in out for h in kept}
+        else:
+            out.update(row[h] for h in kept)
+    return [mul[u.mask] for u in alphabet.units if u.mask in kept]
 
 
 _NONZERO = bytes(map(bool, range(256)))  # 1 for each nonzero byte

@@ -463,6 +463,47 @@ def test_min_distance_visits_one_message_per_unit_orbit(monkeypatch, code, kind,
     assert sum(count for count, _ in blocks) == words
 
 
+@pytest.mark.parametrize(
+    "code,kind,tested,blocks,words",
+    [
+        # F16* is cyclic and x generates it: one unit test
+        (reed_solomon_code(4), WeightKind.HAMMING, 1, 1, 4369),
+        (pushforward_pairs(parity_check_code(8, F4)), WeightKind.BACHOC, 1, 1, 5461),
+        (lift_code(parity_check_code(8, F4)), WeightKind.HAMMING, 1, 1, 5461),
+        # the units of F4[i] are C3 x C2 x C2, spanned by the tested i, w, w+i
+        (parity_check_code(4, F4I), WeightKind.LEE, 3, 1, 546),
+    ],
+    ids=["rs16_4", "pairs-parity8-f4", "lift-parity8-f4", "lee-parity4-f4i"],
+)
+def test_benchmark_searches_build_each_lane_run_once(monkeypatch, code, kind, tested, blocks, words):
+    """The four searches of the benchmark's codes workload: one run of
+    byte lanes per unit tested, one lane block per search whose low bytes
+    serve every first row, and the visited words unchanged."""
+    lanes = outer_codes._lanes
+    kept_units = outer_codes._kept_units
+    calls = {"units": 0, "lanes": 0}
+    active = "lanes"
+
+    def counted_lanes(tables, size):
+        calls[active] += 1
+        return lanes(tables, size)
+
+    def counted_units(*args):
+        nonlocal active
+        active = "units"
+        try:
+            return kept_units(*args)
+        finally:
+            active = "lanes"
+
+    monkeypatch.setattr(outer_codes, "_lanes", counted_lanes)
+    monkeypatch.setattr(outer_codes, "_kept_units", counted_units)
+    weighed = _recorded_blocks(monkeypatch)
+    min_distance(code, kind)
+    assert calls == {"units": tested, "lanes": blocks}
+    assert sum(count for count, _ in weighed) == words
+
+
 def test_unit_orbits_keep_only_weight_preserving_units():
     """One F4 symbol x maps to pair_to_matrix(x, x) at x = 1 and to
     pair_to_matrix(x, 0) elsewhere: Bachoc weight 2 at 1, 1 at w and w^2,
@@ -607,6 +648,27 @@ def test_mapped_code_blocks_must_tile_the_length(block):
         next(code.codewords())
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        *(transform(parity_check_code(4, ring)) for ring in (F4, F4I) for transform in (lift_code, pushforward_pairs)),
+        MappedCode(repetition_code(3, F4), MatrixSpace(F2I, 2), 3, _fold_to_m2f2i, name="f4-triples"),
+    ],
+    ids=lambda c: f"{c.name}-{c.base.alphabet.name}",
+)
+def test_symbol_images_match_the_unpack_route(code):
+    """The image of every packed block, from itertools.product of the
+    symbols read backwards, equals the symbol map of the block's fields
+    as _unpack reads them, lowest first."""
+    base, width, images = code._symbol_images()
+    symbols = list(base.alphabet)
+    dim = base.alphabet.dim
+    assert width == dim * code.block
+    assert images == [
+        code.symbol_map(*outer_codes._unpack(v, dim, code.block, symbols)) for v in range(1 << width)
+    ]
+
+
 def _recorded_units(monkeypatch, kept_units=outer_codes._kept_units):
     """The unit sets U that min_distance keeps, as sets of unit masks (the
     entry u * 1 of each multiplication-table row), or None for U = {1} of a
@@ -725,6 +787,89 @@ def test_kept_units_read_every_field_of_a_block(monkeypatch):
     kept = _recorded_units(monkeypatch, low_field_only)
     assert min_distance(code, WeightKind.BACHOC) == 2
     assert kept == [{1, 2, 3}]
+
+
+def _tested_units(monkeypatch):
+    """The unit masks that _kept_units tests, in order: each test builds
+    one run of byte lanes whose lowest field is the unit's row, u * 1 at
+    index 1."""
+    tested = []
+    lanes = outer_codes._lanes
+
+    def recorded(tables, size):
+        tested.append(tables[-1][1])
+        return lanes(tables, size)
+
+    monkeypatch.setattr(outer_codes, "_lanes", recorded)
+    return tested
+
+
+def _subgroup(ring, *generators):
+    """The masks of the unit subgroup that generators span, by closure
+    under the public product."""
+    group = {ring.one}
+    while True:
+        grown = group | {g * h for g in generators for h in group}
+        if grown == group:
+            return {h.mask for h in group}
+        group = grown
+
+
+def _orbit_table(ring, subgroup, fields):
+    """A weight table of ``fields``-symbol blocks (lowest symbol in the low
+    bits) that is kept by exactly the units in ``subgroup``: a symbol
+    weighs the least mask of its orbit under the subgroup, and a block the
+    weight of its top symbol times 16 plus that of its lowest (a middle
+    symbol is not read)."""
+    orbit = [min(ring._mul[h][x] for h in subgroup) for x in range(ring.size)]
+    top, mask = ring.dim * (fields - 1), ring.size - 1
+    return [orbit[v >> top] * 16 * (fields > 1) + orbit[v & mask] for v in range(1 << ring.dim * fields)]
+
+
+def _brute_kept(ring, table, fields):
+    """The units u with table[u * v] == table[v] for every block v, through
+    the public u * x of each symbol."""
+    def pack(block):
+        return sum(x.mask << ring.dim * j for j, x in enumerate(block))
+
+    blocks = [(pack(b), b) for b in itertools.product(ring, repeat=fields)]
+    return {u.mask for u in ring.units if all(table[pack([u * x for x in b])] == table[v] for v, b in blocks)}
+
+
+_X16, _I, _W = F16.elements[2], F4I.gen_i, F4I.gen_w
+SUBGROUPS = [  # (name, ring, generators, order of the subgroup, units tested)
+    ("f16-order5", F16, (_X16**3,), 5, 7),
+    ("f16-order3", F16, (_X16**5,), 3, 5),
+    ("f16-order1", F16, (), 1, 14),
+    ("f4i-order2", F4I, (_I,), 2, 6),
+    ("f4i-order3", F4I, (_W,), 3, 4),
+    ("f4i-order4", F4I, (_I, F4I.one + _W * (F4I.one + _I)), 4, 6),
+    ("f4i-order6", F4I, (_I, _W), 6, 3),
+    ("f4i-order1", F4I, (), 1, 11),
+]
+
+
+@pytest.mark.parametrize("fields", [1, 2, 3])
+@pytest.mark.parametrize("ring,generators,order,tests", [s[1:] for s in SUBGROUPS], ids=[s[0] for s in SUBGROUPS])
+def test_kept_units_decide_proper_subgroups_by_cosets(monkeypatch, ring, generators, order, tests, fields):
+    """Weight tables whose U is a proper subgroup H of the unit group, in
+    blocks of one, two and three symbols (the last wider than a byte): U
+    is the per-unit set and its rows come in ``ring.units`` order.  No
+    unit is tested once it is decided: in the group spanned by the units
+    kept so far, or in its coset m H for a unit m that failed."""
+    subgroup = _subgroup(ring, *generators)
+    assert len(subgroup) == order
+    table = _orbit_table(ring, subgroup, fields)
+    assert _brute_kept(ring, table, fields) == subgroup
+    tested = _tested_units(monkeypatch)
+    rows = outer_codes._kept_units(ring, table, ring.dim * fields)
+    assert rows == [ring._mul[u.mask] for u in ring.units if u.mask in subgroup]
+    for n, u in enumerate(tested):
+        before = [ring.elements[m] for m in tested[:n]]
+        known = _subgroup(ring, *[m for m in before if m.mask in subgroup])
+        ruled_out = {(m * ring.elements[h]).mask for m in before if m.mask not in subgroup for h in known}
+        assert u not in known | ruled_out, (tested, n)
+    assert len(tested) == tests
 
 
 PROPERTY_ALPHABETS = [*RING_BY_NAME.values(), MatrixSpace(F2, 2), MatrixSpace(F2I, 2)]
