@@ -62,7 +62,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .cyclic import matrix_to_pair, pair_to_matrix
 from .matrices import ENUMERATION_LIMIT, RingMatrix
@@ -555,6 +555,20 @@ def golden_pair_mul(x: GoldenCodeword, y: GoldenCodeword) -> GoldenCodeword:
 # the same way: the left half gives the low bits of the codeword key, the
 # right half the high bits.  A norm is zero only at the zero half, so the one
 # pair every scan leaves out, the zero codeword, is the pair of two zero norms.
+#
+# The minimum search needs only the first half of each norm and key, and two
+# exact facts let it build that table from a fraction of the halves:
+#
+# * Slots: key(a, b) = key(a, 0) ^ key(0, b), as each key bit is the parity
+#   of coordinates of one slot.  Each Gaussian coordinate is keyed once per
+#   slot, and only the b completing the wanted key are paired with each a.
+# * Signs: N(-h) = N(h), the norm being quadratic, and key(-h) = key(h), as
+#   -1 = 1 mod (1+i) and mod 2, so h and -h lie in one coset with one norm.
+#   They differ first at the first nonzero coordinate of h, so the first half
+#   of each norm is the zero half or has a negative first nonzero coordinate,
+#   and only those halves are visited.
+#
+# The floor scan needs every half's group and still visits them all.
 
 def _check_box(box: int) -> None:
     """Reject an empty box and one whose (2*box+1)^4 halves exceed the
@@ -580,12 +594,34 @@ def _box_halves(box: int) -> list[tuple[_Half, _Norm]]:
     return [(h, norm_ints(*h)) for h in itertools.product(range(-box, box + 1), repeat=4)]
 
 
-def _first_halves(halves: Iterable[tuple[_Half, _Norm]]) -> dict[_Norm, _Half]:
-    """The first half of each norm; the norms keep the order of their first
-    halves."""
+def _slot_keys(box: int, half_key: Callable[[Sequence[int]], int]) -> tuple[list[int], list[int]]:
+    """``half_key`` of each Gaussian coordinate of the box in the first slot,
+    (g, 0), and in the second, (0, g), in lexicographic order."""
+    coords = list(itertools.product(range(-box, box + 1), repeat=2))
+    return [half_key(g + (0, 0)) for g in coords], [half_key((0, 0) + g) for g in coords]
+
+
+def _first_halves(box: int, slot_keys: tuple[list[int], list[int]], key: int) -> dict[_Norm, _Half]:
+    """The first half (a, b) in lexicographic order of each norm among the
+    halves of key ``key``, the key of (a, b) being the first slot key of a
+    xor the second slot key of b; the norms keep the order of their first
+    halves.  Only the zero half and the halves whose first nonzero
+    coordinate is negative are visited (see the block comment above)."""
+    coords = list(itertools.product(range(-box, box + 1), repeat=2))
+    zero = len(coords) // 2  # coords[zero] = (0, 0), coords[-1 - j] = -coords[j]
+    keys_a, keys_b = slot_keys
+    by_key: dict[int, list[tuple[int, int]]] = {}
+    for b, k in zip(coords, keys_b):
+        by_key.setdefault(k, []).append(b)
+    norm = norm_ints
     first: dict[_Norm, _Half] = {}
-    for h, n in halves:
-        first.setdefault(n, h)
+    for j in range(zero + 1):
+        a = coords[j]
+        for b in by_key.get(key ^ keys_a[j], ()):
+            if j == zero and b > (0, 0):
+                break
+            h = a + b
+            first.setdefault(norm(*h), h)
     return first
 
 
@@ -620,6 +656,14 @@ def min_abs_det_sq(
 
     The search grows the distance t = 0, 1, 2, 4, ... shell by shell until
     some distinct left norm has a right norm at distance t from its target.
+    Its tables hold the first half of each norm on each side, built from two
+    exact facts.  A half key splits by slot, key(a, b) = key(a, 0) ^ key(0, b),
+    each bit being the parity of coordinates of one slot: each Gaussian
+    coordinate is keyed once per slot and only the halves of the coset's key
+    are enumerated.  A coset is closed under negation with N(-h) = N(h)
+    (-1 = 1 mod (1+i) and mod 2; the norm is quadratic), and of h and -h the
+    first has a negative first nonzero coordinate: only the zero half and
+    such halves are enumerated, about half of the coset's.
     """
     if coset is not None:
         if ideal not in _HALF_KEYS:
@@ -629,14 +673,14 @@ def min_abs_det_sq(
         raise ValueError("ideal given without a coset matrix")
     _check_box(box)
 
-    halves = _box_halves(box)
     if coset is None:
-        left = right = _first_halves(halves)
+        unkeyed = [0] * (2 * box + 1) ** 2
+        left = right = _first_halves(box, (unkeyed, unkeyed), 0)
     else:
         half_key, bits = _HALF_KEYS[ideal]
-        keys = [half_key(h) for h, _ in halves]
-        left = _first_halves(x for x, k in zip(halves, keys) if k == key & ((1 << bits) - 1))
-        right = _first_halves(x for x, k in zip(halves, keys) if k == key >> bits)
+        slot_keys = _slot_keys(box, half_key)
+        left = _first_halves(box, slot_keys, key & ((1 << bits) - 1))
+        right = _first_halves(box, slot_keys, key >> bits)
     if not left or not right or left.keys() | right.keys() == {(0, 0)}:
         raise ValueError("no nonzero codeword matches the requested coset in the box")
     # The left norms come in the order of their first halves, so the first

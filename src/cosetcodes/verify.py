@@ -880,8 +880,10 @@ def certify_projection_compat(failures: list[str], details: list[str]) -> None:
     units (e^2 = i in the algebra, j^2 = 1 in the model, i != 1 mod 2).
     The claim asserts exactly this three-way split."""
     # the library's half keys, read at call time as the scans read them, on a
-    # +/-2 window of g = x + y*i: g in either slot of a half, and additivity
-    # on the halves (g, h) + (h, g) = (g + h, g + h)
+    # +/-2 window of g = x + y*i: membership of g in either slot of a half;
+    # then, over the halves (g, h), the two facts the minimum search enumerates
+    # by, slot separability and sign symmetry; then additivity on the halves
+    # (g, h) + (h, g) = (g + h, g + h)
     window = list(itertools.product(range(-2, 3), repeat=2))
     keys = (("mod-(1+i)", golden._HALF_KEYS["1pi"][0]), ("mod-2", golden._HALF_KEYS["2"][0]))
 
@@ -891,11 +893,19 @@ def certify_projection_compat(failures: list[str], details: list[str]) -> None:
             for (label, key), div in zip(keys, ((x + y) % 2 == 0, x % 2 == 0 and y % 2 == 0)):
                 if (key((x, y, 0, 0)) == 0) != div or (key((0, 0, x, y)) == 0) != div:
                     yield f"{label} membership mismatch at {GaussianInt(x, y)}"
-            for u, v in window:
-                for label, key in keys:
-                    if key((x, y, u, v)) ^ key((u, v, x, y)) != key((x + u, y + v) * 2):
-                        g, h = GaussianInt(x, y), GaussianInt(u, v)
-                        yield f"{label} additivity fails at {g}, {h}"
+        pairs = list(itertools.product(window, repeat=2))
+        for (x, y), (u, v) in pairs:
+            for label, key in keys:
+                half = key((x, y, u, v))
+                if half != key((x, y, 0, 0)) ^ key((0, 0, u, v)):
+                    yield (f"{label} slot separability fails at "
+                           f"{GaussianInt(x, y)}, {GaussianInt(u, v)}")
+                if key((-x, -y, -u, -v)) != half:
+                    yield f"{label} sign symmetry fails at {GaussianInt(x, y)}, {GaussianInt(u, v)}"
+        for (x, y), (u, v) in pairs:
+            for label, key in keys:
+                if key((x, y, u, v)) ^ key((u, v, x, y)) != key((x + u, y + v) * 2):
+                    yield f"{label} additivity fails at {GaussianInt(x, y)}, {GaussianInt(u, v)}"
 
     _first_failure(failures, window_failures())
 

@@ -470,8 +470,9 @@ def test_grouped_floor_decisions_read_each_key_pairs_floor(monkeypatch, ideal, p
 
 
 @pytest.mark.parametrize("ideal,ring", [("1pi", F4), ("2", F4I)], ids=["1pi", "2"])
-def test_coset_search_keys_each_half_once(monkeypatch, ideal, ring):
-    """The coset search filters both sides from one key per half."""
+def test_coset_search_keys_each_coordinate_once_per_slot(monkeypatch, ideal, ring):
+    """The coset search builds both sides from one key per Gaussian
+    coordinate of the box in each of the two slots of a half."""
     half_key, bits = golden._HALF_KEYS[ideal]
     calls = 0
 
@@ -484,7 +485,52 @@ def test_coset_search_keys_each_half_once(monkeypatch, ideal, ring):
     expected = min_abs_det_sq(2, coset=coset, ideal=ideal)
     monkeypatch.setattr(golden, "_HALF_KEYS", {ideal: (counted, bits)})
     assert min_abs_det_sq(2, coset=coset, ideal=ideal) == expected
-    assert calls == 5**4
+    assert calls == 2 * 5**2
+
+
+def _all_halves_tables(box, half_key, bits):
+    """key -> the first half of each norm among the box's halves of that key,
+    from every one of the (2B+1)^4 halves keyed on its own: the search's
+    tables as they were built before the slot and sign reductions."""
+    tables = [{} for _ in range(1 << bits)]
+    for h in itertools.product(range(-box, box + 1), repeat=4):
+        tables[half_key(h)].setdefault(norm_ints(*h), h)
+    return tables
+
+
+@pytest.mark.parametrize("box", [1, 2, 3, 4])
+def test_first_half_tables_match_the_all_halves_route(box):
+    """Same norms, same first halves, same order: the unkeyed table of the
+    full search, and the table of every key of both ideals, which covers
+    both sides of every coset."""
+    unkeyed = [0] * (2 * box + 1) ** 2
+    table = golden._first_halves(box, (unkeyed, unkeyed), 0)
+    assert list(table.items()) == list(_all_halves_tables(box, lambda h: 0, 0)[0].items())
+    for half_key, bits in golden._HALF_KEYS.values():
+        slot_keys = golden._slot_keys(box, half_key)
+        for key, want in enumerate(_all_halves_tables(box, half_key, bits)):
+            assert list(golden._first_halves(box, slot_keys, key).items()) == list(want.items())
+
+
+def test_the_search_keeps_the_negative_leading_half_of_each_pair(monkeypatch):
+    """Of h and -h the tables keep the half whose first nonzero coordinate
+    is negative, the lexicographically first.  Tables built from the zero
+    half and the positive-leading halves instead move the box-2 witness."""
+
+    def positive_leading(box, slot_keys, key):
+        coords = list(itertools.product(range(-box, box + 1), repeat=2))
+        keyed = zip(itertools.product(coords, repeat=2), itertools.product(*slot_keys))
+        first = {}
+        for (a, b), (ka, kb) in keyed:
+            if a + b >= (0, 0, 0, 0) and ka ^ kb == key:
+                first.setdefault(norm_ints(*a, *b), a + b)
+        return first
+
+    assert str(min_abs_det_sq(2)[1]) == "(-2-2i, -2-2i, -2-i, 2i)"
+    monkeypatch.setattr(golden, "_first_halves", positive_leading)
+    value, witness = min_abs_det_sq(2)
+    assert value == Fraction(1, 5)
+    assert str(witness) == "(0, 0, 0, i)"
 
 
 def test_box3_results_pinned():

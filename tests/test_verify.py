@@ -614,6 +614,37 @@ def test_projection_compat_checks_the_half_keys_the_scans_run(monkeypatch, ideal
     assert rep.witness == f"{label} membership mismatch at -2-i"
 
 
+# Half-key plants that keep membership of either slot; each breaks a fact the
+# minimum search enumerates by.  plant -> (extra key bits of h given the true
+# key k, the first failure's check, its halves under "1pi" and under "2").
+_HALF_KEY_PLANTS = {
+    # couples the slots; additivity fails too, but later in the scan
+    "slot product": (lambda h, k: (h[0] & h[2]) & 1,
+                     "slot separability", "-1-2i, -1-2i", "-1-2i, -1-2i"),
+    # vanishes on (g, h) + (h, g): membership and additivity still hold
+    "slot form": (lambda h, k: (h[0] * h[3] + h[1] * h[2]) & 1,
+                  "slot separability", "-2-i, -1-2i", "-2-i, -1-2i"),
+    # flips key bit 1 of a first slot with key bit 0 set, when re > 0
+    "sign": (lambda h, k: (h[0] > 0 and k(h[:2] + (0, 0)) & 1) << 1,
+             "sign symmetry", "-2-i, -2-2i", "-1-2i, -2-2i"),
+}
+
+
+@pytest.mark.parametrize("plant", list(_HALF_KEY_PLANTS))
+@pytest.mark.parametrize("ideal,label", [("1pi", "mod-(1+i)"), ("2", "mod-2")])
+def test_projection_compat_checks_the_half_key_facts_the_search_uses(monkeypatch, ideal, label, plant):
+    """The minimum search keys each Gaussian coordinate once per slot and
+    visits one of each pair +/-h, which needs key(g, h) = key(g, 0) ^
+    key(0, h) and key(-g, -h) = key(g, h): the window check tests both,
+    before additivity, on the keys read from golden._HALF_KEYS."""
+    extra, check, at_1pi, at_2 = _HALF_KEY_PLANTS[plant]
+    half_key, bits = golden._HALF_KEYS[ideal]
+    monkeypatch.setitem(golden._HALF_KEYS, ideal, (lambda h: half_key(h) ^ extra(h, half_key), bits))
+    rep = verify.run_claim("projection_compat")
+    assert not rep.passed
+    assert rep.witness == f"{label} {check} fails at {at_1pi if ideal == '1pi' else at_2}"
+
+
 def test_projection_compat_stays_exhaustive(monkeypatch):
     """One passing run multiplies all 256^2 window pairs and projects the
     256 window elements and the 65536 products under both ideals.  Each
