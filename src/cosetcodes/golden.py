@@ -32,8 +32,10 @@ matrices whose invertibility class dictates an exact floor on |det|^2:
 The ideals are (1+i)^k at depths k = 1 and 2 ((1+i)^2 = 2i).  Each coset
 has one residue key, x0bar.mask | x1bar.mask << ring.dim for its pair over F4
 or F4[i]: the residues of a, b, c, d modulo (1+i)^k in k bits each, a lowest.
-The floor tables are indexed by it.  The scans key halves at the two depths
-written out; the verify oracle keys codewords by ``_key_mod``'s general rule.
+The floor tables are indexed by it.  Both scans key each Gaussian coordinate
+once per slot of a half, at the two depths written out, and a half's key is
+the xor of its two slot keys; the verify oracle keys codewords by
+``_key_mod``'s general rule.
 
 The i-twist in u is forced by the algebra: the codeword algebra has e^2 = i
 while the 2x2 pair model uses j^2 = 1, and reducing the determinant identity
@@ -556,19 +558,18 @@ def golden_pair_mul(x: GoldenCodeword, y: GoldenCodeword) -> GoldenCodeword:
 # right half the high bits.  A norm is zero only at the zero half, so the one
 # pair every scan leaves out, the zero codeword, is the pair of two zero norms.
 #
-# The minimum search needs only the first half of each norm and key, and two
-# exact facts let it build that table from a fraction of the halves:
+# Both scans key halves by slot: key(a, b) = key(a, 0) ^ key(0, b), as each
+# key bit is the parity of coordinates of one slot, so each Gaussian
+# coordinate is keyed once per slot.  The floor scan needs every half's
+# (norm, key) group and pairs every a with every b.  The minimum search needs
+# only the first half of each norm and key, pairs each a only with the b
+# completing the wanted key, and uses one more exact fact:
 #
-# * Slots: key(a, b) = key(a, 0) ^ key(0, b), as each key bit is the parity
-#   of coordinates of one slot.  Each Gaussian coordinate is keyed once per
-#   slot, and only the b completing the wanted key are paired with each a.
 # * Signs: N(-h) = N(h), the norm being quadratic, and key(-h) = key(h), as
 #   -1 = 1 mod (1+i) and mod 2, so h and -h lie in one coset with one norm.
 #   They differ first at the first nonzero coordinate of h, so the first half
 #   of each norm is the zero half or has a negative first nonzero coordinate,
 #   and only those halves are visited.
-#
-# The floor scan needs every half's group and still visits them all.
 
 def _check_box(box: int) -> None:
     """Reject an empty box and one whose (2*box+1)^4 halves exceed the
@@ -589,11 +590,6 @@ _HALF_KEYS = {"1pi": (_half_key_1pi, 2), "2": (_half_key_2, 4)}
 _Norm = tuple[int, int]
 
 
-def _box_halves(box: int) -> list[tuple[_Half, _Norm]]:
-    """All (2*box+1)^4 halves in lexicographic order, each with its norm."""
-    return [(h, norm_ints(*h)) for h in itertools.product(range(-box, box + 1), repeat=4)]
-
-
 def _slot_keys(box: int, half_key: Callable[[Sequence[int]], int]) -> tuple[list[int], list[int]]:
     """``half_key`` of each Gaussian coordinate of the box in the first slot,
     (g, 0), and in the second, (0, g), in lexicographic order."""
@@ -606,7 +602,8 @@ def _first_halves(box: int, slot_keys: tuple[list[int], list[int]], key: int) ->
     halves of key ``key``, the key of (a, b) being the first slot key of a
     xor the second slot key of b; the norms keep the order of their first
     halves.  Only the zero half and the halves whose first nonzero
-    coordinate is negative are visited (see the block comment above)."""
+    coordinate is negative are visited (see the block comment above).  All-zero
+    slot keys and key 0 give the table of every half."""
     coords = list(itertools.product(range(-box, box + 1), repeat=2))
     zero = len(coords) // 2  # coords[zero] = (0, 0), coords[-1 - j] = -coords[j]
     keys_a, keys_b = slot_keys
@@ -656,31 +653,26 @@ def min_abs_det_sq(
 
     The search grows the distance t = 0, 1, 2, 4, ... shell by shell until
     some distinct left norm has a right norm at distance t from its target.
-    Its tables hold the first half of each norm on each side, built from two
-    exact facts.  A half key splits by slot, key(a, b) = key(a, 0) ^ key(0, b),
-    each bit being the parity of coordinates of one slot: each Gaussian
-    coordinate is keyed once per slot and only the halves of the coset's key
-    are enumerated.  A coset is closed under negation with N(-h) = N(h)
-    (-1 = 1 mod (1+i) and mod 2; the norm is quadratic), and of h and -h the
-    first has a negative first nonzero coordinate: only the zero half and
-    such halves are enumerated, about half of the coset's.
+    Its tables hold the first half of each norm on each side.  They are
+    built from the halves of the coset's key only, keyed once per slot, and
+    from one of each pair h, -h (see the block comment above).  The full
+    search is key 0 under all-zero slot keys, and one table serves both
+    sides when the two half keys agree.
     """
+    half_key, bits, key = (lambda h: 0), 0, 0
     if coset is not None:
         if ideal not in _HALF_KEYS:
             raise ValueError("ideal must be '1pi' or '2' when a coset is given")
+        half_key, bits = _HALF_KEYS[ideal]
         key = _coset_key(coset, ideal)
     elif ideal is not None:
         raise ValueError("ideal given without a coset matrix")
     _check_box(box)
 
-    if coset is None:
-        unkeyed = [0] * (2 * box + 1) ** 2
-        left = right = _first_halves(box, (unkeyed, unkeyed), 0)
-    else:
-        half_key, bits = _HALF_KEYS[ideal]
-        slot_keys = _slot_keys(box, half_key)
-        left = _first_halves(box, slot_keys, key & ((1 << bits) - 1))
-        right = _first_halves(box, slot_keys, key >> bits)
+    slot_keys = _slot_keys(box, half_key)
+    left_key, right_key = key & ((1 << bits) - 1), key >> bits
+    left = _first_halves(box, slot_keys, left_key)
+    right = left if right_key == left_key else _first_halves(box, slot_keys, right_key)
     if not left or not right or left.keys() | right.keys() == {(0, 0)}:
         raise ValueError("no nonzero codeword matches the requested coset in the box")
     # The left norms come in the order of their first halves, so the first
@@ -698,11 +690,6 @@ def min_abs_det_sq(
                 return Fraction(m, 5), GoldenCodeword._of(h, min(found))
 
 
-# The offsets of norm < 4 (3 is not a sum of two squares): a floor of at most
-# 4 can only fail at these distances.
-_NEAR_OFFSETS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-
-
 def scan_det_floors(
     ideal: str, box: int = 2
 ) -> tuple[int, list[tuple[int, ...]], list[int]]:
@@ -712,26 +699,30 @@ def scan_det_floors(
     violation list means every floor held; otherwise it holds the first five
     offending coordinate tuples in lexicographic order.
 
-    Class sizes are products of the per-key half counts, less the zero
-    codeword.  A violation needs m < floor <= 4, so only the right norms at
-    the nine offsets of norm < 4 around each distinct left norm's target are
-    visited.  The halves are grouped by norm and key: m depends only on the
-    two norms and the floor only on the two keys, so one comparison decides
-    every codeword of a (left group, right group) pair.  Only a violating
-    pair is expanded into codewords, and a heap keeps the five least.
+    The halves are grouped by norm and by key, the xor of their two slot
+    keys, and class sizes are products of the per-key half counts, less the
+    zero codeword.  A violation needs m < floor <= 4, so only the right norms
+    on the shells t = 0, 1, 2 around each distinct left norm's target are
+    visited.  m depends only on the two norms and the floor only on the two
+    keys, so one comparison of t with the floor decides every codeword of a
+    (left group, right group) pair.  Only a violating pair is expanded into
+    codewords, and a heap keeps the five least.
     """
     if ideal not in _HALF_KEYS:
         raise ValueError("ideal must be '1pi' or '2'")
     _check_box(box)
     table = floor_table_mod_1pi() if ideal == "1pi" else floor_table_mod_2()
     half_key, bits = _HALF_KEYS[ideal]
+    coords = list(itertools.product(range(-box, box + 1), repeat=2))
+    keys_a, keys_b = _slot_keys(box, half_key)
     key_counts = [0] * (1 << bits)
     # norm -> key -> the halves of that norm and key, in lexicographic order
     groups: dict[_Norm, dict[int, list[_Half]]] = {}
-    for h, n in _box_halves(box):
-        k = half_key(h)
-        key_counts[k] += 1
-        groups.setdefault(n, {}).setdefault(k, []).append(h)
+    for a, ka in zip(coords, keys_a):
+        for b, kb in zip(coords, keys_b):
+            h, k = a + b, ka ^ kb
+            key_counts[k] += 1
+            groups.setdefault(norm_ints(*h), {}).setdefault(k, []).append(h)
 
     floor_index = {4: 0, 2: 1, 1: 2}
     counts = [0, 0, 0]  # floors 4, 2, 1
@@ -740,15 +731,19 @@ def scan_det_floors(
             counts[floor_index[table[kl | kr << bits]]] += count_l * count_r
     counts[floor_index[table[0]]] -= 1  # the zero codeword
 
-    # the two zero norms at offset (0, 0) are the zero codeword alone
+    # a floor of at most 4 can only fail below 4: on the shells t = 0, 1, 2
+    # (3 is not a sum of two squares); two zero norms at t = 0 are the zero
+    # codeword alone
+    near = list(itertools.islice(_offset_shells(), 3))
     violations = heapq.nsmallest(5, (
         h + r
         for (p, q), left in groups.items()
-        for dx, dy in _NEAR_OFFSETS
-        if (n := (q + dx, dy - p)) in groups and (dx or dy or p or q)
+        for t, offsets in near
+        for dx, dy in offsets
+        if (n := (q + dx, dy - p)) in groups and (t or p or q)
         for kl, left_halves in left.items()
         for kr, right_halves in groups[n].items()
-        if dx * dx + dy * dy < table[kl | kr << bits]
+        if t < table[kl | kr << bits]
         for h in left_halves
         for r in right_halves
     ))

@@ -656,6 +656,10 @@ def rs_distance_certificate(code: LinearCode) -> int:
     exactly.  Returns the certified distance.
     """
     r = code.L - code.k
+    if len(code.parity_rows) < r:
+        raise ValueError(
+            f"{code.name}: needs L - k = {r} parity rows, {len(code.parity_rows)} stored"
+        )
     if r == 0:
         return 1
     if not all(code.check_parity(g) for g in code.rows):

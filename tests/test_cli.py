@@ -193,6 +193,54 @@ def test_negative_code_file_header_exit_2(capsys, tmp_path, header):
     assert err == f"error: header L and k must not be negative, got '{header}'\n"
 
 
+# argv, the start of the one error line; a --code-file argument is the
+# file's text, written to a temporary file before the run
+_REFUSALS = {
+    "fraction": (("bounds", "--which", "hamming", "--delta", "1/0"), "not a fraction: '1/0'"),
+    "certified": (("mindist", "--code", "hexacode", "--certified"),
+                  "--certified applies to the reed-solomon codes"),
+    "no-ds": (("bounds", "--which", "multilevel_m4"), "this bound needs a comma list of 4 integers"),
+    "bad-ds": (("bounds", "--which", "multilevel_m4", "--ds", "1,x,3,4"),
+               "not an integer list: '1,x,3,4'"),
+    "short-ks": (("bounds", "--which", "rate_m4", "--ks", "1,2,3"), "expected 4 integers, got 3"),
+    "pair-element": (("iso", "--which", "m2f2_f4j", "--element", "w"),
+                     "pair models need --element 'x; y'"),
+    "bare-verify": (("verify",), "give --all or --claim ID"),
+    "empty-element": (("weights", "--kind", "hamming", "--word", "1,,w", "--ring", "f4"),
+                      "empty element string"),
+    "open-paren": (("weights", "--kind", "hamming", "--word", "(1+w", "--ring", "f4"),
+                   "unbalanced parentheses in '(1+w'"),
+    "close-paren": (("weights", "--kind", "hamming", "--word", "1+w)", "--ring", "f4"),
+                    "unbalanced parentheses in '1+w)'"),
+    "empty-file": (("mindist", "--code-file", ""), "empty code file"),
+    "missing-row": (("mindist", "--code-file", "f4 2 2\n1,0\n"), "expected 2 generator rows, found 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_refusals_print_one_error_line(capsys, tmp_path, case):
+    """Exit 2, nothing on stdout and one error line on stderr, no traceback."""
+    argv, message = _REFUSALS[case]
+    if "--code-file" in argv:
+        path = tmp_path / "code.txt"
+        path.write_text(argv[2])
+        argv = (*argv[:2], str(path))
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("which,element", [("f16m4", "w; 1; 0; w^3+1"), ("f8m3", "w^2; 1+w; w")])
+def test_iso_cyclic_element_images(capsys, which, element):
+    """--element of a cyclic model prints the library image of the parsed element."""
+    from cosetcodes.cyclic import CyclicElement, iso_f8_to_m3, iso_f16_to_m4
+    from cosetcodes.rings import F8, F16_ALT
+
+    ring, iso = {"f8m3": (F8, iso_f8_to_m3), "f16m4": (F16_ALT, iso_f16_to_m4)}[which]
+    rc, out, err = run(capsys, "iso", "--which", which, "--element", element)
+    assert (rc, out, err) == (0, f"{iso(CyclicElement.parse(ring, element))}\n", "")
+
+
 @pytest.mark.parametrize(
     "code,least", [("repetition", 1), ("parity", 2), ("matrix_parity", 2)]
 )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import heapq
 import itertools
 import pickle
 import random
@@ -469,23 +470,108 @@ def test_grouped_floor_decisions_read_each_key_pairs_floor(monkeypatch, ideal, p
     assert scan == brute_box_scan(ideal, 2)[:3]
 
 
+def _count_half_key_calls(monkeypatch, ideal):
+    """Route the library's half key of ``ideal`` through a counter; the
+    returned list holds the number of calls."""
+    half_key, bits = golden._HALF_KEYS[ideal]
+    calls = [0]
+
+    def counted(h):
+        calls[0] += 1
+        return half_key(h)
+
+    monkeypatch.setattr(golden, "_HALF_KEYS", {ideal: (counted, bits)})
+    return calls
+
+
 @pytest.mark.parametrize("ideal,ring", [("1pi", F4), ("2", F4I)], ids=["1pi", "2"])
 def test_coset_search_keys_each_coordinate_once_per_slot(monkeypatch, ideal, ring):
     """The coset search builds both sides from one key per Gaussian
     coordinate of the box in each of the two slots of a half."""
-    half_key, bits = golden._HALF_KEYS[ideal]
-    calls = 0
-
-    def counted(h):
-        nonlocal calls
-        calls += 1
-        return half_key(h)
-
     coset = pair_to_matrix(ring.elements[1], ring.elements[2])
     expected = min_abs_det_sq(2, coset=coset, ideal=ideal)
-    monkeypatch.setattr(golden, "_HALF_KEYS", {ideal: (counted, bits)})
+    calls = _count_half_key_calls(monkeypatch, ideal)
     assert min_abs_det_sq(2, coset=coset, ideal=ideal) == expected
-    assert calls == 2 * 5**2
+    assert calls == [2 * 5**2]
+
+
+@pytest.mark.parametrize("ideal", ["1pi", "2"])
+def test_floor_scan_keys_each_coordinate_once_per_slot(monkeypatch, ideal):
+    """The floor scan keys each half as the xor of its two slot keys: 2 * 5^2
+    key calls at box 2, not one for each of the 5^4 halves."""
+    expected = scan_det_floors(ideal, 2)
+    calls = _count_half_key_calls(monkeypatch, ideal)
+    assert scan_det_floors(ideal, 2) == expected
+    assert calls == [2 * 5**2]
+
+
+@pytest.mark.parametrize(
+    "ideal,ring,value,witness",
+    [
+        (None, None, Fraction(1, 5), "(-2-2i, -2-2i, -2-i, 2i)"),
+        ("1pi", F4, Fraction(2, 5), "(-2-i, -2-2i, -2+i, -2)"),
+        ("2", F4I, Fraction(2, 5), "(-1-2i, -2-2i, -1, -2+2i)"),
+    ],
+    ids=["full", "1pi", "2"],
+)
+def test_the_search_builds_one_table_when_the_half_keys_agree(monkeypatch, ideal, ring, value, witness):
+    """The full search, and the coset [[1,1],[1,1]] whose two half keys are
+    equal, build one first-half table for both sides; a coset whose half
+    keys differ builds two."""
+    first_halves, keys = golden._first_halves, []
+    monkeypatch.setattr(golden, "_first_halves", lambda *args: keys.append(args[2]) or first_halves(*args))
+    coset = ring and pair_to_matrix(ring.one, ring.one)  # [[1,1],[1,1]]
+    found, cw = min_abs_det_sq(2, coset=coset, ideal=ideal)
+    assert (found, str(cw), len(keys)) == (value, witness, 1)
+    if ring:
+        keys.clear()
+        min_abs_det_sq(2, coset=pair_to_matrix(ring.elements[1], ring.elements[2]), ideal=ideal)
+        assert keys == [1, 2]
+
+
+def _all_halves_floor_scan(ideal, box):
+    """scan_det_floors as it was before the slot keys: each of the (2B+1)^4
+    halves keyed on its own, and the nine offsets of norm < 4 visited."""
+    table = golden.floor_table_mod_1pi() if ideal == "1pi" else golden.floor_table_mod_2()
+    half_key, bits = golden._HALF_KEYS[ideal]
+    key_counts = [0] * (1 << bits)
+    groups = {}
+    for h in itertools.product(range(-box, box + 1), repeat=4):
+        k = half_key(h)
+        key_counts[k] += 1
+        groups.setdefault(norm_ints(*h), {}).setdefault(k, []).append(h)
+    counts = [0, 0, 0]  # floors 4, 2, 1
+    for kl, count_l in enumerate(key_counts):
+        for kr, count_r in enumerate(key_counts):
+            counts[(4, 2, 1).index(table[kl | kr << bits])] += count_l * count_r
+    counts[(4, 2, 1).index(table[0])] -= 1
+    violations = heapq.nsmallest(5, (
+        h + r
+        for (p, q), left in groups.items()
+        for dx, dy in itertools.product((-1, 0, 1), repeat=2)
+        if (n := (q + dx, dy - p)) in groups and (dx or dy or p or q)
+        for kl, left_halves in left.items()
+        for kr, right_halves in groups[n].items()
+        if dx * dx + dy * dy < table[kl | kr << bits]
+        for h in left_halves
+        for r in right_halves
+    ))
+    return sum(key_counts) ** 2 - 1, violations, counts
+
+
+@pytest.mark.parametrize("raised", [None, 4], ids=["library", "raised"])
+@pytest.mark.parametrize("box", [3, 4])
+def test_floor_scan_matches_the_all_halves_grouping(monkeypatch, box, raised):
+    """Beyond the brute oracle's boxes: the same checked count, violations
+    and class sizes as the scan that keys every half, with the library's
+    floors and with every floor raised to 4."""
+    if raised:
+        monkeypatch.setattr(golden, "floor_table_mod_1pi", lambda: [raised] * 16)
+        monkeypatch.setattr(golden, "floor_table_mod_2", lambda: [raised] * 256)
+    for ideal in ("1pi", "2"):
+        scan = scan_det_floors(ideal, box)
+        assert len(scan[1]) == (5 if raised else 0)
+        assert scan == _all_halves_floor_scan(ideal, box)
 
 
 def _all_halves_tables(box, half_key, bits):

@@ -180,6 +180,35 @@ def test_reed_solomon_certificates():
     assert not rs13.check_parity(bad)
 
 
+@pytest.mark.parametrize(
+    "code,message",
+    [
+        (hexacode(), "hexacode[6,3,4]: needs L - k = 3 parity rows, 0 stored"),
+        (repetition_code(3, F4), "repetition[3]: needs L - k = 2 parity rows, 0 stored"),
+    ],
+    ids=["hexacode", "repetition"],
+)
+def test_rs_certificate_refuses_a_code_without_its_parity_rows(code, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rs_distance_certificate(code)
+
+
+def test_rs_certificate_failure_paths():
+    """A stored parity row that does not check G, then two equal parity
+    rows, which make every set of three columns dependent; r = 0 needs no
+    minor."""
+    rs13 = reed_solomon_code(13)
+    p0, p1, p2 = rs13.parity_rows
+    power14 = tuple(p**14 for p in F16.elements)
+    unchecked = dataclasses.replace(rs13, parity_rows=(p0, p1, power14))
+    with pytest.raises(ArithmeticError, match=re.escape("rs[16,13]: stored parity rows do not check G")):
+        rs_distance_certificate(unchecked)
+    repeated = dataclasses.replace(rs13, parity_rows=(p0, p0, p2))
+    with pytest.raises(ArithmeticError, match=re.escape("parity columns (0, 1, 2) of rs[16,13] are dependent")):
+        rs_distance_certificate(repeated)
+    assert rs_distance_certificate(reed_solomon_code(16)) == 1
+
+
 def test_matrix_parity_code_is_repetition_at_length_2():
     mp = matrix_parity_code(2)
     words = set(mp.codewords())

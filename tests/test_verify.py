@@ -627,16 +627,33 @@ _HALF_KEY_PLANTS = {
     # flips key bit 1 of a first slot with key bit 0 set, when re > 0
     "sign": (lambda h, k: (h[0] > 0 and k(h[:2] + (0, 0)) & 1) << 1,
              "sign symmetry", "-2-i, -2-2i", "-1-2i, -2-2i"),
+    # relabels each slot's mod-2 residue 1 -> 1, i -> 1, 1+i -> 2: membership,
+    # slots and signs hold, additivity does not.  Mod 2 only: a one-bit
+    # mod-(1+i) key that keeps membership is always additive.
+    "relabel": (lambda h, k: k(h) ^ _relabeled_mod2_key(h), "additivity", None, "-2-i, -1-2i"),
 }
 
 
-@pytest.mark.parametrize("plant", list(_HALF_KEY_PLANTS))
-@pytest.mark.parametrize("ideal,label", [("1pi", "mod-(1+i)"), ("2", "mod-2")])
+def _relabeled_mod2_key(h):
+    """Per slot, the parity of re + im in bit 0 and of re*im in bit 1."""
+    return sum(((x ^ y) & 1 | (x & y & 1) << 1) << s for x, y, s in ((h[0], h[1], 0), (h[2], h[3], 2)))
+
+
+_HALF_KEY_CASES = [
+    (ideal, label, plant)
+    for plant, (_, _, at_1pi, at_2) in _HALF_KEY_PLANTS.items()
+    for ideal, label, at in (("1pi", "mod-(1+i)", at_1pi), ("2", "mod-2", at_2))
+    if at is not None
+]
+
+
+@pytest.mark.parametrize("ideal,label,plant", _HALF_KEY_CASES)
 def test_projection_compat_checks_the_half_key_facts_the_search_uses(monkeypatch, ideal, label, plant):
-    """The minimum search keys each Gaussian coordinate once per slot and
-    visits one of each pair +/-h, which needs key(g, h) = key(g, 0) ^
+    """The scans key each Gaussian coordinate once per slot and the minimum
+    search visits one of each pair +/-h, which needs key(g, h) = key(g, 0) ^
     key(0, h) and key(-g, -h) = key(g, h): the window check tests both,
-    before additivity, on the keys read from golden._HALF_KEYS."""
+    then additivity, on the keys read from golden._HALF_KEYS.  Each case
+    runs the whole claim."""
     extra, check, at_1pi, at_2 = _HALF_KEY_PLANTS[plant]
     half_key, bits = golden._HALF_KEYS[ideal]
     monkeypatch.setitem(golden._HALF_KEYS, ideal, (lambda h: half_key(h) ^ extra(h, half_key), bits))
@@ -764,6 +781,20 @@ def _flipped_norm_ints(ar, ai, br, bi):
     nr = ar * ar - ai * ai + ar * br - ai * bi - (br * br - bi * bi)
     ni = 2 * ar * ai + ar * bi + ai * br + 2 * br * bi
     return nr, ni
+
+
+def test_golden_mindet_compares_the_search_with_the_brute_loop(monkeypatch):
+    """A search that returned the box-1 witness, which also has |det|^2 = 1/5,
+    passes the value and witness checks; only the brute loop catches it."""
+    box1 = GoldenCodeword.from_ints((-1, -1, -1, -1, -1, -1, 0, 1))
+    assert str(box1) == "(-1-i, -1-i, -1-i, i)" and golden.abs_det_sq(box1) == Fraction(1, 5)
+    monkeypatch.setattr(verify, "min_abs_det_sq", lambda box: (Fraction(1, 5), box1))
+    rep = verify.run_claim("golden_mindet")
+    assert not rep.passed
+    assert rep.witness == (
+        "factorized search gives 1/5 at (-1-i, -1-i, -1-i, i), "
+        "brute loop 1/5 at (-2-2i, -2-2i, -2-i, 2i)"
+    )
 
 
 def test_golden_mindet_proves_the_norm_identity(monkeypatch):
