@@ -27,8 +27,23 @@ class UsageError(Exception):
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a fraction: {text!r} ({exc})") from None
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"not a fraction: {text!r}") from None
+
+
+def _parse_word(alphabet, text: str) -> list:
+    """The symbols of a word over ``alphabet`` (a ring or a matrix space):
+    a ``,`` or ``;`` outside brackets separates them, and each, stripped,
+    is read by ``alphabet.parse``, which refuses an empty one.  ``encode``
+    prints words in this grammar."""
+    symbols, depth, start = [], 0, 0
+    for at, ch in enumerate(text):
+        depth += (ch == "[") - (ch == "]")
+        if depth == 0 and ch in ",;":
+            symbols.append(alphabet.parse(text[start:at].strip()))
+            start = at + 1
+    symbols.append(alphabet.parse(text[start:].strip()))
+    return symbols
 
 
 def _print_value(value, as_float: bool) -> None:
@@ -102,22 +117,16 @@ def _cmd_mindist(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    from .matrices import RingMatrix
-    from .outer_codes import bachoc_word_weight, hamming_weight, lee_word_weight
+    from .outer_codes import MatrixSpace, WeightKind, word_weight
     from .rings import F2, get_ring
 
     if args.kind == "bachoc":
         if args.ring is not None:
             raise UsageError("--kind bachoc takes no --ring: its words are over M2(F2)")
-        word = [RingMatrix.parse(F2, chunk) for chunk in args.word.split(";")]
-        print(bachoc_word_weight(word))
-        return 0
-    ring = get_ring("f4i" if args.ring is None else args.ring)
-    symbols = [ring.parse(s) for s in args.word.split(",")]
-    if args.kind == "hamming":
-        print(hamming_weight(symbols))
+        alphabet = MatrixSpace(F2, 2)
     else:
-        print(lee_word_weight(symbols))
+        alphabet = get_ring("f4i" if args.ring is None else args.ring)
+    print(word_weight(_parse_word(alphabet, args.word), WeightKind(args.kind)))
     return 0
 
 
@@ -190,15 +199,8 @@ def _parse_int_list(text: str | None, count: int) -> list[int]:
 
 
 def _cmd_encode(args) -> int:
-    from .matrices import RingMatrix
-    from .outer_codes import MatrixSpace
-
     code = _load_cli_code(args)
-    alphabet = code.alphabet
-    if isinstance(alphabet, MatrixSpace):
-        message = [RingMatrix.parse(alphabet.ring, chunk) for chunk in args.msg.split(";")]
-    else:
-        message = [alphabet.parse(s) for s in args.msg.split(",")]
+    message = _parse_word(code.alphabet, args.msg)
     if len(message) != code.k:
         raise UsageError(f"{code.name} needs a {code.k}-symbol message")
     print(",".join(str(x) for x in code.encode(message)))
@@ -248,11 +250,10 @@ def _cmd_iso(args) -> int:
     elif args.which == "f16m4":
         image = iso_f16_to_m4(CyclicElement.parse(F16_ALT, args.element))
     else:
-        ring = F4 if args.which == "m2f2_f4j" else F4I
-        parts = [p.strip() for p in args.element.split(";")]
-        if len(parts) != 2:
+        pair = _parse_word(F4 if args.which == "m2f2_f4j" else F4I, args.element)
+        if len(pair) != 2:
             raise UsageError("pair models need --element 'x; y'")
-        image = pair_to_matrix(ring.parse(parts[0]), ring.parse(parts[1]))
+        image = pair_to_matrix(*pair)
     print(image)
     return 0
 
@@ -299,6 +300,8 @@ class _Claims:
         return claim in CLAIMS
 
 
+_WORD_HELP = "symbols separated by ',' or ';' outside brackets; encode prints this form"
+
 # The box scans run in one process; --jobs stays accepted so that existing
 # invocations keep working.
 _JOBS_HELP = "ignored; kept for compatibility (the scans run in one process)"
@@ -331,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="weight of one word")
     p.add_argument("--kind", choices=["hamming", "bachoc", "lee"], required=True)
-    p.add_argument("--word", required=True, help="comma-separated symbols; ';'-separated matrices for bachoc")
+    p.add_argument("--word", required=True, help=_WORD_HELP)
     p.add_argument("--ring")
     p.set_defaults(handler=_cmd_weights)
 
@@ -358,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="encode a message with a named code")
     p.add_argument("--code")
     p.add_argument("--code-file")
-    p.add_argument("--msg", required=True, help="comma-separated message symbols")
+    p.add_argument("--msg", required=True, help=_WORD_HELP)
     p.add_argument("--L", type=int)
     p.add_argument("--ring")
     p.set_defaults(handler=_cmd_encode)
@@ -371,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iso", help="apply or certify one of the matrix models")
     p.add_argument("--which", choices=sorted(_ISO_CLAIMS), required=True)
-    p.add_argument("--element", help="'x0; x1; ...' algebra element or 'x; y' pair")
+    p.add_argument("--element", help="'x0; x1; ...' algebra element, or an 'x; y' (or 'x, y') pair")
     p.add_argument("--check", action="store_true", help="run the exhaustive certification")
     p.set_defaults(handler=_cmd_iso)
 

@@ -82,6 +82,9 @@ class MatrixSpace:
     def __iter__(self) -> Iterator[RingMatrix]:
         return all_matrices(self.ring, self.n)
 
+    def parse(self, text: str) -> RingMatrix:
+        return RingMatrix.parse(self.ring, text)
+
     def element(self, index: int) -> RingMatrix:
         """The matrix at ``index`` in enumeration order, whose entry masks
         are the big-endian ``ring.dim``-bit digits of index."""
@@ -734,7 +737,10 @@ def load_code(text: str, name: str = "") -> LinearCode:
     if len(header) != 3:
         raise ValueError(f"header must be 'ring L k', got {lines[0]!r}")
     ring = get_ring(header[0])
-    L, k = int(header[1]), int(header[2])
+    try:
+        L, k = int(header[1]), int(header[2])
+    except ValueError:
+        raise ValueError(f"header L and k must be integers, got {lines[0]!r}") from None
     if L < 0 or k < 0:
         raise ValueError(f"header L and k must not be negative, got {lines[0]!r}")
     if len(lines) != 1 + k:

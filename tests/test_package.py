@@ -90,6 +90,10 @@ _ALGEBRA = {"cosetcodes.rings", "cosetcodes.matrices", "cosetcodes.cyclic"}
         ((), _BASE),
         (("mindet", "--box", "1"), _BASE | _ALGEBRA | {"cosetcodes.golden"}),
         (("mindist", "--code", "dualrep"), _BASE | _ALGEBRA | {"cosetcodes.outer_codes"}),
+        (("weights", "--kind", "bachoc", "--word", "[[1,0],[0,1]]"),
+         _BASE | _ALGEBRA | {"cosetcodes.outer_codes"}),
+        (("encode", "--code", "dualrep", "--msg", "1,w,w+1"),
+         _BASE | _ALGEBRA | {"cosetcodes.outer_codes"}),
         (("bounds", "--which", "gv"), _BASE | {"cosetcodes.bounds"}),
         (("iso", "--which", "f8m3", "--element", "1"), _BASE | _ALGEBRA),
         (
@@ -97,7 +101,7 @@ _ALGEBRA = {"cosetcodes.rings", "cosetcodes.matrices", "cosetcodes.cyclic"}
             {f"cosetcodes.{name}" for name in SUBMODULES} | {"cosetcodes"},
         ),
     ],
-    ids=["import", "mindet", "mindist", "bounds", "iso", "verify"],
+    ids=["import", "mindet", "mindist", "weights", "encode", "bounds", "iso", "verify"],
 )
 def test_a_command_loads_only_its_layers(argv, loaded):
     """Importing the package loads no submodule, and each command imports
