@@ -58,9 +58,12 @@ the mask of its reduction, straight from the stored halves.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+import operator
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
@@ -504,12 +507,16 @@ def _key_mod(coords: Sequence[int], depth: int) -> int:
 # The floor tables list the pairs in residue-key order: x1 outer, x0 inner.
 
 def floor_table_mod_1pi() -> list[int]:
-    """floor on m = 5*|det|^2, indexed by the 4-bit mod-(1+i) residue key."""
-    return [
-        FLOOR_BY_CLASS[classify_projection(pair_to_matrix(x0, x1))]
-        for x1 in F4
-        for x0 in F4
-    ]
+    """floor on m = 5*|det|^2, indexed by the 4-bit mod-(1+i) residue key.
+
+    Over F2 the pair matrix [[a+d, b+c], [b+c+d, a+b+d]] of x0 = a + b*w and
+    x1 = c + d*w has determinant N(x0) + N(x1), and a norm of the field F4 is
+    0 only at 0.  So the 4 norms decide the 16 pairs: the zero pair, a pair
+    of unequal norms (a unit) and a pair of equal nonzero norms."""
+    norms = [quadratic_norm(x).mask for x in F4]
+    zero, unit, non_unit = ProjectionClass.ZERO, ProjectionClass.UNIT, ProjectionClass.NON_UNIT
+    floors = [FLOOR_BY_CLASS[c] for c in (zero, unit, unit, non_unit)]  # by n0 | n1 << 1
+    return [floors[n0 | n1 << 1] for n1 in norms for n0 in norms]
 
 
 def floor_table_mod_2() -> list[int]:
@@ -560,16 +567,17 @@ def golden_pair_mul(x: GoldenCodeword, y: GoldenCodeword) -> GoldenCodeword:
 #
 # Both scans key halves by slot: key(a, b) = key(a, 0) ^ key(0, b), as each
 # key bit is the parity of coordinates of one slot, so each Gaussian
-# coordinate is keyed once per slot.  The floor scan needs every half's
-# (norm, key) group and pairs every a with every b.  The minimum search needs
-# only the first half of each norm and key, pairs each a only with the b
-# completing the wanted key, and uses one more exact fact:
+# coordinate is keyed once per slot.  The minimum search needs only the first
+# half of each norm and key and pairs each a only with the b completing the
+# wanted key.  The floor scan needs only which keys each norm's halves carry,
+# one bitmask per norm, and counts the halves of each key from the slot-key
+# counts.  Both use one more exact fact:
 #
 # * Signs: N(-h) = N(h), the norm being quadratic, and key(-h) = key(h), as
 #   -1 = 1 mod (1+i) and mod 2, so h and -h lie in one coset with one norm.
 #   They differ first at the first nonzero coordinate of h, so the first half
 #   of each norm is the zero half or has a negative first nonzero coordinate,
-#   and only those halves are visited.
+#   and only those halves are visited: (2B+1)^4 // 2 + 1 of them.
 
 def _check_box(box: int) -> None:
     """Reject an empty box and one whose (2*box+1)^4 halves exceed the
@@ -699,30 +707,33 @@ def scan_det_floors(
     violation list means every floor held; otherwise it holds the first five
     offending coordinate tuples in lexicographic order.
 
-    The halves are grouped by norm and by key, the xor of their two slot
-    keys, and class sizes are products of the per-key half counts, less the
-    zero codeword.  A violation needs m < floor <= 4, so only the right norms
-    on the shells t = 0, 1, 2 around each distinct left norm's target are
-    visited.  m depends only on the two norms and the floor only on the two
-    keys, so one comparison of t with the floor decides every codeword of a
-    (left group, right group) pair.  Only a violating pair is expanded into
-    codewords, and a heap keeps the five least.
+    The class sizes are products of the per-key half counts, less the zero
+    codeword, and the key counts are the xor-convolution of the two slot-key
+    counts.  Each distinct norm gets the bitmask of its halves' keys, built
+    from the zero half and the negative-leading halves only (see the block
+    comment above).  A violation needs m < floor <= 4, so only the right
+    norms on the shells t = 0, 1, 2 around each distinct left norm's target
+    are probed.  m depends only on the two norms and the floor only on the
+    two keys, so a probe can fail only if a key of the left norm and a key
+    of the right norm hold a floor above t: the OR of the left keys' rows of
+    such right keys, cached per left mask, meets the right norm's mask.
+    Only the probes that pass this test are expanded, from one pass over
+    the halves of their norms grouped by key, and a heap keeps the five
+    least codewords.
     """
     if ideal not in _HALF_KEYS:
         raise ValueError("ideal must be '1pi' or '2'")
     _check_box(box)
     table = floor_table_mod_1pi() if ideal == "1pi" else floor_table_mod_2()
     half_key, bits = _HALF_KEYS[ideal]
+    size = 1 << bits
     coords = list(itertools.product(range(-box, box + 1), repeat=2))
     keys_a, keys_b = _slot_keys(box, half_key)
-    key_counts = [0] * (1 << bits)
-    # norm -> key -> the halves of that norm and key, in lexicographic order
-    groups: dict[_Norm, dict[int, list[_Half]]] = {}
-    for a, ka in zip(coords, keys_a):
-        for b, kb in zip(coords, keys_b):
-            h, k = a + b, ka ^ kb
-            key_counts[k] += 1
-            groups.setdefault(norm_ints(*h), {}).setdefault(k, []).append(h)
+    key_counts = [0] * size
+    counts_b = Counter(keys_b).items()
+    for ka, count_a in Counter(keys_a).items():
+        for kb, count_b in counts_b:
+            key_counts[ka ^ kb] += count_a * count_b
 
     floor_index = {4: 0, 2: 1, 1: 2}
     counts = [0, 0, 0]  # floors 4, 2, 1
@@ -731,20 +742,50 @@ def scan_det_floors(
             counts[floor_index[table[kl | kr << bits]]] += count_l * count_r
     counts[floor_index[table[0]]] -= 1  # the zero codeword
 
-    # a floor of at most 4 can only fail below 4: on the shells t = 0, 1, 2
+    # norm -> the mask of its halves' keys, from one of each pair h, -h
+    zero = len(coords) // 2  # coords[zero] = (0, 0), coords[-1 - j] = -coords[j]
+    norm = norm_ints
+    masks: dict[_Norm, int] = {}
+    for j in range(zero + 1):
+        (ar, ai), ka = coords[j], keys_a[j]
+        for (br, bi), kb in zip(coords[: zero + 1] if j == zero else coords, keys_b):
+            n = norm(ar, ai, br, bi)
+            masks[n] = masks.get(n, 0) | 1 << (ka ^ kb)
+
+    # A floor of at most 4 can only fail below 4: on the shells t = 0, 1, 2
     # (3 is not a sum of two squares); two zero norms at t = 0 are the zero
-    # codeword alone
-    near = list(itertools.islice(_offset_shells(), 3))
-    violations = heapq.nsmallest(5, (
-        h + r
-        for (p, q), left in groups.items()
-        for t, offsets in near
-        for dx, dy in offsets
-        if (n := (q + dx, dy - p)) in groups and (t or p or q)
-        for kl, left_halves in left.items()
-        for kr, right_halves in groups[n].items()
-        if t < table[kl | kr << bits]
-        for h in left_halves
-        for r in right_halves
-    ))
+    # codeword alone.  rows[t][kl] is the mask of the right keys kr with
+    # t < floor(kl, kr), and reach[mask][t] the OR of the rows of its keys.
+    near = [(t, dx, dy) for t, offsets in itertools.islice(_offset_shells(), 3) for dx, dy in offsets]
+    rows = [
+        [sum([1 << kr for kr, floor in enumerate(table[kl::size]) if t < floor]) for kl in range(size)]
+        for t in range(3)
+    ]
+    reach: dict[int, list[int]] = {}
+    hits = []  # (left norm, right norm, t) of the probes that can fail
+    for (p, q), mask in masks.items():
+        if (row := reach.get(mask)) is None:
+            left_keys = [kl for kl in range(size) if mask >> kl & 1]
+            row = reach[mask] = [functools.reduce(operator.or_, map(r.__getitem__, left_keys)) for r in rows]
+        for t, dx, dy in near:
+            if row[t] & masks.get(n := (q + dx, dy - p), 0) and (t or p or q):
+                hits.append(((p, q), n, t))
+
+    violations = []
+    if hits:  # the rare path: the halves of the hit norms by norm and key
+        wanted = {n for left, right, _ in hits for n in (left, right)}
+        groups: dict[_Norm, dict[int, list[_Half]]] = {}
+        for a, ka in zip(coords, keys_a):
+            for b, kb in zip(coords, keys_b):
+                if (n := norm(*a, *b)) in wanted:
+                    groups.setdefault(n, {}).setdefault(ka ^ kb, []).append(a + b)
+        violations = heapq.nsmallest(5, (
+            h + r
+            for left, right, t in hits
+            for kl, left_halves in groups[left].items()
+            for kr, right_halves in groups[right].items()
+            if t < table[kl | kr << bits]
+            for h in left_halves
+            for r in right_halves
+        ))
     return sum(key_counts) ** 2 - 1, violations, counts

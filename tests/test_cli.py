@@ -221,6 +221,10 @@ _REFUSALS = {
     "missing-row": (("mindist", "--code-file", "f4 2 2\n1,0\n"), "expected 2 generator rows, found 1"),
     "header-not-int": (("mindist", "--code-file", "f4 x 1\n"),
                        "header L and k must be integers, got 'f4 x 1'"),
+    "matrix-1x1": (("encode", "--code", "matrix_parity", "--msg", "[[1]]"),
+                   "not a 2x2 matrix over f2: '[[1]]'"),
+    "matrix-3x3": (("encode", "--code", "repetition", "--msg", "[[1,0,1],[0,1,0],[1,1,1]]"),
+                   "not a 2x2 matrix over f2: '[[1,0,1],[0,1,0],[1,1,1]]'"),
 }
 
 

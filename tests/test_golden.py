@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import copy
 import heapq
+import inspect
 import itertools
 import pickle
 import random
+import textwrap
+import types
 from fractions import Fraction
 
 import pytest
@@ -316,6 +319,30 @@ def test_floor_table_mod_2_takes_each_norm_once(monkeypatch):
     assert max(calls.values()) <= 16
 
 
+def test_floor_table_mod_1pi_is_the_pair_matrix_class():
+    """The norm route gives the class floor of the pair matrix on all 16
+    pairs, in residue-key order (x1 outer, x0 inner)."""
+    assert floor_table_mod_1pi() == [
+        FLOOR_BY_CLASS[classify_projection(pair_to_matrix(x0, x1))] for x1 in F4 for x0 in F4
+    ]
+
+
+def test_floor_table_mod_1pi_takes_each_norm_once(monkeypatch):
+    """The determinant of a pair matrix over F2 is N(x0) + N(x1), so the 16
+    pairs need only the norms of the 4 elements of F4."""
+    expected = floor_table_mod_1pi()
+    calls = [0]
+    real = golden.quadratic_norm
+
+    def counted(x):
+        calls[0] += 1
+        return real(x)
+
+    monkeypatch.setattr(golden, "quadratic_norm", counted)
+    assert floor_table_mod_1pi() == expected
+    assert calls[0] <= 4
+
+
 def test_min_abs_det_sq_box1():
     value, wit = min_abs_det_sq(1)
     assert value == Fraction(1, 5)
@@ -435,11 +462,12 @@ def test_factorized_floors_match_the_brute_oracle():
 @pytest.mark.parametrize("raised", [2, 4])
 def test_factorized_floor_violations_match_the_brute_oracle(monkeypatch, raised):
     """The true floors never fail, so raise them to exercise the violation
-    search: both routes must list the same first five violations.  Floors
-    raised to 4 are checked at box 2 as well."""
+    search: both routes must list the same first five violations, at boxes
+    1 and 2.  Floors raised to 2 fail only at m = 1 (t = 1, the boundary of
+    the scan's mask test), floors raised to 4 on every shell t < 4."""
     monkeypatch.setattr(golden, "floor_table_mod_1pi", lambda: [raised] * 16)
     monkeypatch.setattr(golden, "floor_table_mod_2", lambda: [raised] * 256)
-    for box in (1, 2) if raised == 4 else (1,):
+    for box in (1, 2):
         for ideal in ("1pi", "2"):
             scan = scan_det_floors(ideal, box)
             assert len(scan[1]) == 5
@@ -468,6 +496,26 @@ def test_grouped_floor_decisions_read_each_key_pairs_floor(monkeypatch, ideal, p
     scan = scan_det_floors(ideal, 2)
     assert len(scan[1]) == 5 and sum(map(bool, scan[2])) >= 2
     assert scan == brute_box_scan(ideal, 2)[:3]
+
+
+@pytest.mark.parametrize("plant", list(_KEYED_FLOORS))
+@pytest.mark.parametrize("ideal", ["1pi", "2"])
+def test_the_floor_scan_finds_every_violation(monkeypatch, ideal, plant):
+    """The five-entry heap can hide a probe that the mask test wrongly
+    passes over.  With the heap widened to keep everything, the scan lists
+    every codeword of the box-1 loop below its planted floor."""
+    floors = _KEYED_FLOORS[plant]
+    monkeypatch.setattr(golden, "floor_table_mod_1pi", lambda: [floors(k, "1pi") for k in range(16)])
+    monkeypatch.setattr(golden, "floor_table_mod_2", lambda: [floors(k, "2") for k in range(256)])
+    monkeypatch.setattr(golden, "heapq", types.SimpleNamespace(nsmallest=lambda n, items: sorted(items)))
+    half_key, bits = golden._HALF_KEYS[ideal]
+    every = [
+        c
+        for c in itertools.product(range(-1, 2), repeat=8)
+        if any(c) and det_sq_times5(c) < floors(half_key(c[:4]) | half_key(c[4:]) << bits, ideal)
+    ]
+    assert len(every) > 5
+    assert scan_det_floors(ideal, 1)[1] == every
 
 
 def _count_half_key_calls(monkeypatch, ideal):
@@ -503,6 +551,42 @@ def test_floor_scan_keys_each_coordinate_once_per_slot(monkeypatch, ideal):
     calls = _count_half_key_calls(monkeypatch, ideal)
     assert scan_det_floors(ideal, 2) == expected
     assert calls == [2 * 5**2]
+
+
+@pytest.mark.parametrize("ideal", ["1pi", "2"])
+def test_floor_scan_norms_one_of_each_pair_of_halves(monkeypatch, ideal):
+    """The key masks come from the zero half and the negative-leading
+    halves, (5^4 + 1) / 2 = 313 norms at box 2, and with the library floors
+    no probe can fail, so no half is expanded."""
+    expected = scan_det_floors(ideal, 2)
+    calls = [0]
+
+    def counted(*h):
+        calls[0] += 1
+        return norm_ints(*h)
+
+    monkeypatch.setattr(golden, "norm_ints", counted)
+    assert scan_det_floors(ideal, 2) == expected
+    assert calls == [313]
+
+
+def test_a_scan_that_admits_the_floor_itself_is_caught():
+    """The library floors are met at box 2, so a scan whose decisions read
+    t <= floor instead of t < floor reports codewords with m equal to their
+    floor; planted here by rewriting the scan's two comparisons of t."""
+    source = textwrap.dedent(inspect.getsource(golden.scan_det_floors))
+    planted = source.replace("if t < ", "if t <= ")
+    assert planted.count("if t <= ") == 2
+    namespace = dict(vars(golden))
+    exec(planted, namespace)
+    for ideal, table in (("1pi", floor_table_mod_1pi()), ("2", floor_table_mod_2())):
+        checked, violations, counts = scan_det_floors(ideal, 2)
+        mutant = namespace["scan_det_floors"](ideal, 2)
+        assert violations == [] and (mutant[0], mutant[2]) == (checked, counts)
+        assert len(mutant[1]) == 5
+        half_key, bits = golden._HALF_KEYS[ideal]
+        for v in mutant[1]:
+            assert det_sq_times5(v) == table[half_key(v[:4]) | half_key(v[4:]) << bits]
 
 
 @pytest.mark.parametrize(
