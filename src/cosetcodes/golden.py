@@ -32,10 +32,15 @@ matrices whose invertibility class dictates an exact floor on |det|^2:
 The ideals are (1+i)^k at depths k = 1 and 2 ((1+i)^2 = 2i).  Each coset
 has one residue key, x0bar.mask | x1bar.mask << ring.dim for its pair over F4
 or F4[i]: the residues of a, b, c, d modulo (1+i)^k in k bits each, a lowest.
-The floor tables are indexed by it.  Both scans key each Gaussian coordinate
-once per slot of a half, at the two depths written out, and a half's key is
-the xor of its two slot keys; the verify oracle keys codewords by
-``_key_mod``'s general rule.
+The floor tables are indexed by it, and the verify oracle keys codewords by
+``_key_mod``'s general rule.  The minimum search keys each Gaussian
+coordinate once per slot of a half, at the two depths written out, and a
+half's key is the xor of its two slot keys.  The floor scan keys no half:
+reduction mod (1+i) or mod 2 is a ring map that sends theta to w and the
+Galois conjugation theta -> 1 - theta to the relative conjugation
+w -> w + 1, which fixes i, so N(x0bar) and N(x1bar) are the residues of
+N(a + b*theta) and N(c + d*theta).  A coset's floor is thus a function of
+the two half norms, read from a table of norm-residue pairs.
 
 The i-twist in u is forced by the algebra: the codeword algebra has e^2 = i
 while the 2x2 pair model uses j^2 = 1, and reducing the determinant identity
@@ -58,12 +63,9 @@ the mask of its reduction, straight from the stored halves.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
-import operator
-from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
@@ -504,28 +506,38 @@ def _key_mod(coords: Sequence[int], depth: int) -> int:
     return key
 
 
-# The floor tables list the pairs in residue-key order: x1 outer, x0 inner.
-
-def floor_table_mod_1pi() -> list[int]:
-    """floor on m = 5*|det|^2, indexed by the 4-bit mod-(1+i) residue key.
+def _norm_floor_table(ideal: str) -> list[int]:
+    """floor on m = 5*|det|^2 for ideal "1pi" or "2", indexed by n0 | n1 << b
+    for the norms n0 = N(x0bar) and n1 = N(x1bar): in F2 (b = 1) mod (1+i),
+    in F2[i] (b = 2) mod 2.  This is the one floor definition.
 
     Over F2 the pair matrix [[a+d, b+c], [b+c+d, a+b+d]] of x0 = a + b*w and
     x1 = c + d*w has determinant N(x0) + N(x1), and a norm of the field F4 is
-    0 only at 0.  So the 4 norms decide the 16 pairs: the zero pair, a pair
-    of unequal norms (a unit) and a pair of equal nonzero norms."""
-    norms = [quadratic_norm(x).mask for x in F4]
-    zero, unit, non_unit = ProjectionClass.ZERO, ProjectionClass.UNIT, ProjectionClass.NON_UNIT
-    floors = [FLOOR_BY_CLASS[c] for c in (zero, unit, unit, non_unit)]  # by n0 | n1 << 1
-    return [floors[n0 | n1 << 1] for n1 in norms for n0 in norms]
+    0 only at 0: the floor is 4 on the zero pair, 1 where the norms differ
+    and 2 otherwise.  Mod 2 it is the class of u = n0 + i*n1."""
+    if ideal == "1pi":
+        zero, unit, non_unit = ProjectionClass.ZERO, ProjectionClass.UNIT, ProjectionClass.NON_UNIT
+        return [FLOOR_BY_CLASS[c] for c in (zero, unit, unit, non_unit)]
+    return [FLOOR_BY_CLASS[_mod2_pair_class(n0, n1)] for n1 in F2I for n0 in F2I]
+
+
+def _key_floor_table(ideal: str) -> list[int]:
+    """The norm-pair floors read through the element norms of F4 or F4[i],
+    indexed by residue key: x1 outer, x0 inner."""
+    ring = F4 if ideal == "1pi" else F4I
+    floors = _norm_floor_table(ideal)
+    norms = [quadratic_norm(x).mask for x in ring]
+    return [floors[n0 | n1 << ring.subring.dim] for n1 in norms for n0 in norms]
+
+
+def floor_table_mod_1pi() -> list[int]:
+    """floor on m = 5*|det|^2, indexed by the 4-bit mod-(1+i) residue key."""
+    return _key_floor_table("1pi")
 
 
 def floor_table_mod_2() -> list[int]:
-    """floor on m, indexed by the 8-bit coordinate-parity key, via the
-    determinant-compatible norm classification.  The norms of the 16
-    elements of F4[i] lie in F2[i], so 4 x 4 classes cover the 256 pairs."""
-    norms = [quadratic_norm(x).mask for x in F4I]
-    floors = [FLOOR_BY_CLASS[_mod2_pair_class(n0, n1)] for n1 in F2I for n0 in F2I]
-    return [floors[n0 | n1 << F2I.dim] for n1 in norms for n0 in norms]
+    """floor on m, indexed by the 8-bit coordinate-parity key."""
+    return _key_floor_table("2")
 
 
 # ----------------------------------------------------------------------
@@ -565,13 +577,15 @@ def golden_pair_mul(x: GoldenCodeword, y: GoldenCodeword) -> GoldenCodeword:
 # right half the high bits.  A norm is zero only at the zero half, so the one
 # pair every scan leaves out, the zero codeword, is the pair of two zero norms.
 #
-# Both scans key halves by slot: key(a, b) = key(a, 0) ^ key(0, b), as each
-# key bit is the parity of coordinates of one slot, so each Gaussian
-# coordinate is keyed once per slot.  The minimum search needs only the first
-# half of each norm and key and pairs each a only with the b completing the
-# wanted key.  The floor scan needs only which keys each norm's halves carry,
-# one bitmask per norm, and counts the halves of each key from the slot-key
-# counts.  Both use one more exact fact:
+# The minimum search keys halves by slot: key(a, b) = key(a, 0) ^ key(0, b),
+# as each key bit is the parity of coordinates of one slot, so each Gaussian
+# coordinate is keyed once per slot.  It needs only the first half of each
+# norm and key and pairs each a only with the b completing the wanted key.
+# The floor scan keys norms, not halves: the residue of a half's norm is the
+# norm of its residue (see the module docstring), and the residue of the norm
+# p + q*i is the half key of (p + q*i, 0).  So m and the floor both depend on
+# the two half norms alone, and every codeword of a norm pair meets its floor
+# or none does.  Both use one more exact fact:
 #
 # * Signs: N(-h) = N(h), the norm being quadratic, and key(-h) = key(h), as
 #   -1 = 1 mod (1+i) and mod 2, so h and -h lie in one coset with one norm.
@@ -707,85 +721,68 @@ def scan_det_floors(
     violation list means every floor held; otherwise it holds the first five
     offending coordinate tuples in lexicographic order.
 
-    The class sizes are products of the per-key half counts, less the zero
-    codeword, and the key counts are the xor-convolution of the two slot-key
-    counts.  Each distinct norm gets the bitmask of its halves' keys, built
-    from the zero half and the negative-leading halves only (see the block
-    comment above).  A violation needs m < floor <= 4, so only the right
-    norms on the shells t = 0, 1, 2 around each distinct left norm's target
-    are probed.  m depends only on the two norms and the floor only on the
-    two keys, so a probe can fail only if a key of the left norm and a key
-    of the right norm hold a floor above t: the OR of the left keys' rows of
-    such right keys, cached per left mask, meets the right norm's mask.
-    Only the probes that pass this test are expanded, from one pass over
-    the halves of their norms grouped by key, and a heap keeps the five
-    least codewords.
+    A codeword's floor is the norm-pair floor of the residues of its two
+    half norms, so the scan works on norms alone.  It counts the halves of
+    each distinct norm from the zero half and the negative-leading halves
+    (see the block comment above) and keys each distinct norm once.  The
+    class sizes are products of the per-residue half counts, less the zero
+    codeword.  A violation needs m < floor <= 4, so only the right norms on
+    the shells t = 0, 1, 2 around each distinct left norm's target are
+    probed, each with one table lookup.  Every codeword of a failing norm
+    pair fails, so only the halves of those norms are listed, and a heap
+    keeps the five least codewords.
     """
     if ideal not in _HALF_KEYS:
         raise ValueError("ideal must be '1pi' or '2'")
     _check_box(box)
-    table = floor_table_mod_1pi() if ideal == "1pi" else floor_table_mod_2()
+    floors = _norm_floor_table(ideal)
     half_key, bits = _HALF_KEYS[ideal]
-    size = 1 << bits
+    shift = bits // 2  # a norm residue is keyed as the first slot of a half
     coords = list(itertools.product(range(-box, box + 1), repeat=2))
-    keys_a, keys_b = _slot_keys(box, half_key)
-    key_counts = [0] * size
-    counts_b = Counter(keys_b).items()
-    for ka, count_a in Counter(keys_a).items():
-        for kb, count_b in counts_b:
-            key_counts[ka ^ kb] += count_a * count_b
 
-    floor_index = {4: 0, 2: 1, 1: 2}
-    counts = [0, 0, 0]  # floors 4, 2, 1
-    for kl, count_l in enumerate(key_counts):
-        for kr, count_r in enumerate(key_counts):
-            counts[floor_index[table[kl | kr << bits]]] += count_l * count_r
-    counts[floor_index[table[0]]] -= 1  # the zero codeword
-
-    # norm -> the mask of its halves' keys, from one of each pair h, -h
+    # norm -> its number of halves, from one of each pair h, -h
     zero = len(coords) // 2  # coords[zero] = (0, 0), coords[-1 - j] = -coords[j]
     norm = norm_ints
-    masks: dict[_Norm, int] = {}
+    halves: dict[_Norm, int] = {}
     for j in range(zero + 1):
-        (ar, ai), ka = coords[j], keys_a[j]
-        for (br, bi), kb in zip(coords[: zero + 1] if j == zero else coords, keys_b):
+        ar, ai = coords[j]
+        for br, bi in coords[: zero + 1] if j == zero else coords:
             n = norm(ar, ai, br, bi)
-            masks[n] = masks.get(n, 0) | 1 << (ka ^ kb)
+            halves[n] = halves.get(n, 0) + 2
+    halves[(0, 0)] -= 1  # the zero half is its own negative
+    residues = {n: half_key(n + (0, 0)) for n in halves}
+
+    residue_counts = [0] * (1 << shift)
+    for n, count in halves.items():
+        residue_counts[residues[n]] += count
+    floor_index = {4: 0, 2: 1, 1: 2}
+    counts = [0, 0, 0]  # floors 4, 2, 1
+    for r0, count_0 in enumerate(residue_counts):
+        for r1, count_1 in enumerate(residue_counts):
+            counts[floor_index[floors[r0 | r1 << shift]]] += count_0 * count_1
+    counts[floor_index[floors[0]]] -= 1  # the zero codeword
 
     # A floor of at most 4 can only fail below 4: on the shells t = 0, 1, 2
     # (3 is not a sum of two squares); two zero norms at t = 0 are the zero
-    # codeword alone.  rows[t][kl] is the mask of the right keys kr with
-    # t < floor(kl, kr), and reach[mask][t] the OR of the rows of its keys.
+    # codeword alone.
     near = [(t, dx, dy) for t, offsets in itertools.islice(_offset_shells(), 3) for dx, dy in offsets]
-    rows = [
-        [sum([1 << kr for kr, floor in enumerate(table[kl::size]) if t < floor]) for kl in range(size)]
-        for t in range(3)
+    hits = [  # (left norm, right norm) of the pairs whose codewords all fail
+        ((p, q), n)
+        for (p, q), r0 in residues.items()
+        for t, dx, dy in near
+        if (r1 := residues.get(n := (q + dx, dy - p))) is not None
+        and t < floors[r0 | r1 << shift]
+        and (t or p or q)
     ]
-    reach: dict[int, list[int]] = {}
-    hits = []  # (left norm, right norm, t) of the probes that can fail
-    for (p, q), mask in masks.items():
-        if (row := reach.get(mask)) is None:
-            left_keys = [kl for kl in range(size) if mask >> kl & 1]
-            row = reach[mask] = [functools.reduce(operator.or_, map(r.__getitem__, left_keys)) for r in rows]
-        for t, dx, dy in near:
-            if row[t] & masks.get(n := (q + dx, dy - p), 0) and (t or p or q):
-                hits.append(((p, q), n, t))
 
     violations = []
-    if hits:  # the rare path: the halves of the hit norms by norm and key
-        wanted = {n for left, right, _ in hits for n in (left, right)}
-        groups: dict[_Norm, dict[int, list[_Half]]] = {}
-        for a, ka in zip(coords, keys_a):
-            for b, kb in zip(coords, keys_b):
-                if (n := norm(*a, *b)) in wanted:
-                    groups.setdefault(n, {}).setdefault(ka ^ kb, []).append(a + b)
+    if hits:  # the rare path: the halves of the hit norms, in lexicographic order
+        wanted = {n for hit in hits for n in hit}
+        groups: dict[_Norm, list[_Half]] = {}
+        for h in itertools.product(range(-box, box + 1), repeat=4):
+            if (n := norm(*h)) in wanted:
+                groups.setdefault(n, []).append(h)
         violations = heapq.nsmallest(5, (
-            h + r
-            for left, right, t in hits
-            for kl, left_halves in groups[left].items()
-            for kr, right_halves in groups[right].items()
-            if t < table[kl | kr << bits]
-            for h in left_halves
-            for r in right_halves
+            h + r for left, right in hits for h in groups[left] for r in groups[right]
         ))
-    return sum(key_counts) ** 2 - 1, violations, counts
+    return len(coords) ** 4 - 1, violations, counts

@@ -94,6 +94,8 @@ class RingMatrix:
         if not m:
             raise ValueError(f"matrix literal must look like [[...],[...]]: {text!r}")
         rows = [chunk.split(",") for chunk in re.split(r"\]\s*,\s*\[", m.group(1))]
+        if set(map(len, rows)) != {len(rows)}:
+            raise ValueError(f"matrix literal is not square: {text!r}")
         return cls(ring, [[ring.parse(e.strip()) for e in row] for row in rows])
 
     # ------------------------------------------------------------------

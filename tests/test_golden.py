@@ -43,7 +43,7 @@ from cosetcodes.golden import (
     scan_det_floors,
 )
 from cosetcodes.matrices import RingMatrix
-from cosetcodes.rings import F2, F2I, F4, F4I
+from cosetcodes.rings import F2, F2I, F4, F4I, quadratic_norm
 from cosetcodes.verify import brute_box_scan
 
 ints = st.integers(min_value=-50, max_value=50)
@@ -343,6 +343,39 @@ def test_floor_table_mod_1pi_takes_each_norm_once(monkeypatch):
     assert calls[0] <= 4
 
 
+@pytest.mark.parametrize("ideal,ring", [("1pi", F4), ("2", F4I)], ids=["1pi", "2"])
+def test_the_norm_of_a_residue_is_the_residue_of_the_norm(ideal, ring):
+    """Reduction mod (1+i) or mod 2 is a ring map that sends theta to w and
+    theta -> 1 - theta to w -> w + 1, so on every half of boxes 1-3 the norm
+    of the half's residue is the residue of its norm, keyed as the first
+    slot of a half.  Each key table is the norm-pair table read at the
+    element norms of the key's pair."""
+    half_key, _ = golden._HALF_KEYS[ideal]
+    for h in itertools.product(range(-3, 4), repeat=4):
+        assert quadratic_norm(ring.elements[half_key(h)]).mask == half_key(norm_ints(*h) + (0, 0))
+    floors = golden._norm_floor_table(ideal)
+    table = floor_table_mod_1pi() if ideal == "1pi" else floor_table_mod_2()
+    for x0 in ring:
+        for x1 in ring:
+            n0, n1 = quadratic_norm(x0), quadratic_norm(x1)
+            assert table[x0.mask | x1.mask << ring.dim] == floors[n0.mask | n1.mask << n0.ring.dim]
+
+
+@pytest.mark.parametrize("ideal", ["1pi", "2"])
+def test_a_norm_residue_read_from_the_real_part_alone_is_caught(monkeypatch, ideal):
+    """The residue of the norm p + q*i is the parity of p + q mod (1+i) and
+    the parities of p and q mod 2.  A residue read from p alone moves the
+    box-2 class sizes, the same for both ideals, and reports five
+    violations; the brute oracle keys coordinates and does not move."""
+    expected = brute_box_scan(ideal, 2)[:3]
+    assert scan_det_floors(ideal, 2) == expected
+    half_key, bits = golden._HALF_KEYS[ideal]
+    monkeypatch.setattr(golden, "_HALF_KEYS", {ideal: (lambda h: half_key((h[0], 0, 0, 0)), bits)})
+    checked, violations, counts = scan_det_floors(ideal, 2)
+    assert (checked, counts, len(violations)) == (390_624, [113_568, 82_944, 194_112], 5)
+    assert brute_box_scan(ideal, 2)[:3] == expected
+
+
 def test_min_abs_det_sq_box1():
     value, wit = min_abs_det_sq(1)
     assert value == Fraction(1, 5)
@@ -464,9 +497,9 @@ def test_factorized_floor_violations_match_the_brute_oracle(monkeypatch, raised)
     """The true floors never fail, so raise them to exercise the violation
     search: both routes must list the same first five violations, at boxes
     1 and 2.  Floors raised to 2 fail only at m = 1 (t = 1, the boundary of
-    the scan's mask test), floors raised to 4 on every shell t < 4."""
-    monkeypatch.setattr(golden, "floor_table_mod_1pi", lambda: [raised] * 16)
-    monkeypatch.setattr(golden, "floor_table_mod_2", lambda: [raised] * 256)
+    the scan's table test), floors raised to 4 on every shell t < 4.  The
+    oracle's key tables are built from the same norm-pair table."""
+    _plant_norm_floors(monkeypatch, lambda k, bits: raised)
     for box in (1, 2):
         for ideal in ("1pi", "2"):
             scan = scan_det_floors(ideal, box)
@@ -474,25 +507,36 @@ def test_factorized_floor_violations_match_the_brute_oracle(monkeypatch, raised)
             assert scan == brute_box_scan(ideal, box)[:3]
 
 
-# Floor plants that depend on the residue key.  Bit 2 of a "1pi" key and
-# bit 5 of a "2" key come from the right half, bit 0 from the left half.
+def _plant_norm_floors(monkeypatch, floors):
+    """Replace the norm-pair floor table of both ideals: ``floors(k, bits)``
+    gives the floor of the index k = n0 | n1 << bits, bits being 1 for "1pi"
+    and 2 for "2".  The key tables, the brute oracle's, follow it."""
+
+    def table(ideal):
+        bits = 1 if ideal == "1pi" else 2
+        return [floors(k, bits) for k in range(1 << 2 * bits)]
+
+    monkeypatch.setattr(golden, "_norm_floor_table", table)
+
+
+# Floor plants that depend on the pair of norm residues: the right norm's
+# residue sits above the left norm's, whose lowest bit is bit 0.
 _KEYED_FLOORS = {
-    "right bit 2": lambda key, ideal: 2 if key >> (2 if ideal == "1pi" else 5) & 1 else 1,
-    "odd left 4": lambda key, ideal: 4 if key & 1 else 1,
-    "cycle 1/2/4": lambda key, ideal: (1, 2, 4)[key % 3],
+    "right bit 2": lambda k, bits: 2 if k >> bits else 1,
+    "odd left 4": lambda k, bits: 4 if k & 1 else 1,
+    "cycle 1/2/4": lambda k, bits: (1, 2, 4)[k % 3],
 }
 
 
 @pytest.mark.parametrize("plant", list(_KEYED_FLOORS))
 @pytest.mark.parametrize("ideal", ["1pi", "2"])
 def test_grouped_floor_decisions_read_each_key_pairs_floor(monkeypatch, ideal, plant):
-    """The scan decides a (norm, key) group pair at once: with floors that
-    differ by key, a decision that read another key pair's floor would
-    change the violations or the class sizes.  Against the brute oracle,
-    which keys every codeword on its own, at box 2."""
-    floors = _KEYED_FLOORS[plant]
-    monkeypatch.setattr(golden, "floor_table_mod_1pi", lambda: [floors(k, "1pi") for k in range(16)])
-    monkeypatch.setattr(golden, "floor_table_mod_2", lambda: [floors(k, "2") for k in range(256)])
+    """The scan decides a (left norm, right norm) pair at once: with floors
+    that differ by norm residue, a decision that read another pair's floor
+    would change the violations or the class sizes.  Against the brute
+    oracle, which keys every codeword on its own, at box 2.  ("right bit 2"
+    gives floor 2 where the right norm's residue is nonzero.)"""
+    _plant_norm_floors(monkeypatch, _KEYED_FLOORS[plant])
     scan = scan_det_floors(ideal, 2)
     assert len(scan[1]) == 5 and sum(map(bool, scan[2])) >= 2
     assert scan == brute_box_scan(ideal, 2)[:3]
@@ -501,18 +545,18 @@ def test_grouped_floor_decisions_read_each_key_pairs_floor(monkeypatch, ideal, p
 @pytest.mark.parametrize("plant", list(_KEYED_FLOORS))
 @pytest.mark.parametrize("ideal", ["1pi", "2"])
 def test_the_floor_scan_finds_every_violation(monkeypatch, ideal, plant):
-    """The five-entry heap can hide a probe that the mask test wrongly
+    """The five-entry heap can hide a probe that the table test wrongly
     passes over.  With the heap widened to keep everything, the scan lists
-    every codeword of the box-1 loop below its planted floor."""
-    floors = _KEYED_FLOORS[plant]
-    monkeypatch.setattr(golden, "floor_table_mod_1pi", lambda: [floors(k, "1pi") for k in range(16)])
-    monkeypatch.setattr(golden, "floor_table_mod_2", lambda: [floors(k, "2") for k in range(256)])
+    every codeword of the box-1 loop below its planted floor, read from the
+    key table of its residue key."""
+    _plant_norm_floors(monkeypatch, _KEYED_FLOORS[plant])
     monkeypatch.setattr(golden, "heapq", types.SimpleNamespace(nsmallest=lambda n, items: sorted(items)))
+    table = floor_table_mod_1pi() if ideal == "1pi" else floor_table_mod_2()
     half_key, bits = golden._HALF_KEYS[ideal]
     every = [
         c
         for c in itertools.product(range(-1, 2), repeat=8)
-        if any(c) and det_sq_times5(c) < floors(half_key(c[:4]) | half_key(c[4:]) << bits, ideal)
+        if any(c) and det_sq_times5(c) < table[half_key(c[:4]) | half_key(c[4:]) << bits]
     ]
     assert len(every) > 5
     assert scan_det_floors(ideal, 1)[1] == every
@@ -545,19 +589,20 @@ def test_coset_search_keys_each_coordinate_once_per_slot(monkeypatch, ideal, rin
 
 @pytest.mark.parametrize("ideal", ["1pi", "2"])
 def test_floor_scan_keys_each_coordinate_once_per_slot(monkeypatch, ideal):
-    """The floor scan keys each half as the xor of its two slot keys: 2 * 5^2
-    key calls at box 2, not one for each of the 5^4 halves."""
+    """The floor scan keys no half and no Gaussian coordinate, only each
+    distinct norm once: 87 half-key calls at box 2, for the 87 norms of the
+    5^4 halves."""
     expected = scan_det_floors(ideal, 2)
     calls = _count_half_key_calls(monkeypatch, ideal)
     assert scan_det_floors(ideal, 2) == expected
-    assert calls == [2 * 5**2]
+    assert calls == [87]
 
 
 @pytest.mark.parametrize("ideal", ["1pi", "2"])
 def test_floor_scan_norms_one_of_each_pair_of_halves(monkeypatch, ideal):
-    """The key masks come from the zero half and the negative-leading
-    halves, (5^4 + 1) / 2 = 313 norms at box 2, and with the library floors
-    no probe can fail, so no half is expanded."""
+    """The half counts of each norm come from the zero half and the
+    negative-leading halves, (5^4 + 1) / 2 = 313 norms at box 2, and with
+    the library floors no probe can fail, so no half is expanded."""
     expected = scan_det_floors(ideal, 2)
     calls = [0]
 
@@ -573,10 +618,10 @@ def test_floor_scan_norms_one_of_each_pair_of_halves(monkeypatch, ideal):
 def test_a_scan_that_admits_the_floor_itself_is_caught():
     """The library floors are met at box 2, so a scan whose decisions read
     t <= floor instead of t < floor reports codewords with m equal to their
-    floor; planted here by rewriting the scan's two comparisons of t."""
+    floor; planted here by rewriting the scan's one comparison of t."""
     source = textwrap.dedent(inspect.getsource(golden.scan_det_floors))
-    planted = source.replace("if t < ", "if t <= ")
-    assert planted.count("if t <= ") == 2
+    planted = source.replace(" t < ", " t <= ")
+    assert planted.count(" t <= ") == 1
     namespace = dict(vars(golden))
     exec(planted, namespace)
     for ideal, table in (("1pi", floor_table_mod_1pi()), ("2", floor_table_mod_2())):
@@ -650,8 +695,7 @@ def test_floor_scan_matches_the_all_halves_grouping(monkeypatch, box, raised):
     and class sizes as the scan that keys every half, with the library's
     floors and with every floor raised to 4."""
     if raised:
-        monkeypatch.setattr(golden, "floor_table_mod_1pi", lambda: [raised] * 16)
-        monkeypatch.setattr(golden, "floor_table_mod_2", lambda: [raised] * 256)
+        _plant_norm_floors(monkeypatch, lambda k, bits: raised)
     for ideal in ("1pi", "2"):
         scan = scan_det_floors(ideal, box)
         assert len(scan[1]) == (5 if raised else 0)

@@ -46,6 +46,15 @@ def test_parse_str_round_trip():
         RingMatrix.parse(F2, "[[0,1],[1,w]]")
 
 
+@pytest.mark.parametrize("text", ["[[0,1],[1]]", "[[0,w],[1]]", "[[1,0],[0,1],[1,1]]", "[[1],[0]]"])
+def test_parse_names_a_literal_that_is_not_square(text):
+    """Rows of unequal length, or as many as the rows are not long, are
+    refused before any entry is read, with the literal in the message."""
+    with pytest.raises(ValueError) as refused:
+        RingMatrix.parse(F2, text)
+    assert str(refused.value) == f"matrix literal is not square: {text!r}"
+
+
 def test_mixed_rings_refused():
     a = RingMatrix.identity(F2, 2)
     b = RingMatrix.identity(F4, 2)
