@@ -54,21 +54,18 @@ def _print_value(value, as_float: bool) -> None:
 # subcommand handlers
 
 def _cmd_mindet(args) -> int:
-    from .golden import min_abs_det_sq
+    from .golden import _IDEALS, min_abs_det_sq
     from .matrices import RingMatrix
-    from .rings import F2, get_ring
 
     coset = None
-    ideal = None
     if args.coset is not None:
         if args.ideal is None:
             raise UsageError("--coset needs --ideal 1pi|2")
-        ideal = args.ideal
-        ring = F2 if ideal == "1pi" else get_ring("f2i")
-        coset = RingMatrix.parse(ring, args.coset)
+        # over the subring of the ideal's pair ring: F2 for 1pi, F2[i] for 2
+        coset = RingMatrix._parse_n(_IDEALS[args.ideal].ring.subring, 2, args.coset)
     elif args.ideal is not None:
         raise UsageError("--ideal needs --coset")
-    value, witness = min_abs_det_sq(args.box, coset=coset, ideal=ideal)
+    value, witness = min_abs_det_sq(args.box, coset=coset, ideal=args.ideal)
     _print_value(value, args.float)
     print(f"witness\t{witness}")
     return 0
@@ -317,7 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mindet", help="minimum |det|^2 of the golden code over a box")
     p.add_argument("--box", type=int, default=2, help="coordinates range over [-box, box]")
     p.add_argument("--coset", help="restrict to one projection class (matrix literal)")
-    p.add_argument("--ideal", choices=["1pi", "2"], help="ideal for --coset")
+    p.add_argument(
+        "--ideal", choices=["1pi", "2"],
+        help="ideal for --coset, whose matrix is over f2 for 1pi and over f2i for 2",
+    )
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--float", action="store_true")
     p.set_defaults(handler=_cmd_mindet)

@@ -29,13 +29,17 @@ matrices whose invertibility class dictates an exact floor on |det|^2:
     ideal (2):    classify u = N(x0bar) + i*N(x1bar) in F2[i];
                   u = 0 -> 4/5,  u nonzero non-unit -> 2/5,  u unit -> 1/5
 
-The ideals are (1+i)^k at depths k = 1 and 2 ((1+i)^2 = 2i).  Each coset
-has one residue key, x0bar.mask | x1bar.mask << ring.dim for its pair over F4
-or F4[i]: the residues of a, b, c, d modulo (1+i)^k in k bits each, a lowest.
-The floor tables are indexed by it, and the verify oracle keys codewords by
-``_key_mod``'s general rule.  The minimum search keys each Gaussian
-coordinate once per slot of a half, at the two depths written out, and a
-half's key is the xor of its two slot keys.  The floor scan keys no half:
+The ideals are (1+i)^k at depths k = 1 and 2 ((1+i)^2 = 2i).  One private
+record per ideal, in ``_IDEALS``, holds its pair ring (F4, F4[i]), its half
+key and its norm-pair floor table; the rest is read off the pair ring: a half
+key has ring.dim bits (2, 4), a norm residue ring.subring.dim = k bits, and
+a coset matrix lives over ring.subring (F2, F2[i]).  Each coset has one
+residue key, x0bar.mask | x1bar.mask << ring.dim for its pair: the residues
+of a, b, c, d modulo (1+i)^k in k bits each, a lowest.  The floor tables are
+indexed by it, and the verify oracle keys codewords by ``_key_mod``'s
+general rule.  The minimum search keys each Gaussian coordinate once per
+slot of a half, at the two depths written out, and a half's key is the xor
+of its two slot keys.  The floor scan keys no half:
 reduction mod (1+i) or mod 2 is a ring map that sends theta to w and the
 Galois conjugation theta -> 1 - theta to the relative conjugation
 w -> w + 1, which fixes i, so N(x0bar) and N(x1bar) are the residues of
@@ -69,11 +73,11 @@ import math
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .cyclic import matrix_to_pair, pair_to_matrix
 from .matrices import ENUMERATION_LIMIT, RingMatrix
-from .rings import F2I, F4, F4I, RingElement, quadratic_norm
+from .rings import F2I, F4, F4I, QuotientRing, RingElement, quadratic_norm
 
 
 # ----------------------------------------------------------------------
@@ -416,6 +420,11 @@ def _half_key_2(h: Sequence[int]) -> int:
     return (ar & 1) | (ai & 1) << 1 | (br & 1) << 2 | (bi & 1) << 3
 
 
+def _project_pair(cw: GoldenCodeword, ideal: str) -> tuple[RingElement, RingElement]:
+    ring, half_key, _ = _IDEALS[ideal]
+    return ring.elements[half_key(cw._left)], ring.elements[half_key(cw._right)]
+
+
 def project_pair_mod_1pi(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
     """(x0, x1) reduced coordinatewise into F4 = F2[w] (theta -> w).
 
@@ -426,7 +435,7 @@ def project_pair_mod_1pi(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
     same coset partition (conjugation permutes F4 coordinatewise); the
     multiplicative version and its mod-2 failure are certified in verify.
     """
-    return F4.elements[_half_key_1pi(cw._left)], F4.elements[_half_key_1pi(cw._right)]
+    return _project_pair(cw, "1pi")
 
 
 def project_pair_mod_2(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
@@ -437,7 +446,7 @@ def project_pair_mod_2(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
     (e^2 = i in the algebra but j^2 = 1 in the pair model, and i is not 1
     mod 2); the exact failure locus is certified in verify.
     """
-    return F4I.elements[_half_key_2(cw._left)], F4I.elements[_half_key_2(cw._right)]
+    return _project_pair(cw, "2")
 
 
 def project_mod_1pi(cw: GoldenCodeword) -> RingMatrix:
@@ -506,26 +515,35 @@ def _key_mod(coords: Sequence[int], depth: int) -> int:
     return key
 
 
-def _norm_floor_table(ideal: str) -> list[int]:
-    """floor on m = 5*|det|^2 for ideal "1pi" or "2", indexed by n0 | n1 << b
-    for the norms n0 = N(x0bar) and n1 = N(x1bar): in F2 (b = 1) mod (1+i),
-    in F2[i] (b = 2) mod 2.  This is the one floor definition.
+# What an ideal fixes: the pair ring of the residues (x0bar, x1bar), the half
+# key that reads a half's residue from its ints, and the floor on
+# m = 5*|det|^2 indexed by n0 | n1 << ring.subring.dim for the norms
+# n0 = N(x0bar) and n1 = N(x1bar) in ring.subring.
+class _Ideal(NamedTuple):
+    ring: QuotientRing
+    half_key: Callable[[Sequence[int]], int]
+    floors: tuple[int, ...]
 
-    Over F2 the pair matrix [[a+d, b+c], [b+c+d, a+b+d]] of x0 = a + b*w and
-    x1 = c + d*w has determinant N(x0) + N(x1), and a norm of the field F4 is
-    0 only at 0: the floor is 4 on the zero pair, 1 where the norms differ
-    and 2 otherwise.  Mod 2 it is the class of u = n0 + i*n1."""
-    if ideal == "1pi":
-        zero, unit, non_unit = ProjectionClass.ZERO, ProjectionClass.UNIT, ProjectionClass.NON_UNIT
-        return [FLOOR_BY_CLASS[c] for c in (zero, unit, unit, non_unit)]
-    return [FLOOR_BY_CLASS[_mod2_pair_class(n0, n1)] for n1 in F2I for n0 in F2I]
+
+# The one table keyed by ideal, and the one floor definition.  Over F2 the
+# pair matrix [[a+d, b+c], [b+c+d, a+b+d]] of x0 = a + b*w and x1 = c + d*w
+# has determinant N(x0) + N(x1), and a norm of the field F4 is 0 only at 0:
+# the floor is 4 on the zero pair, 1 where the norms differ and 2 otherwise.
+# Mod 2 it is the class of u = n0 + i*n1.
+_IDEALS = {
+    "1pi": _Ideal(F4, _half_key_1pi, tuple(map(FLOOR_BY_CLASS.__getitem__, (
+        ProjectionClass.ZERO, ProjectionClass.UNIT, ProjectionClass.UNIT, ProjectionClass.NON_UNIT
+    )))),
+    "2": _Ideal(F4I, _half_key_2, tuple(
+        FLOOR_BY_CLASS[_mod2_pair_class(n0, n1)] for n1 in F2I for n0 in F2I
+    )),
+}
 
 
 def _key_floor_table(ideal: str) -> list[int]:
-    """The norm-pair floors read through the element norms of F4 or F4[i],
-    indexed by residue key: x1 outer, x0 inner."""
-    ring = F4 if ideal == "1pi" else F4I
-    floors = _norm_floor_table(ideal)
+    """The norm-pair floors read through the element norms of the pair
+    ring, indexed by residue key: x1 outer, x0 inner."""
+    ring, _, floors = _IDEALS[ideal]
     norms = [quadratic_norm(x).mask for x in ring]
     return [floors[n0 | n1 << ring.subring.dim] for n1 in norms for n0 in norms]
 
@@ -606,9 +624,6 @@ def _check_box(box: int) -> None:
         )
 
 
-# ideal -> (half-key function, key bits per half)
-_HALF_KEYS = {"1pi": (_half_key_1pi, 2), "2": (_half_key_2, 4)}
-
 _Norm = tuple[int, int]
 
 
@@ -655,7 +670,7 @@ def _offset_shells() -> Iterator[tuple[int, list[tuple[int, int]]]]:
 
 def _coset_key(coset: RingMatrix, ideal: str) -> int:
     """The residue key of the codewords that project onto ``coset``."""
-    ring = F4 if ideal == "1pi" else F4I
+    ring = _IDEALS[ideal].ring
     x0, x1 = matrix_to_pair(coset, ring)
     return x0.mask | x1.mask << ring.dim
 
@@ -683,9 +698,10 @@ def min_abs_det_sq(
     """
     half_key, bits, key = (lambda h: 0), 0, 0
     if coset is not None:
-        if ideal not in _HALF_KEYS:
+        if ideal not in _IDEALS:
             raise ValueError("ideal must be '1pi' or '2' when a coset is given")
-        half_key, bits = _HALF_KEYS[ideal]
+        ring, half_key, _ = _IDEALS[ideal]
+        bits = ring.dim
         key = _coset_key(coset, ideal)
     elif ideal is not None:
         raise ValueError("ideal given without a coset matrix")
@@ -732,12 +748,11 @@ def scan_det_floors(
     pair fails, so only the halves of those norms are listed, and a heap
     keeps the five least codewords.
     """
-    if ideal not in _HALF_KEYS:
+    if ideal not in _IDEALS:
         raise ValueError("ideal must be '1pi' or '2'")
     _check_box(box)
-    floors = _norm_floor_table(ideal)
-    half_key, bits = _HALF_KEYS[ideal]
-    shift = bits // 2  # a norm residue is keyed as the first slot of a half
+    ring, half_key, floors = _IDEALS[ideal]
+    shift = ring.subring.dim  # a norm residue is keyed as the first slot of a half
     coords = list(itertools.product(range(-box, box + 1), repeat=2))
 
     # norm -> its number of halves, from one of each pair h, -h

@@ -98,6 +98,15 @@ class RingMatrix:
             raise ValueError(f"matrix literal is not square: {text!r}")
         return cls(ring, [[ring.parse(e.strip()) for e in row] for row in rows])
 
+    @classmethod
+    def _parse_n(cls, ring: QuotientRing, n: int, text: str) -> "RingMatrix":
+        """``parse``, refusing a literal that is not n x n: the one message
+        for a matrix symbol or a coset of the wrong size."""
+        m = cls.parse(ring, text)
+        if m.n != n:
+            raise ValueError(f"not a {n}x{n} matrix over {ring.name}: {text!r}")
+        return m
+
     # ------------------------------------------------------------------
     # access
 

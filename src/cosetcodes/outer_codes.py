@@ -83,10 +83,7 @@ class MatrixSpace:
         return all_matrices(self.ring, self.n)
 
     def parse(self, text: str) -> RingMatrix:
-        m = RingMatrix.parse(self.ring, text)
-        if m.n != self.n:
-            raise ValueError(f"not a {self.n}x{self.n} matrix over {self.ring.name}: {text!r}")
-        return m
+        return RingMatrix._parse_n(self.ring, self.n, text)
 
     def element(self, index: int) -> RingMatrix:
         """The matrix at ``index`` in enumeration order, whose entry masks

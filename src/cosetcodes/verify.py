@@ -885,7 +885,7 @@ def certify_projection_compat(failures: list[str], details: list[str]) -> None:
     # by, slot separability and sign symmetry; then additivity on the halves
     # (g, h) + (h, g) = (g + h, g + h)
     window = list(itertools.product(range(-2, 3), repeat=2))
-    keys = (("mod-(1+i)", golden._HALF_KEYS["1pi"][0]), ("mod-2", golden._HALF_KEYS["2"][0]))
+    keys = (("mod-(1+i)", golden._IDEALS["1pi"].half_key), ("mod-2", golden._IDEALS["2"].half_key))
 
     def window_failures() -> Iterator[str]:
         for x, y in window:

@@ -225,6 +225,10 @@ _REFUSALS = {
                    "not a 2x2 matrix over f2: '[[1]]'"),
     "matrix-3x3": (("encode", "--code", "repetition", "--msg", "[[1,0,1],[0,1,0],[1,1,1]]"),
                    "not a 2x2 matrix over f2: '[[1,0,1],[0,1,0],[1,1,1]]'"),
+    "coset-1x1": (("mindet", "--box", "1", "--coset", "[[1]]", "--ideal", "1pi"),
+                  "not a 2x2 matrix over f2: '[[1]]'"),
+    "coset-3x3": (("mindet", "--box", "1", "--coset", "[[1,0,i],[0,1,0],[1,1,1]]", "--ideal", "2"),
+                  "not a 2x2 matrix over f2i: '[[1,0,i],[0,1,0],[1,1,1]]'"),
     "matrix-ragged": (("encode", "--code", "repetition", "--msg", "[[1,0],[0]]"),
                       "matrix literal is not square: '[[1,0],[0]]'"),
     "word-ragged": (("weights", "--kind", "bachoc", "--word", "[[1,0],[0]]"),

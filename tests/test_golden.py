@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from cosetcodes import golden
+from cosetcodes import cli, golden
 from cosetcodes.cyclic import pair_to_matrix
 from cosetcodes.golden import (
     ALPHA,
@@ -343,6 +343,25 @@ def test_floor_table_mod_1pi_takes_each_norm_once(monkeypatch):
     assert calls[0] <= 4
 
 
+@pytest.mark.parametrize("ideal", list(golden._IDEALS))
+def test_each_ideal_record_derives_its_widths_and_coset_ring(capsys, ideal):
+    """The record's pair ring fixes the rest.  On every half of the +/-2
+    window the record's half key is the oracle's ``_key_mod`` at depth
+    ring.subring.dim and lies below 1 << ring.dim; the norm-pair table has
+    one floor per pair of norms in ring.subring; and ring.subring is the
+    ring of the pair matrices and the one ``mindet --coset`` parses."""
+    ring, half_key, floors = golden._IDEALS[ideal]
+    depth = ring.subring.dim
+    for h in itertools.product(range(-2, 3), repeat=4):
+        key = half_key(h)
+        assert key == golden._key_mod(h, depth)
+        assert key < 1 << ring.dim
+    assert len(floors) == ring.subring.size ** 2
+    assert pair_to_matrix(ring.one, ring.one).ring is ring.subring
+    assert cli.main(["mindet", "--box", "1", "--coset", "[[1]]", "--ideal", ideal]) == 2
+    assert capsys.readouterr().err == f"error: not a 2x2 matrix over {ring.subring.name}: '[[1]]'\n"
+
+
 @pytest.mark.parametrize("ideal,ring", [("1pi", F4), ("2", F4I)], ids=["1pi", "2"])
 def test_the_norm_of_a_residue_is_the_residue_of_the_norm(ideal, ring):
     """Reduction mod (1+i) or mod 2 is a ring map that sends theta to w and
@@ -350,10 +369,9 @@ def test_the_norm_of_a_residue_is_the_residue_of_the_norm(ideal, ring):
     of the half's residue is the residue of its norm, keyed as the first
     slot of a half.  Each key table is the norm-pair table read at the
     element norms of the key's pair."""
-    half_key, _ = golden._HALF_KEYS[ideal]
+    _, half_key, floors = golden._IDEALS[ideal]
     for h in itertools.product(range(-3, 4), repeat=4):
         assert quadratic_norm(ring.elements[half_key(h)]).mask == half_key(norm_ints(*h) + (0, 0))
-    floors = golden._norm_floor_table(ideal)
     table = floor_table_mod_1pi() if ideal == "1pi" else floor_table_mod_2()
     for x0 in ring:
         for x1 in ring:
@@ -369,8 +387,9 @@ def test_a_norm_residue_read_from_the_real_part_alone_is_caught(monkeypatch, ide
     violations; the brute oracle keys coordinates and does not move."""
     expected = brute_box_scan(ideal, 2)[:3]
     assert scan_det_floors(ideal, 2) == expected
-    half_key, bits = golden._HALF_KEYS[ideal]
-    monkeypatch.setattr(golden, "_HALF_KEYS", {ideal: (lambda h: half_key((h[0], 0, 0, 0)), bits)})
+    record = golden._IDEALS[ideal]
+    real_part_only = record._replace(half_key=lambda h: record.half_key((h[0], 0, 0, 0)))
+    monkeypatch.setitem(golden._IDEALS, ideal, real_part_only)
     checked, violations, counts = scan_det_floors(ideal, 2)
     assert (checked, counts, len(violations)) == (390_624, [113_568, 82_944, 194_112], 5)
     assert brute_box_scan(ideal, 2)[:3] == expected
@@ -508,15 +527,14 @@ def test_factorized_floor_violations_match_the_brute_oracle(monkeypatch, raised)
 
 
 def _plant_norm_floors(monkeypatch, floors):
-    """Replace the norm-pair floor table of both ideals: ``floors(k, bits)``
-    gives the floor of the index k = n0 | n1 << bits, bits being 1 for "1pi"
-    and 2 for "2".  The key tables, the brute oracle's, follow it."""
-
-    def table(ideal):
-        bits = 1 if ideal == "1pi" else 2
-        return [floors(k, bits) for k in range(1 << 2 * bits)]
-
-    monkeypatch.setattr(golden, "_norm_floor_table", table)
+    """Replace the norm-pair floor table of every ideal's record:
+    ``floors(k, bits)`` gives the floor of the index k = n0 | n1 << bits,
+    bits being the record's ring.subring.dim (1 for "1pi", 2 for "2").  The
+    key tables, the brute oracle's, follow it."""
+    for ideal, record in list(golden._IDEALS.items()):
+        bits = record.ring.subring.dim
+        table = tuple(floors(k, bits) for k in range(1 << 2 * bits))
+        monkeypatch.setitem(golden._IDEALS, ideal, record._replace(floors=table))
 
 
 # Floor plants that depend on the pair of norm residues: the right norm's
@@ -552,7 +570,8 @@ def test_the_floor_scan_finds_every_violation(monkeypatch, ideal, plant):
     _plant_norm_floors(monkeypatch, _KEYED_FLOORS[plant])
     monkeypatch.setattr(golden, "heapq", types.SimpleNamespace(nsmallest=lambda n, items: sorted(items)))
     table = floor_table_mod_1pi() if ideal == "1pi" else floor_table_mod_2()
-    half_key, bits = golden._HALF_KEYS[ideal]
+    ring, half_key, _ = golden._IDEALS[ideal]
+    bits = ring.dim
     every = [
         c
         for c in itertools.product(range(-1, 2), repeat=8)
@@ -565,14 +584,14 @@ def test_the_floor_scan_finds_every_violation(monkeypatch, ideal, plant):
 def _count_half_key_calls(monkeypatch, ideal):
     """Route the library's half key of ``ideal`` through a counter; the
     returned list holds the number of calls."""
-    half_key, bits = golden._HALF_KEYS[ideal]
+    record = golden._IDEALS[ideal]
     calls = [0]
 
     def counted(h):
         calls[0] += 1
-        return half_key(h)
+        return record.half_key(h)
 
-    monkeypatch.setattr(golden, "_HALF_KEYS", {ideal: (counted, bits)})
+    monkeypatch.setitem(golden._IDEALS, ideal, record._replace(half_key=counted))
     return calls
 
 
@@ -629,7 +648,8 @@ def test_a_scan_that_admits_the_floor_itself_is_caught():
         mutant = namespace["scan_det_floors"](ideal, 2)
         assert violations == [] and (mutant[0], mutant[2]) == (checked, counts)
         assert len(mutant[1]) == 5
-        half_key, bits = golden._HALF_KEYS[ideal]
+        ring, half_key, _ = golden._IDEALS[ideal]
+        bits = ring.dim
         for v in mutant[1]:
             assert det_sq_times5(v) == table[half_key(v[:4]) | half_key(v[4:]) << bits]
 
@@ -662,7 +682,8 @@ def _all_halves_floor_scan(ideal, box):
     """scan_det_floors as it was before the slot keys: each of the (2B+1)^4
     halves keyed on its own, and the nine offsets of norm < 4 visited."""
     table = golden.floor_table_mod_1pi() if ideal == "1pi" else golden.floor_table_mod_2()
-    half_key, bits = golden._HALF_KEYS[ideal]
+    ring, half_key, _ = golden._IDEALS[ideal]
+    bits = ring.dim
     key_counts = [0] * (1 << bits)
     groups = {}
     for h in itertools.product(range(-box, box + 1), repeat=4):
@@ -720,7 +741,8 @@ def test_first_half_tables_match_the_all_halves_route(box):
     unkeyed = [0] * (2 * box + 1) ** 2
     table = golden._first_halves(box, (unkeyed, unkeyed), 0)
     assert list(table.items()) == list(_all_halves_tables(box, lambda h: 0, 0)[0].items())
-    for half_key, bits in golden._HALF_KEYS.values():
+    for ring, half_key, _ in golden._IDEALS.values():
+        bits = ring.dim
         slot_keys = golden._slot_keys(box, half_key)
         for key, want in enumerate(_all_halves_tables(box, half_key, bits)):
             assert list(golden._first_halves(box, slot_keys, key).items()) == list(want.items())

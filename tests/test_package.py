@@ -151,6 +151,27 @@ def test_the_package_imports_only_the_standard_library():
     assert re.search(r"^dependencies = \[\]$", (ROOT / "pyproject.toml").read_text(), re.M)
 
 
+def test_golden_and_cli_compare_no_value_with_an_ideal_string():
+    """The records of ``golden._IDEALS`` are the one place that names the
+    ideals: golden.py and cli.py compare no value with an ideal string, so
+    a new ideal is one more record, not one more branch at each site.  The
+    verify oracle keeps its own dispatch on the ideals, on purpose."""
+    from cosetcodes import golden
+
+    ideals = set(golden._IDEALS)
+    for module in ("golden", "cli"):
+        path = ROOT / "src" / "cosetcodes" / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare):
+                named = {
+                    leaf.value
+                    for operand in (node.left, *node.comparators)
+                    for leaf in ast.walk(operand)
+                    if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+                } & ideals
+                assert not named, f"{module}.py:{node.lineno} compares with {sorted(named)}"
+
+
 def _compiled_size(module: str) -> int:
     """Bytes of the module's code object, compiled under its repo-relative
     path (the size depends on the path string)."""

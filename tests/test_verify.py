@@ -604,11 +604,11 @@ def test_projection_compat_finds_a_reversed_mod2_pair(monkeypatch):
 @pytest.mark.parametrize("ideal,label", [("1pi", "mod-(1+i)"), ("2", "mod-2")])
 def test_projection_compat_checks_the_half_keys_the_scans_run(monkeypatch, ideal, label):
     """A half key whose second slot reads ai for bi keeps g = -2-i in the
-    second slot in the ideal: the window check reads the keys from
-    golden._HALF_KEYS at call time, as the scans do."""
-    half_key, bits = golden._HALF_KEYS[ideal]
-    misread = (lambda h: half_key((h[0], h[1], h[2], h[1])), bits)
-    monkeypatch.setitem(golden._HALF_KEYS, ideal, misread)
+    second slot in the ideal: the window check reads the keys from the
+    records of golden._IDEALS at call time, as the scans do."""
+    record = golden._IDEALS[ideal]
+    misread = record._replace(half_key=lambda h: record.half_key((h[0], h[1], h[2], h[1])))
+    monkeypatch.setitem(golden._IDEALS, ideal, misread)
     rep = verify.run_claim("projection_compat")
     assert not rep.passed
     assert rep.witness == f"{label} membership mismatch at -2-i"
@@ -652,11 +652,13 @@ def test_projection_compat_checks_the_half_key_facts_the_search_uses(monkeypatch
     """The scans key each Gaussian coordinate once per slot and the minimum
     search visits one of each pair +/-h, which needs key(g, h) = key(g, 0) ^
     key(0, h) and key(-g, -h) = key(g, h): the window check tests both,
-    then additivity, on the keys read from golden._HALF_KEYS.  Each case
-    runs the whole claim."""
+    then additivity, on the keys read from the records of golden._IDEALS.
+    Each case runs the whole claim."""
     extra, check, at_1pi, at_2 = _HALF_KEY_PLANTS[plant]
-    half_key, bits = golden._HALF_KEYS[ideal]
-    monkeypatch.setitem(golden._HALF_KEYS, ideal, (lambda h: half_key(h) ^ extra(h, half_key), bits))
+    record = golden._IDEALS[ideal]
+    half_key = record.half_key
+    planted = record._replace(half_key=lambda h: half_key(h) ^ extra(h, half_key))
+    monkeypatch.setitem(golden._IDEALS, ideal, planted)
     rep = verify.run_claim("projection_compat")
     assert not rep.passed
     assert rep.witness == f"{label} {check} fails at {at_1pi if ideal == '1pi' else at_2}"
@@ -816,8 +818,9 @@ def test_brute_keys_do_not_route_through_the_half_key_codec(monkeypatch, ideal):
     library's per-coset minima then disagree with the oracle's, whose keys
     come from the full-coordinate key functions.  (The floor scans would
     still agree: their class sizes are symmetric under this swap.)"""
-    half_key, bits = golden._HALF_KEYS[ideal]
-    monkeypatch.setattr(golden, "_HALF_KEYS", {ideal: (lambda h: half_key(h[2:] + h[:2]), bits)})
+    record = golden._IDEALS[ideal]
+    swapped = record._replace(half_key=lambda h: record.half_key(h[2:] + h[:2]))
+    monkeypatch.setitem(golden._IDEALS, ideal, swapped)
     ring = F4 if ideal == "1pi" else F4I
     pairs = [(x0, x1) for x1 in ring for x0 in ring]  # residue-key order
     disagree = 0
