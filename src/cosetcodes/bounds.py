@@ -254,7 +254,9 @@ def multilevel_rate_m4(ks: Sequence[int], L: int) -> Fraction:
     """Information symbols per slot, sum(k_i) / (4L), for four level codes."""
     if len(ks) != 4:
         raise ValueError("need exactly 4 level dimensions")
-    if L < 1 or any(not 0 <= k <= L for k in ks):
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    if any(not 0 <= k <= L for k in ks):
         raise ValueError("level dimensions must lie in [0, L]")
     return Fraction(sum(ks), 4 * L)
 

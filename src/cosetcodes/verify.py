@@ -164,10 +164,14 @@ def _first_difference(got: list, want: list) -> int:
 #
 # ``projection_compat`` and ``f_basis`` also take one row at a time, as
 # lists of objects compared in C, and search a row for its first failure
-# only when the row fails.  A deterministic library function is called once
-# per distinct operand and its value looked up for every pair that has that
-# operand; a lookup reads the function's own value, so, as above, nothing is
-# inferred from other pairs.
+# only when the row fails.  ``projection_compat`` checks a table of pair
+# labelings (projection, relabeling, failure locus) in one loop: a row's
+# products are projected once per ideal, and each labeling compares them
+# with its row of twisted products.  A deterministic library function is
+# called once per distinct operand (a twisted product once per distinct
+# pair of labels) and its value looked up for every pair that has that
+# operand; a lookup reads the function's own value, so, as above, nothing
+# is inferred from other pairs.
 
 # array type codes by item size
 _LANE_CODES = {array(code).itemsize: code for code in "BHIQ"}
@@ -909,96 +913,89 @@ def certify_projection_compat(failures: list[str], details: list[str]) -> None:
 
     _first_failure(failures, window_failures())
 
-    # pair-level multiplicativity: project(x *_golden y) vs twisted product,
-    # one x (a row of 256 products) at a time
+    # pair-level multiplicativity, one x (a row of 256 products) at a time.
+    # A labeling reads x as its projection, relabeled or not; row x compares
+    # the projections of the products x *_golden y with the twisted products
+    # of the labels of x and y, read back through the relabeling (conjugation
+    # is an involution, so one map serves both ways).  Row x must differ at y
+    # exactly when locus(label of x) and locus(label of y); a labeling
+    # without a locus is only counted.  Failures are ordered by (x, y,
+    # labeling), and every labeling counts all 65536 products.
     project1, project2 = golden.project_pair_mod_1pi, golden.project_pair_mod_2
-    conj4 = {e: quadratic_conj(e) for e in F4}
-    conj4i = {e: quadratic_conj(e) for e in F4I}
-    # conjugation is a bijection of F4 and of F4[i], so (r0, conj(r1)) == t
-    # exactly when r == unconj[t]: the conjugated checks compare the plain
-    # projections with unconjugated twisted products
-    unconj4 = {(a, c): (a, b) for a in F4 for b, c in conj4.items()}
-    unconj4i = {(a, c): (a, b) for a in F4I for b, c in conj4i.items()}
 
+    def conjugated(ring) -> Callable:
+        conj = list(map(quadratic_conj, ring))  # by mask: a ring iterates in mask order
+        return lambda p: (p[0], conj[p[1].mask])
+
+    # (projection, relabeling or None, locus or None, failure text)
+    labelings = (
+        (project1, None, None, None),
+        (project1, conjugated(F4), lambda p: False, "conjugated mod-(1+i) multiplicativity fails"),
+        (project2, conjugated(F4I), lambda p: p[1].is_unit,
+         "mod-2 failure locus breaks the both-units rule"),
+    )
     elements = [GoldenCodeword.from_ints(b) for b in itertools.product(range(2), repeat=8)]
-    raw1 = list(map(project1, elements))
-    hom1 = [(p0, conj4[p1]) for p0, p1 in raw1]
-    hom2 = [(p0, conj4i[p1]) for p0, p1 in map(project2, elements)]
+    plain = {project: list(map(project, elements)) for project in (project1, project2)}
+    no_marks = [False] * len(elements)
+    # per labeling, besides its projection and relabeling: its distinct
+    # labels, the slot of each element's label among them, the locus marks
+    # and the rows kept for repeated labels
+    scans = []
+    for project, relabel, locus, _ in labelings:
+        labels = list(map(relabel, plain[project])) if relabel else plain[project]
+        slot: dict = {}
+        slots = [slot.setdefault(p, len(slot)) for p in labels]
+        marks = list(map(locus, labels)) if locus else None
+        scans.append((project, relabel, list(slot), slots, marks, {}))
+    counts = [0] * len(labelings)
+    firsts: list = [None] * len(labelings)
+    found: dict = {}
 
-    # p -> [p * q for q in pairs] for each distinct p of pairs, with each
-    # product of two distinct pairs taken once
-    def product_rows(pairs: list) -> dict:
-        distinct = dict.fromkeys(pairs)
-        rows = {}
-        for p in distinct:
-            products = {q: twisted_pair_mul(p, q) for q in distinct}
-            rows[p] = list(map(products.__getitem__, pairs))
-        return rows
-
-    # raw1 and hom1 take only the 16 F4 pairs; hom2 takes all 256 F4[i]
-    # pairs, so its products are taken one row at a time below
-    raw_rows = product_rows(raw1)
-    hom_rows = {
-        p: list(map(unconj4.__getitem__, row)) for p, row in product_rows(hom1).items()
-    }
-    # the both-units rule: row x fails at y exactly when locus[y] is True
-    units = [q[1].is_unit for q in hom2]
-    no_units = [False] * len(hom2)
-    raw_mismatch: str | None = None
-    raw_mismatches = 0
-    mod2_mismatch: str | None = None
-    mod2_mismatches = 0
+    for ix, x in enumerate(elements):
+        products = list(map(functools.partial(golden_pair_mul, x), elements))
+        got = {project: list(map(project, products)) for project in plain}
+        for k, (project, relabel, distinct, slots, marks, kept) in enumerate(scans):
+            row = kept.get(slots[ix])
+            if row is None:
+                # each distinct twisted product of the row once; the row is
+                # kept while the labeling's labels repeat (the 16 F4 pairs)
+                label = distinct[slots[ix]]
+                twisted = list(map(functools.partial(twisted_pair_mul, label), distinct))
+                if relabel:
+                    twisted = list(map(relabel, twisted))
+                row = list(map(twisted.__getitem__, slots))
+                if len(distinct) < len(slots):
+                    kept[slots[ix]] = row
+            differs = list(map(ne, got[project], row))
+            count = differs.count(True)
+            if count:
+                counts[k] += count
+                if firsts[k] is None:
+                    firsts[k] = (x, elements[differs.index(True)])
+            if marks is not None and k not in found:
+                want = marks if marks[ix] else no_marks
+                if differs != want:
+                    found[k] = (ix, _first_difference(differs, want))
 
     def at(x: GoldenCodeword, y: GoldenCodeword, sep: str) -> str:
         return f"x=({x.x0()}{sep}{x.x1()}), y=({y.x0()}{sep}{y.x1()})"
 
-    # every product is scanned, so both summaries count all 65536; the
-    # failures are the first conjugated and the first locus failure in
-    # (x, y) order
-    first: dict[str, str] = {}
-    for ix, x in enumerate(elements):
-        products = list(map(functools.partial(golden_pair_mul, x), elements))
-        rz1 = list(map(project1, products))
-        rz2 = list(map(project2, products))
-        found = []
-        if "conj" not in first and rz1 != hom_rows[hom1[ix]]:
-            iy = _first_difference(rz1, hom_rows[hom1[ix]])
-            found.append((iy, "conj", "conjugated mod-(1+i) multiplicativity fails"))
-        differs = list(map(ne, rz1, raw_rows[raw1[ix]]))
-        count = differs.count(True)
-        if count:
-            raw_mismatches += count
-            if raw_mismatch is None:
-                raw_mismatch = at(x, elements[differs.index(True)], ", ")
-        want2 = map(functools.partial(twisted_pair_mul, hom2[ix]), hom2)
-        differs = list(map(ne, rz2, map(unconj4i.__getitem__, want2)))
-        locus = units if hom2[ix][1].is_unit else no_units
-        if "locus" not in first and differs != locus:
-            iy = _first_difference(differs, locus)
-            found.append((iy, "locus", "mod-2 failure locus breaks the both-units rule"))
-        count = differs.count(True)
-        if count:
-            mod2_mismatches += count
-            if mod2_mismatch is None:
-                mod2_mismatch = at(x, elements[differs.index(True)], ", ")
-        # by y, and "conj" before "locus" on one y
-        for iy, kind, text in sorted(found):
-            first[kind] = f"{text} at {at(x, elements[iy], ',')}"
-    failures.extend(first.values())
-
-    if raw_mismatch is None:
+    for (ix, iy), k in sorted((xy, k) for k, xy in found.items()):
+        failures.append(f"{labelings[k][3]} at {at(elements[ix], elements[iy], ',')}")
+    plain_count, conj_count, mod2_count = counts
+    if not plain_count:
         failures.append(
             "plain-pair labeling unexpectedly multiplicative mod (1+i) — "
             "the left/right twist should break it"
         )
     else:
-        repairs = "" if "conj" in first else "; conjugating the second slot repairs all 65536"
+        repairs = "; conjugating the second slot repairs all 65536" if not conj_count else ""
         details.append(
             f"plain pair (x0bar, x1bar) is not multiplicative mod (1+i) "
-            f"(expected, e sits left of x1): {raw_mismatches} of 65536 "
-            f"products differ, first at {raw_mismatch}{repairs}"
+            f"(expected, e sits left of x1): {plain_count} of 65536 "
+            f"products differ, first at {at(*firsts[0], ', ')}{repairs}"
         )
-    if mod2_mismatch is None:
+    if not mod2_count:
         failures.append(
             "mod-2 multiplicativity unexpectedly holds — the e^2 = i twist "
             "should break it"
@@ -1006,8 +1003,8 @@ def certify_projection_compat(failures: list[str], details: list[str]) -> None:
     else:
         details.append(
             f"mod-2 multiplicativity fails exactly when both second slots "
-            f"are units (expected, e^2 = i vs j^2 = 1): {mod2_mismatches} "
-            f"of 65536 products differ, first at {mod2_mismatch}"
+            f"are units (expected, e^2 = i vs j^2 = 1): {mod2_count} "
+            f"of 65536 products differ, first at {at(*firsts[2], ', ')}"
         )
 
 

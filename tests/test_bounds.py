@@ -174,6 +174,19 @@ def test_rates_and_redundancy():
     assert rate_m2f2i(16, 13) == Fraction(15, 32) + Fraction(13, 64)
 
 
+@pytest.mark.parametrize(
+    "ks,L,message",
+    [((0, 0, 0, 0), 0, "L must be >= 1"), ((0, 0, 0, 0), -1, "L must be >= 1"),
+     ((0, 1, 2, 3), 2, r"level dimensions must lie in \[0, L\]"),
+     ((0, -1, 0, 0), 1, r"level dimensions must lie in \[0, L\]")],
+)
+def test_multilevel_rate_m4_refuses_bad_lengths_and_dimensions(ks, L, message):
+    """L < 1 is refused on its own, before the dimensions are read: with
+    every k = 0 no dimension lies outside [0, L]."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        multilevel_rate_m4(ks, L)
+
+
 def test_gv_bound():
     assert gv_bound(4, 6, 4) == Fraction(2048, 347)
     assert gv_bound(2, 4, 1) == 16  # no distance constraint at all

@@ -208,6 +208,7 @@ _REFUSALS = {
     "bad-ds": (("bounds", "--which", "multilevel_m4", "--ds", "1,x,3,4"),
                "not an integer list: '1,x,3,4'"),
     "short-ks": (("bounds", "--which", "rate_m4", "--ks", "1,2,3"), "expected 4 integers, got 3"),
+    "rate-L0": (("bounds", "--which", "rate_m4", "--ks", "0,0,0,0", "--L", "0"), "L must be >= 1"),
     "pair-element": (("iso", "--which", "m2f2_f4j", "--element", "w"),
                      "pair models need --element 'x; y'"),
     "bare-verify": (("verify",), "give --all or --claim ID"),

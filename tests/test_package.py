@@ -172,6 +172,32 @@ def test_golden_and_cli_compare_no_value_with_an_ideal_string():
                 assert not named, f"{module}.py:{node.lineno} compares with {sorted(named)}"
 
 
+def test_the_ideal_strings_written_out_are_the_keys_of_the_record(capsys):
+    """The parser's --ideal choices and the three refusals of an unknown
+    ideal write the ideal strings out, and a literal costs fewer compiled
+    bytes than a message built from ``golden._IDEALS``: each must name
+    exactly the record's keys, in its order."""
+    import argparse
+
+    from cosetcodes import cli, golden
+    from cosetcodes.matrices import RingMatrix
+    from cosetcodes.rings import F2
+
+    keys = list(golden._IDEALS)
+    mindet = next(
+        action for action in cli.build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+    ).choices["mindet"]
+    assert next(action.choices for action in mindet._actions if action.dest == "ideal") == keys
+    coset = RingMatrix.identity(F2, 2)
+    for refuse in (lambda: golden.min_abs_det_sq(1, coset=coset, ideal="3"),
+                   lambda: golden.scan_det_floors("3")):
+        with pytest.raises(ValueError) as refusal:
+            refuse()
+        assert re.findall(r"'(\w+)'", str(refusal.value)) == keys
+    assert cli.main(["mindet", "--box", "1", "--coset", "[[1,0],[0,1]]"]) == 2
+    assert capsys.readouterr().err == f"error: --coset needs --ideal {'|'.join(keys)}\n"
+
+
 def _compiled_size(module: str) -> int:
     """Bytes of the module's code object, compiled under its repo-relative
     path (the size depends on the path string)."""

@@ -778,6 +778,45 @@ def test_projection_compat_finds_a_planted_twisted_product(monkeypatch, plant, w
     assert rep.details == details
 
 
+_LOCUS_AT = "x=((0)+(0)t,(0)+(i)t), y=((0)+(0)t,(1+i)+(0)t)"
+
+
+@pytest.mark.parametrize(
+    "on_f4,witness,details",
+    [
+        # the conjugated labelings become the plain ones: the mod-(1+i)
+        # one fails at the plain pair's first mismatch
+        (
+            False,
+            "conjugated mod-(1+i) multiplicativity fails at "
+            "x=((0)+(0)t,(0)+(i)t), y=((0)+(0)t,(i)+(0)t)",
+            (
+                _PLAIN,
+                _MOD2 % 59904,
+                f"FAILURE: mod-2 failure locus breaks the both-units rule at {_LOCUS_AT}",
+            ),
+        ),
+        (
+            True,
+            f"mod-2 failure locus breaks the both-units rule at {_LOCUS_AT}",
+            (_PLAIN + "; conjugating the second slot repairs all 65536", _MOD2 % 59904),
+        ),
+    ],
+    ids=["identity", "identity-on-f4i"],
+)
+def test_projection_compat_reads_the_conjugation_it_relabels_by(monkeypatch, on_f4, witness, details):
+    """The conjugated labelings read quadratic_conj at call time, both to
+    label x and y and to read their twisted product back: planted as the
+    identity (on F4 too, or on F4[i] only), the labeling it builds is checked
+    and fails.  Each case runs the whole claim."""
+    real = verify.quadratic_conj
+    monkeypatch.setattr(verify, "quadratic_conj", lambda e: real(e) if on_f4 and e.ring is F4 else e)
+    rep = verify.run_claim("projection_compat")
+    assert not rep.passed
+    assert rep.witness == witness
+    assert rep.details == details
+
+
 def _flipped_norm_ints(ar, ai, br, bi):
     """golden.norm_ints with the sign of its 2*br*bi term flipped."""
     nr = ar * ar - ai * ai + ar * br - ai * bi - (br * br - bi * bi)
