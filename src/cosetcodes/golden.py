@@ -60,9 +60,12 @@ A codeword holds its halves (a, b) and (c, d) as int 4-tuples and builds
 Gaussian coordinates only when asked for them.  It is also the algebra
 element x0 + e*x1 with x0 = a + b*theta, x1 = c + d*theta and e^2 = i, and
 ``golden_pair_mul`` multiplies codewords as such.  One int kernel serves
-``GoldenInt.__mul__``, ``golden_pair_mul`` and the codeword matrix behind
-``det_numerator``, and the pair projections read each half's residue key,
-the mask of its reduction, straight from the stored halves.
+``GoldenInt.__mul__`` and the codeword matrix behind ``det_numerator``;
+``golden_pair_mul`` is the kernel's formula written out over the 16 ints of
+two codewords, and a test checks it against the ``GoldenInt`` route.  The
+pair projections, bound to their records' ring elements and half keys at
+import, read each half's residue key, the mask of its reduction, straight
+from the stored halves.
 """
 
 from __future__ import annotations
@@ -420,11 +423,6 @@ def _half_key_2(h: Sequence[int]) -> int:
     return (ar & 1) | (ai & 1) << 1 | (br & 1) << 2 | (bi & 1) << 3
 
 
-def _project_pair(cw: GoldenCodeword, ideal: str) -> tuple[RingElement, RingElement]:
-    ring, half_key, _ = _IDEALS[ideal]
-    return ring.elements[half_key(cw._left)], ring.elements[half_key(cw._right)]
-
-
 def project_pair_mod_1pi(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
     """(x0, x1) reduced coordinatewise into F4 = F2[w] (theta -> w).
 
@@ -435,7 +433,7 @@ def project_pair_mod_1pi(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
     same coset partition (conjugation permutes F4 coordinatewise); the
     multiplicative version and its mod-2 failure are certified in verify.
     """
-    return _project_pair(cw, "1pi")
+    return _ELEMENTS_1PI[_HALF_KEY_1PI(cw._left)], _ELEMENTS_1PI[_HALF_KEY_1PI(cw._right)]
 
 
 def project_pair_mod_2(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
@@ -446,7 +444,7 @@ def project_pair_mod_2(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
     (e^2 = i in the algebra but j^2 = 1 in the pair model, and i is not 1
     mod 2); the exact failure locus is certified in verify.
     """
-    return _project_pair(cw, "2")
+    return _ELEMENTS_2[_HALF_KEY_2(cw._left)], _ELEMENTS_2[_HALF_KEY_2(cw._right)]
 
 
 def project_mod_1pi(cw: GoldenCodeword) -> RingMatrix:
@@ -538,6 +536,9 @@ _IDEALS = {
         FLOOR_BY_CLASS[_mod2_pair_class(n0, n1)] for n1 in F2I for n0 in F2I
     )),
 }
+# The pair projections read these, taken out of the records once.
+_ELEMENTS_1PI, _HALF_KEY_1PI = _IDEALS["1pi"].ring.elements, _IDEALS["1pi"].half_key
+_ELEMENTS_2, _HALF_KEY_2 = _IDEALS["2"].ring.elements, _IDEALS["2"].half_key
 
 
 def _key_floor_table(ideal: str) -> list[int]:
@@ -566,15 +567,34 @@ def golden_pair_mul(x: GoldenCodeword, y: GoldenCodeword) -> GoldenCodeword:
     and l e = e sigma(l):
 
         x y = (x0 y0 + i sigma(x1) y1) + e (sigma(x0) y1 + x1 y0).
+
+    This is the ``_golden_mul`` kernel's formula written out over the 16
+    ints of the two codewords, sigma included; a test checks it against
+    the ``GoldenInt`` route.
     """
-    x0, x1, y0, y1 = x._left, x._right, y._left, y._right
-    p0, p1, p2, p3 = _golden_mul(x0, y0)
-    q0, q1, q2, q3 = _golden_mul(_golden_sigma(x1), y1)
-    r0, r1, r2, r3 = _golden_mul(_golden_sigma(x0), y1)
-    s0, s1, s2, s3 = _golden_mul(x1, y0)
-    return GoldenCodeword._of(  # (p + i*q) + e (r + s)
-        (p0 - q1, p1 + q0, p2 - q3, p3 + q2),
-        (r0 + s0, r1 + s1, r2 + s2, r3 + s3),
+    ar, ai, br, bi = x._left
+    cr, ci, dr, di = x._right
+    er, ei, fr, fi = y._left
+    gr, gi, hr, hi = y._right
+    # With x0 = a + b*t, x1 = c + d*t, y0 = e + f*t, y1 = g + h*t, t^2 = t + 1
+    # and sigma(u + v*t) = (u + v) - v*t, the four products give
+    #   x0 y0 + i sigma(x1) y1 = a e + b f + i((c + d) g - d h)
+    #                          + (a f + b e + b f + i(c h - d g)) t,
+    #   sigma(x0) y1 + x1 y0   = (a + b) g - b h + c e + d f
+    #                          + (a h - b g + c f + d e + d f) t.
+    cdr, cdi = cr + dr, ci + di
+    abr, abi = ar + br, ai + bi
+    bfr, bfi = br * fr - bi * fi, br * fi + bi * fr
+    dfr, dfi = dr * fr - di * fi, dr * fi + di * fr
+    return GoldenCodeword._of(
+        (ar * er - ai * ei + bfr - (cdr * gi + cdi * gr - dr * hi - di * hr),
+         ar * ei + ai * er + bfi + cdr * gr - cdi * gi - dr * hr + di * hi,
+         ar * fr - ai * fi + br * er - bi * ei + bfr - (cr * hi + ci * hr - dr * gi - di * gr),
+         ar * fi + ai * fr + br * ei + bi * er + bfi + cr * hr - ci * hi - dr * gr + di * gi),
+        (abr * gr - abi * gi - br * hr + bi * hi + cr * er - ci * ei + dfr,
+         abr * gi + abi * gr - br * hi - bi * hr + cr * ei + ci * er + dfi,
+         ar * hr - ai * hi - br * gr + bi * gi + cr * fr - ci * fi + dr * er - di * ei + dfr,
+         ar * hi + ai * hr - br * gi - bi * gr + cr * fi + ci * fr + dr * ei + di * er + dfi),
     )
 
 

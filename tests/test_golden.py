@@ -822,16 +822,37 @@ def _codeword(pair):
 
 
 def test_golden_kernels_match_the_gaussian_route():
+    """The kernel on the +/-2 window, and ``golden_pair_mul``, the kernel's
+    formula written out over 16 ints, on window pairs and on pairs with
+    coordinates in +/-10^6.  There each of the 64 coordinate products of
+    the expansion has its own magnitude, so a wrong sign or a dropped term
+    cannot cancel against another, as it may on the window."""
     rng = random.Random(29)
     ys = rng.sample(_WINDOW, 16)
     for x in _WINDOW:
         for y in ys:
             assert x * y == _ref_golden_mul(x, y)
-    for _ in range(2000):
-        x = tuple(rng.choices(_WINDOW, k=2))
-        y = tuple(rng.choices(_WINDOW, k=2))
-        z = golden_pair_mul(_codeword(x), _codeword(y))
-        assert (z.x0(), z.x1()) == _ref_pair_mul(x, y)
+    draws = (  # an element pair x or y
+        lambda: tuple(rng.choices(_WINDOW, k=2)),
+        lambda: tuple(GoldenInt._of([rng.randint(-10**6, 10**6) for _ in range(4)]) for _ in range(2)),
+    )
+    for draw in draws:
+        for _ in range(2000):
+            x, y = draw(), draw()
+            z = golden_pair_mul(_codeword(x), _codeword(y))
+            assert (z.x0(), z.x1()) == _ref_pair_mul(x, y)
+
+
+def test_the_pair_projections_read_the_records_the_scans_read():
+    """The projections are bound to their records' ring elements and half
+    keys at import: on every codeword of the +/-1 box each returns, by
+    identity, the elements of ``golden._IDEALS`` at both halves' keys."""
+    for ideal, project in (("1pi", project_pair_mod_1pi), ("2", project_pair_mod_2)):
+        ring, half_key, _ = golden._IDEALS[ideal]
+        for coords in itertools.product(range(-1, 2), repeat=8):
+            x0, x1 = project(GoldenCodeword.from_ints(coords))
+            assert x0 is ring.elements[half_key(coords[:4])]
+            assert x1 is ring.elements[half_key(coords[4:])]
 
 
 def test_projections_match_the_reduction_route():
