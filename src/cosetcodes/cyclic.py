@@ -36,7 +36,7 @@ extension to a 2x2 matrix over the base ring using the twist j^2 = 1:
 
 The f-basis change rewrites a degree-4 element in powers of the nilpotent
 f = 1 + e (f^4 = 0); the transition matrix is Pascal's triangle mod 2 and is
-its own inverse.
+its own inverse, written out on masks in both directions.
 
 Everything here computes on element masks: a CyclicElement keeps its
 coefficients as masks, sigma and products read the ring's multiplication
@@ -357,27 +357,22 @@ def multiplication_matrix(x: RingElement) -> RingMatrix:
 # ----------------------------------------------------------------------
 # f-basis (powers of the nilpotent f = 1 + e) for the degree-4 algebra
 
-def _pascal_apply(masks: Sequence[int]) -> tuple[int, ...]:
-    # Pascal's triangle mod 2 for n = 4; self-inverse over F2.
-    x0, x1, x2, x3 = masks
-    return (x0 ^ x1 ^ x2 ^ x3, x1 ^ x3, x2 ^ x3, x3)
-
-
 def to_f_basis(x: CyclicElement) -> tuple[RingElement, ...]:
     """Coefficients (y_0..y_3) of x in powers of f = 1 + e:
 
         y_0 = x_0+x_1+x_2+x_3,  y_1 = x_1+x_3,  y_2 = x_2+x_3,  y_3 = x_3.
     """
-    if x.n != 4:
+    if len(x.masks) != 4:
         raise ValueError("f-basis is defined for the degree-4 algebra")
     elements = x.ring.elements
-    y0, y1, y2, y3 = _pascal_apply(x.masks)
-    return (elements[y0], elements[y1], elements[y2], elements[y3])
+    x0, x1, x2, x3 = x.masks
+    return (elements[x0 ^ x1 ^ x2 ^ x3], elements[x1 ^ x3], elements[x2 ^ x3], elements[x3])
 
 
 def from_f_basis(ring: QuotientRing, coeffs: Sequence[RingElement]) -> CyclicElement:
     """Rebuild x from f-basis coefficients (the transform is an involution)."""
     if len(coeffs) != 4:
         raise ValueError("f-basis needs exactly 4 coefficients")
-    return CyclicElement._of(ring, _pascal_apply(_coefficient_masks(ring, coeffs)))
+    y0, y1, y2, y3 = _coefficient_masks(ring, coeffs)
+    return CyclicElement._of(ring, (y0 ^ y1 ^ y2 ^ y3, y1 ^ y3, y2 ^ y3, y3))
 

@@ -63,9 +63,9 @@ element x0 + e*x1 with x0 = a + b*theta, x1 = c + d*theta and e^2 = i, and
 ``GoldenInt.__mul__`` and the codeword matrix behind ``det_numerator``;
 ``golden_pair_mul`` is the kernel's formula written out over the 16 ints of
 two codewords, and a test checks it against the ``GoldenInt`` route.  The
-pair projections, bound to their records' ring elements and half keys at
-import, read each half's residue key, the mask of its reduction, straight
-from the stored halves.
+pair projections, bound to their records' ring elements at import, write
+the half keys out over the stored halves, and a test checks them against
+the records.
 """
 
 from __future__ import annotations
@@ -411,7 +411,8 @@ class ProjectionClass(Enum):
 # The residue key of a half is ``_key_mod`` at depth 1 or 2 written out: mod
 # (1+i) a Gaussian coordinate leaves the parity of re + im (F4 = F2 + F2*w),
 # mod 2 the parities of re and im (F4[i] = F2[i] + F2[i]*w).  The verify claim
-# projection_compat checks both keys on a window of Gaussians.
+# projection_compat checks both keys on a window of Gaussians; the pair
+# projections write them out again, once per half.
 
 def _half_key_1pi(h: Sequence[int]) -> int:
     ar, ai, br, bi = h
@@ -433,7 +434,10 @@ def project_pair_mod_1pi(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
     same coset partition (conjugation permutes F4 coordinatewise); the
     multiplicative version and its mod-2 failure are certified in verify.
     """
-    return _ELEMENTS_1PI[_HALF_KEY_1PI(cw._left)], _ELEMENTS_1PI[_HALF_KEY_1PI(cw._right)]
+    ar, ai, br, bi = cw._left
+    cr, ci, dr, di = cw._right
+    return (_ELEMENTS_1PI[(ar + ai) & 1 | ((br + bi) & 1) << 1],
+            _ELEMENTS_1PI[(cr + ci) & 1 | ((dr + di) & 1) << 1])
 
 
 def project_pair_mod_2(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
@@ -444,7 +448,10 @@ def project_pair_mod_2(cw: GoldenCodeword) -> tuple[RingElement, RingElement]:
     (e^2 = i in the algebra but j^2 = 1 in the pair model, and i is not 1
     mod 2); the exact failure locus is certified in verify.
     """
-    return _ELEMENTS_2[_HALF_KEY_2(cw._left)], _ELEMENTS_2[_HALF_KEY_2(cw._right)]
+    ar, ai, br, bi = cw._left
+    cr, ci, dr, di = cw._right
+    return (_ELEMENTS_2[ar & 1 | (ai & 1) << 1 | (br & 1) << 2 | (bi & 1) << 3],
+            _ELEMENTS_2[cr & 1 | (ci & 1) << 1 | (dr & 1) << 2 | (di & 1) << 3])
 
 
 def project_mod_1pi(cw: GoldenCodeword) -> RingMatrix:
@@ -536,9 +543,9 @@ _IDEALS = {
         FLOOR_BY_CLASS[_mod2_pair_class(n0, n1)] for n1 in F2I for n0 in F2I
     )),
 }
-# The pair projections read these, taken out of the records once.
-_ELEMENTS_1PI, _HALF_KEY_1PI = _IDEALS["1pi"].ring.elements, _IDEALS["1pi"].half_key
-_ELEMENTS_2, _HALF_KEY_2 = _IDEALS["2"].ring.elements, _IDEALS["2"].half_key
+# The pair projections read these, taken out of the records once, and key
+# each half with its record's half key written out.
+_ELEMENTS_1PI, _ELEMENTS_2 = _IDEALS["1pi"].ring.elements, _IDEALS["2"].ring.elements
 
 
 def _key_floor_table(ideal: str) -> list[int]:

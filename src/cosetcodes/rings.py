@@ -15,8 +15,9 @@ packed into a small integer mask.  Addition is XOR of masks; multiplication
 goes through a table built once per ring from the generators' action on
 masks: i swaps the 1-part and the i-part of each coefficient, and w shifts
 the coefficients up and folds the overflow back by the defining polynomial.
-All elements are interned, so identity comparison works and hash-based
-containers are cheap.
+All elements are interned: each ring builds its elements once, so equality
+is identity, compared in C with no Python ``__eq__``, copies and pickles
+return the ring's own element, and hash-based containers are cheap.
 
 The distinction between F16 and F16_ALT matters: the reducible modulus makes
 F16_ALT a local ring with zero divisors (w^2+w+1 squares to zero), and the
@@ -36,9 +37,11 @@ class RingElement:
     """An interned element of a :class:`QuotientRing`.
 
     Supports ``+ - * **``, equality, hashing, and ``str`` round-trips through
-    ``ring.parse``.  Arithmetic between elements of different rings raises
-    ``ValueError`` (mixing representations silently is exactly the bug class
-    this package exists to rule out).
+    ``ring.parse``.  Only ``QuotientRing.__init__`` builds elements, so
+    equality is identity; copies and pickles return the element itself.
+    Arithmetic between elements of different rings raises ``ValueError``
+    (mixing representations silently is exactly the bug class this package
+    exists to rule out).
     """
 
     __slots__ = ("ring", "mask", "_hash")
@@ -102,15 +105,17 @@ class RingElement:
     def __bool__(self) -> bool:
         return self.mask != 0
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RingElement)
-            and other.ring is self.ring
-            and other.mask == self.mask
-        )
-
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (_interned, (self.ring.name, self.mask))
+
+    def __copy__(self) -> "RingElement":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "RingElement":
+        return self
 
     def __str__(self) -> str:
         return self.ring.format_element(self)
@@ -325,6 +330,11 @@ F4I = QuotientRing("f4i", w_deg=2, w_tail_bits=0b11, with_i=True, subring=F2I)
 RING_BY_NAME: dict[str, QuotientRing] = {
     r.name: r for r in (F2, F4, F8, F16, F16_ALT, F2I, F4I)
 }
+
+
+def _interned(name: str, mask: int) -> RingElement:
+    """The element that a pickle names."""
+    return RING_BY_NAME[name].elements[mask]
 
 
 def get_ring(name: str) -> QuotientRing:

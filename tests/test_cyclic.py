@@ -226,6 +226,18 @@ def test_f_basis_round_trip_and_e_image():
         assert from_f_basis(F16_ALT, to_f_basis(x)) == x
 
 
+@pytest.mark.parametrize("text,ring", [("0; 1", F4), ("0; 1; 0", F8)])
+def test_to_f_basis_refuses_other_degrees(text, ring):
+    with pytest.raises(ValueError, match="^f-basis is defined for the degree-4 algebra$"):
+        to_f_basis(elt(ring, text))
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_from_f_basis_needs_four_coefficients(count):
+    with pytest.raises(ValueError, match="^f-basis needs exactly 4 coefficients$"):
+        from_f_basis(F16_ALT, [F16_ALT.one] * count)
+
+
 # ----------------------------------------------------------------------
 # the mask kernels against an element-level reference
 

@@ -843,16 +843,33 @@ def test_golden_kernels_match_the_gaussian_route():
             assert (z.x0(), z.x1()) == _ref_pair_mul(x, y)
 
 
-def test_the_pair_projections_read_the_records_the_scans_read():
-    """The projections are bound to their records' ring elements and half
-    keys at import: on every codeword of the +/-1 box each returns, by
-    identity, the elements of ``golden._IDEALS`` at both halves' keys."""
-    for ideal, project in (("1pi", project_pair_mod_1pi), ("2", project_pair_mod_2)):
+_PAIR_PROJECTIONS = (("1pi", project_pair_mod_1pi), ("2", project_pair_mod_2))
+
+
+def _assert_projections_read_the_records(codewords):
+    for ideal, project in _PAIR_PROJECTIONS:
         ring, half_key, _ = golden._IDEALS[ideal]
-        for coords in itertools.product(range(-1, 2), repeat=8):
+        for coords in codewords:
             x0, x1 = project(GoldenCodeword.from_ints(coords))
             assert x0 is ring.elements[half_key(coords[:4])]
             assert x1 is ring.elements[half_key(coords[4:])]
+
+
+def test_the_pair_projections_read_the_records_the_scans_read():
+    """The projections key each half with their record's half key written
+    out: on every codeword of the +/-1 box each returns, by identity, the
+    ring elements of ``golden._IDEALS`` at both halves' keys."""
+    _assert_projections_read_the_records(list(itertools.product(range(-1, 2), repeat=8)))
+
+
+def test_the_written_out_half_keys_hold_far_from_the_box():
+    """The same identity on 2 000 seeded codewords with coordinates in
+    +/-10^6, negatives included, where every slot and sign of the written
+    out keys meets its own parity."""
+    rng = random.Random(37)
+    _assert_projections_read_the_records(
+        [tuple(rng.randint(-10**6, 10**6) for _ in range(8)) for _ in range(2000)]
+    )
 
 
 def test_projections_match_the_reduction_route():

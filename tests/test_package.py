@@ -151,6 +151,35 @@ def test_the_package_imports_only_the_standard_library():
     assert re.search(r"^dependencies = \[\]$", (ROOT / "pyproject.toml").read_text(), re.M)
 
 
+def test_only_a_ring_builds_its_elements():
+    """Ring elements compare by identity, which holds only while every
+    element is interned: no code under src/cosetcodes may build a
+    ``RingElement`` (by calling the class or handing it to ``__new__``)
+    anywhere but in ``QuotientRing.__init__``, which builds each once."""
+    def named(node):
+        return isinstance(node, ast.Name) and node.id == "RingElement" or (
+            isinstance(node, ast.Attribute) and node.attr == "RingElement"
+        )
+
+    builders = []
+
+    def scan(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and (named(child.func) or (
+                isinstance(child.func, ast.Attribute) and child.func.attr == "__new__"
+                and any(map(named, child.args))
+            )):
+                builders.append(f"{where}:{child.lineno}")
+            scan(child, where)
+
+    for path in sorted((ROOT / "src" / "cosetcodes").rglob("*.py")):
+        scan(ast.parse(path.read_text(), str(path)), path.stem)
+    assert [b.split(":")[0] for b in builders] == ["rings.QuotientRing.__init__"], builders
+
+
 def test_golden_and_cli_compare_no_value_with_an_ideal_string():
     """The records of ``golden._IDEALS`` are the one place that names the
     ideals: golden.py and cli.py compare no value with an ideal string, so

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import copy
+import itertools
+import pickle
+
 import pytest
 
 from cosetcodes.matrices import RingMatrix
@@ -256,3 +260,24 @@ def test_cached_hash_keeps_its_value(ring):
         RingMatrix(ring, [[top, ring.one], [ring.zero, top]]),
     ):
         assert hash(m) == hash((ring.name, 2, tuple(x.mask for x in m.entries)))
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+def test_elements_are_interned_values(ring):
+    """Equality is identity, so every way of copying an element must give
+    the element back: copy, deepcopy and every pickle protocol."""
+    for e in ring:
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(e, protocol)) is e
+
+
+def test_same_mask_elements_of_different_rings_differ():
+    """Elements compare by identity: the same mask in two rings is two
+    elements, and an element equals no int or string."""
+    for a, b in itertools.combinations(ALL_RINGS, 2):
+        for mask in range(min(a.size, b.size)):
+            assert a.elements[mask] != b.elements[mask]
+            assert not a.elements[mask] == b.elements[mask]
+    assert F4.one != 1 and F4.zero != 0 and F4.one != "1"
+    assert len({x for ring in ALL_RINGS for x in ring}) == sum(len(ring) for ring in ALL_RINGS)
