@@ -373,6 +373,18 @@ def from_f_basis(ring: QuotientRing, coeffs: Sequence[RingElement]) -> CyclicEle
     """Rebuild x from f-basis coefficients (the transform is an involution)."""
     if len(coeffs) != 4:
         raise ValueError("f-basis needs exactly 4 coefficients")
-    y0, y1, y2, y3 = _coefficient_masks(ring, coeffs)
-    return CyclicElement._of(ring, (y0 ^ y1 ^ y2 ^ y3, y1 ^ y3, y2 ^ y3, y3))
+    a, b, c, d = coeffs
+    # one test of all four coefficients; _coefficient_masks names a refusal
+    if not (
+        type(a) is type(b) is type(c) is type(d) is RingElement
+        and ring is a.ring is b.ring is c.ring is d.ring
+        and ring.w_deg == 4
+    ):
+        _coefficient_masks(ring, coeffs)
+    y0, y1, y2, y3 = a.mask, b.mask, c.mask, d.mask
+    # built as CyclicElement._of builds it, without the classmethod call
+    x = object.__new__(CyclicElement)
+    x.ring = ring
+    x.masks = (y0 ^ y1 ^ y2 ^ y3, y1 ^ y3, y2 ^ y3, y3)
+    return x
 

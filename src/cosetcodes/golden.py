@@ -60,9 +60,10 @@ A codeword holds its halves (a, b) and (c, d) as int 4-tuples and builds
 Gaussian coordinates only when asked for them.  It is also the algebra
 element x0 + e*x1 with x0 = a + b*theta, x1 = c + d*theta and e^2 = i, and
 ``golden_pair_mul`` multiplies codewords as such.  One int kernel serves
-``GoldenInt.__mul__`` and the codeword matrix behind ``det_numerator``;
+``GoldenInt.__mul__`` and the codeword matrix of ``matrix_times_sqrt5``;
 ``golden_pair_mul`` is the kernel's formula written out over the 16 ints of
-two codewords, and a test checks it against the ``GoldenInt`` route.  The
+two codewords, and ``det_numerator`` over the matrix entries and their 2x2
+expansion, and tests check both against the kernel route.  The
 pair projections, bound to their records' ring elements at import, write
 the half keys out over the stored halves, and a test checks them against
 the records.
@@ -337,15 +338,38 @@ def det_numerator(cw: GoldenCodeword) -> GaussianInt:
     does not, the codeword parameterization is broken and we raise rather
     than return a truncated value.
     """
-    m00, m01, m10, m11 = _matrix_ints(cw)
-    pr, pi, pvr, pvi = _golden_mul(m00, m11)
-    qr, qi, qvr, qvi = _golden_mul(m01, m10)
-    if pvr != qvr or pvi != qvi:
+    # _matrix_ints and the two _golden_mul products written out on ints: the
+    # entries are A + B t, C + D t, E + F t and G + H t row by row, each
+    # (u1 + v1 t)(u2 + v2 t) = u1u2 + v1v2 + (u1v2 + v1u2 + v1v2) t with the
+    # shared v1v2 taken once
+    (ar, ai, br, bi), (cr, ci, dr, di) = _ALPHA, _ALPHA_BAR
+    ur, ui, vr, vi = cw._left  # alpha * x0
+    wr, wi = br * vr - bi * vi, br * vi + bi * vr
+    Ar, Ai = ar * ur - ai * ui + wr, ar * ui + ai * ur + wi
+    Br, Bi = ar * vr - ai * vi + br * ur - bi * ui + wr, ar * vi + ai * vr + br * ui + bi * ur + wi
+    ur, ui, vr, vi = cw._right  # alpha * x1
+    wr, wi = br * vr - bi * vi, br * vi + bi * vr
+    Cr, Ci = ar * ur - ai * ui + wr, ar * ui + ai * ur + wi
+    Dr, Di = ar * vr - ai * vi + br * ur - bi * ui + wr, ar * vi + ai * vr + br * ui + bi * ur + wi
+    ur, ui, vr, vi = _golden_sigma(cw._right)  # i * alphabar * sigma(x1)
+    wr, wi = dr * vr - di * vi, dr * vi + di * vr
+    Ei, Er = cr * ur - ci * ui + wr, -(cr * ui + ci * ur + wi)
+    Fi, Fr = cr * vr - ci * vi + dr * ur - di * ui + wr, -(cr * vi + ci * vr + dr * ui + di * ur + wi)
+    ur, ui, vr, vi = _golden_sigma(cw._left)  # alphabar * sigma(x0)
+    wr, wi = dr * vr - di * vi, dr * vi + di * vr
+    Gr, Gi = cr * ur - ci * ui + wr, cr * ui + ci * ur + wi
+    Hr, Hi = cr * vr - ci * vi + dr * ur - di * ui + wr, cr * vi + ci * vr + dr * ui + di * ur + wi
+    # (A + B t)(G + H t) - (C + D t)(E + F t), with BH - DF shared
+    wr, wi = Br * Hr - Bi * Hi - Dr * Fr + Di * Fi, Br * Hi + Bi * Hr - Dr * Fi - Di * Fr
+    tr = Ar * Hr - Ai * Hi + Br * Gr - Bi * Gi - Cr * Fr + Ci * Fi - Dr * Er + Di * Ei + wr
+    ti = Ar * Hi + Ai * Hr + Br * Gi + Bi * Gr - Cr * Fi - Ci * Fr - Dr * Ei - Di * Er + wi
+    if tr or ti:
         raise ArithmeticError(
-            f"determinant of {cw} has a nonvanishing theta-component "
-            f"{GaussianInt(pvr - qvr, pvi - qvi)}"
+            f"determinant of {cw} has a nonvanishing theta-component {GaussianInt(tr, ti)}"
         )
-    return GaussianInt(pr - qr, pi - qi)
+    return GaussianInt(
+        Ar * Gr - Ai * Gi - Cr * Er + Ci * Ei + wr, Ar * Gi + Ai * Gr - Cr * Ei - Ci * Er + wi
+    )
 
 
 def abs_det_sq(cw: GoldenCodeword) -> Fraction:

@@ -27,7 +27,7 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter, ne, xor
+from operator import attrgetter, itemgetter, ne, xor
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bounds, golden, outer_codes
@@ -644,19 +644,22 @@ def certify_f_basis(failures: list[str], details: list[str]) -> None:
     # when images[images[k]] == k.  The first failure is the least failing k,
     # the round trip first on one k.  Each x is built from its mask tuple
     # with ``CyclicElement._of``: the claim is about the transform, not the
-    # checked constructor, which test_cyclic covers.
+    # checked constructor, which test_cyclic covers.  A round trip compares
+    # (ring, masks), as ``CyclicElement.__eq__`` does, as tuples in C.
     masks = range(F16_ALT.size)
     new = functools.partial(CyclicElement._of, F16_ALT)
     back = functools.partial(from_f_basis, F16_ALT)
+    ring_masks = attrgetter("ring", "masks")
     images = array("H")
     round_trip = 1 << 16  # no failure: past the last index
     for x0, x1 in itertools.product(masks, repeat=2):
         xs = list(map(new, itertools.product((x0,), (x1,), masks, masks)))
         ys = list(map(to_f_basis, xs))
         # from_f_basis checks each y's coefficients before they are packed
-        rebuilt = list(map(back, ys))
-        if rebuilt != xs:
-            round_trip = min(round_trip, len(images) + _first_difference(rebuilt, xs))
+        rebuilt = list(map(ring_masks, map(back, ys)))
+        want = list(map(ring_masks, xs))
+        if rebuilt != want:
+            round_trip = min(round_trip, len(images) + _first_difference(rebuilt, want))
         images.extend(a.mask << 12 | b.mask << 8 | c.mask << 4 | d.mask for a, b, c, d in ys)
     twice = array("H", map(images.__getitem__, images))
     ks = array("H", range(len(images)))
@@ -1016,15 +1019,16 @@ def certify_golden_mindet(failures: list[str], details: list[str]) -> str:
     box is exactly 1/5, the witness attains it (integer route vs symbolic
     route), and the brute pass finds the same value and witness."""
     identity = "identity 5*det X = (2+i)(N(a+b*theta) - i*N(c+d*theta))"
-    norm = golden.norm_ints
+    # each of the 81 halves is normed once; pairs of halves in product order
+    # are the grid points in lexicographic order
+    halves = [(h, *golden.norm_ints(*h)) for h in itertools.product((-1, 0, 1), repeat=4)]
+    det = golden.det_numerator
     misses = []
-    for coords in itertools.product((-1, 0, 1), repeat=8):
-        z = golden.det_numerator(GoldenCodeword.from_ints(coords))
-        p, q = norm(*coords[:4])
-        r, s = norm(*coords[4:])
+    for (left, p, q), (right, r, s) in itertools.product(halves, repeat=2):
+        z = det(GoldenCodeword._of(left, right))
         x, y = p + s, q - r  # N_ab - i*N_cd
         if (z.re, z.im) != (2 * x - y, x + 2 * y):  # (2+i)(x + y*i)
-            misses.append(coords)
+            misses.append(left + right)
     if misses:
         failures.append(f"{identity} fails on {len(misses)} of 6561 points, first {misses[0]}")
     else:
@@ -1095,10 +1099,12 @@ def certify_det_floors_2(failures: list[str], details: list[str]) -> None:
 # tuple-level brute force for coset codes
 #
 # Delta = det(sum_i X_i X_i^dagger) needs only the Gram entries of each block.
-# ``_representative_table`` scores every representative codeword once: its
+# ``_scored_representatives`` scores every representative codeword once: its
 # m = 5*|det X|^2 and the entries (0,0), (0,1), (1,1) of the Hermitian
 # 5*X X^dagger, multiplied out from the symbolic ``matrix_times_sqrt5`` with
-# explicit conjugates, never through the library's norm kernels.  A tuple
+# explicit conjugates, never through the library's norm kernels.
+# ``_representative_table`` groups the scored codewords by one ideal's residue
+# key, so ``delta_min_rep2`` scores them once for both of its ideals.  A tuple
 # then costs three sums and one 2x2 Hermitian determinant.
 
 def _eq2_holds(u: int, ms: Sequence[int]) -> bool:
@@ -1136,22 +1142,32 @@ DEFAULT_REPRESENTATIVES = ((0, 0), (1, 0), (0, 1), (1, 1))
 DELTA_MIN_TUPLE_LIMIT = 2_000_000
 
 _Rep = tuple[GoldenCodeword, int, GoldenInt, GoldenInt, GoldenInt]
+_Scored = list[tuple[tuple[int, ...], _Rep]]
 
 
-def _representative_table(ideal: str) -> dict[int, list[_Rep]]:
-    """The 256 codewords with coordinates in ``DEFAULT_REPRESENTATIVES``, each
-    as (codeword, m, g00, g01, g11), grouped by residue key in product order."""
-    keyfn = _ideal_key_and_floors(ideal)[0]
-    table: dict[int, list[_Rep]] = {}
+def _scored_representatives() -> _Scored:
+    """The 256 codewords with coordinates in ``DEFAULT_REPRESENTATIVES`` in
+    product order, each as (coords, (codeword, m, g00, g01, g11))."""
+    scored = []
     for pairs in itertools.product(DEFAULT_REPRESENTATIVES, repeat=4):
         coords = sum(pairs, ())
         cw = GoldenCodeword.from_ints(coords)
         (m00, m01), (m10, m11) = cw.matrix_times_sqrt5()
         c00, c01, c10, c11 = (e.complex_conj() for e in (m00, m01, m10, m11))
-        table.setdefault(keyfn(coords), []).append((
+        scored.append((coords, (
             cw, det_sq_times5(coords),
             m00 * c00 + m01 * c01, m00 * c10 + m01 * c11, m10 * c10 + m11 * c11,
-        ))
+        )))
+    return scored
+
+
+def _representative_table(ideal: str, scored: _Scored | None = None) -> dict[int, list[_Rep]]:
+    """The scored representatives (by default scored afresh), each as
+    (codeword, m, g00, g01, g11), grouped by residue key in product order."""
+    keyfn = _ideal_key_and_floors(ideal)[0]
+    table: dict[int, list[_Rep]] = {}
+    for coords, rep in _scored_representatives() if scored is None else scored:
+        table.setdefault(keyfn(coords), []).append(rep)
     return table
 
 
@@ -1169,7 +1185,15 @@ def brute_delta_min(
     """
     if code.L not in (1, 2):
         raise ValueError("the exact cross-check is implemented for L <= 2")
-    table = _representative_table(ideal)
+    return _delta_min(code, ideal, _scored_representatives())
+
+
+def _delta_min(
+    code: LinearCode | MappedCode, ideal: str, scored: _Scored
+) -> tuple[Fraction, tuple[GoldenCodeword, ...], bool]:
+    """``brute_delta_min`` over representatives that ``_scored_representatives``
+    has scored; the caller has checked the code's length."""
+    table = _representative_table(ideal, scored)
     # each Gram entry u + v*theta as the ints (u.re, u.im, v.re, v.im)
     for reps in table.values():
         reps[:] = [(cw, m, *map(GoldenInt._ints, gram)) for cw, m, *gram in reps]
@@ -1210,8 +1234,9 @@ def certify_delta_min_rep2(failures: list[str], details: list[str]) -> str:
     satisfies the sum-of-|det| superadditivity check.  The mod-(2) analogue
     over the same box (where it holds one representative per residue) gives
     the same minimum against min(16, d^2) * delta."""
+    scored = _scored_representatives()  # once, for both ideals
     code_1pi = outer_codes.repetition_code(2, outer_codes.MatrixSpace(F2, 2))
-    value, witness, eq2_ok = brute_delta_min(code_1pi, "1pi")
+    value, witness, eq2_ok = _delta_min(code_1pi, "1pi", scored)
     if value != Fraction(4, 5):
         failures.append(f"mod-(1+i) delta_min = {value}, expected 4/5")
     if not eq2_ok:
@@ -1223,7 +1248,7 @@ def certify_delta_min_rep2(failures: list[str], details: list[str]) -> str:
         details.append(f"mod-(1+i): meets the determinant bound {bound} with equality")
 
     code_2 = outer_codes.repetition_code(2, outer_codes.MatrixSpace(F2I, 2))
-    value2, _, eq2_ok2 = brute_delta_min(code_2, "2")
+    value2, _, eq2_ok2 = _delta_min(code_2, "2", scored)
     bound2 = bounds.hamming_bound_m2f2i(Fraction(1, 5), 2)
     if value2 != bound2:
         failures.append(f"mod-(2) delta_min = {value2}, expected {bound2}")

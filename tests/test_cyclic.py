@@ -238,6 +238,14 @@ def test_from_f_basis_needs_four_coefficients(count):
         from_f_basis(F16_ALT, [F16_ALT.one] * count)
 
 
+def test_from_f_basis_refuses_a_ring_of_another_degree():
+    """Four coefficients that all lie in a degree-2 ring miss the one-test
+    fast path and get the coefficient check's refusal."""
+    message = "^need 2 coefficients for degree-2 algebra over f4, got 4$"
+    with pytest.raises(ValueError, match=message):
+        from_f_basis(F4, [F4.one] * 4)
+
+
 # ----------------------------------------------------------------------
 # the mask kernels against an element-level reference
 

@@ -129,6 +129,29 @@ def test_matrix_det_is_the_det_numerator():
         assert det == GoldenInt(det_numerator(cw), GaussianInt(0, 0))
 
 
+def _ref_det_numerator(cw):
+    """m00*m11 - m01*m10 through _matrix_ints and the _golden_mul kernel."""
+    m00, m01, m10, m11 = golden._matrix_ints(cw)
+    pr, pi, *pv = golden._golden_mul(m00, m11)
+    qr, qi, *qv = golden._golden_mul(m01, m10)
+    assert pv == qv
+    return GaussianInt(pr - qr, pi - qi)
+
+
+def test_the_written_out_det_numerator_matches_the_kernel_route():
+    """``det_numerator`` writes the entries and the 2x2 expansion out over
+    ints.  It agrees with the kernel route on {-1, 0, 1}^8 and on 2 000
+    seeded codewords with coordinates in +/-10^6, where each coordinate
+    product has its own magnitude, so a wrong sign or a dropped term cannot
+    cancel against another."""
+    rng = random.Random(41)
+    coords = list(itertools.product((-1, 0, 1), repeat=8))
+    coords += [[rng.randint(-10**6, 10**6) for _ in range(8)] for _ in range(2000)]
+    for c in coords:
+        cw = GoldenCodeword.from_ints(c)
+        assert det_numerator(cw) == _ref_det_numerator(cw), c
+
+
 def test_codeword_value_semantics():
     coords = (1, -2, 0, 1, -1, 0, 3, -1)
     cw = GoldenCodeword.from_ints(coords)

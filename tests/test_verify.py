@@ -16,7 +16,7 @@ from cosetcodes.cyclic import CyclicElement, pair_to_matrix
 from cosetcodes.golden import GaussianInt, GoldenCodeword, GoldenInt
 from cosetcodes.matrices import RingMatrix
 from cosetcodes.outer_codes import LinearCode, MatrixSpace, repetition_code
-from cosetcodes.rings import F2, F2I, F4, F4I, F8, F16_ALT
+from cosetcodes.rings import F2, F2I, F4, F4I, F8, F16, F16_ALT
 
 ALL_CLAIMS = list(verify.CLAIMS)
 
@@ -544,6 +544,20 @@ def test_f_basis_finds_a_transform_that_is_no_involution(
     )
 
 
+def test_f_basis_round_trip_compares_the_ring(monkeypatch):
+    """A from_f_basis that returns the right masks over f16 instead of
+    f16alt fails the round trip at the first element: the compare keeps the
+    ring, as ``CyclicElement.__eq__`` does."""
+    real = verify.from_f_basis
+    monkeypatch.setattr(
+        verify, "from_f_basis", lambda ring, y: CyclicElement._of(F16, real(ring, y).masks)
+    )
+    rep = verify.run_claim("f_basis")
+    assert not rep.passed
+    assert rep.witness == "f-basis round trip fails at (0; 0; 0; 0)"
+    assert rep.details == ("(I + E)^4 = 0: the f generator is nilpotent of index <= 4",)
+
+
 def _reversed_pair(monkeypatch, name):
     """Make golden.<name> return its pair in reverse order."""
     real = getattr(golden, name)
@@ -692,6 +706,39 @@ def test_projection_compat_stays_exhaustive(monkeypatch):
         "project_pair_mod_2": 65792,
         "twisted_pair_mul": 66048,
     }
+
+
+@pytest.mark.parametrize(
+    "claim,owner,counts",
+    [
+        # 65536 round trips and e's rewrite; 65536 round trips and 4096
+        # singular checks
+        ("f_basis", verify, {"to_f_basis": 65537, "from_f_basis": 69632}),
+        # the 3^8 grid proof and the witness's abs_det_sq
+        ("golden_mindet", golden, {"det_numerator": 6562}),
+        # the 256 representatives, scored once for both ideals
+        ("delta_min_rep2", GoldenCodeword, {"matrix_times_sqrt5": 256}),
+    ],
+    ids=["f_basis", "golden_mindet", "delta_min_rep2"],
+)
+def test_per_element_claims_stay_exhaustive(monkeypatch, claim, owner, counts):
+    """One passing run makes one library call per element it certifies, as
+    ``test_projection_compat_stays_exhaustive`` pins for the products."""
+    calls = dict.fromkeys(counts, 0)
+
+    def counted(name):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(owner, name, counted(name))
+    assert verify.run_claim(claim).passed
+    assert calls == counts
 
 
 def _pairs(ring, *texts):
