@@ -62,8 +62,9 @@ element x0 + e*x1 with x0 = a + b*theta, x1 = c + d*theta and e^2 = i, and
 ``golden_pair_mul`` multiplies codewords as such.  One int kernel serves
 ``GoldenInt.__mul__`` and the codeword matrix of ``matrix_times_sqrt5``;
 ``golden_pair_mul`` is the kernel's formula written out over the 16 ints of
-two codewords, and ``det_numerator`` over the matrix entries and their 2x2
-expansion, and tests check both against the kernel route.  The
+two codewords, and ``det_numerator`` writes it out for the two products
+of matrix entries in its 2x2 expansion; tests check both against the
+kernel route.  The
 pair projections, bound to their records' ring elements at import, write
 the half keys out over the stored halves, and a test checks them against
 the records.
@@ -331,6 +332,27 @@ def _matrix_ints(cw: GoldenCodeword) -> tuple[_GoldenInts, _GoldenInts, _GoldenI
     )
 
 
+def _entry_product(p: _GoldenInts, x: _GoldenInts, q: _GoldenInts, y: _GoldenInts) -> _GoldenInts:
+    """(p*x)(q*y), the product of two codeword-matrix entries, each a
+    constant times a half: the ``_golden_mul`` kernel written out three
+    times over ints, with each product's v1v2 taken once."""
+    (ar, ai, br, bi), (ur, ui, vr, vi) = p, x
+    wr, wi = br * vr - bi * vi, br * vi + bi * vr
+    Ar, Ai = ar * ur - ai * ui + wr, ar * ui + ai * ur + wi
+    Br, Bi = ar * vr - ai * vi + br * ur - bi * ui + wr, ar * vi + ai * vr + br * ui + bi * ur + wi
+    (ar, ai, br, bi), (ur, ui, vr, vi) = q, y
+    wr, wi = br * vr - bi * vi, br * vi + bi * vr
+    Gr, Gi = ar * ur - ai * ui + wr, ar * ui + ai * ur + wi
+    Hr, Hi = ar * vr - ai * vi + br * ur - bi * ui + wr, ar * vi + ai * vr + br * ui + bi * ur + wi
+    wr, wi = Br * Hr - Bi * Hi, Br * Hi + Bi * Hr  # (A + B t)(G + H t)
+    return (
+        Ar * Gr - Ai * Gi + wr,
+        Ar * Gi + Ai * Gr + wi,
+        Ar * Hr - Ai * Hi + Br * Gr - Bi * Gi + wr,
+        Ar * Hi + Ai * Hr + Br * Gi + Bi * Gr + wi,
+    )
+
+
 def det_numerator(cw: GoldenCodeword) -> GaussianInt:
     """5 * det(X) as a Gaussian integer, from the full symbolic 2x2 expansion.
 
@@ -338,38 +360,17 @@ def det_numerator(cw: GoldenCodeword) -> GaussianInt:
     does not, the codeword parameterization is broken and we raise rather
     than return a truncated value.
     """
-    # _matrix_ints and the two _golden_mul products written out on ints: the
-    # entries are A + B t, C + D t, E + F t and G + H t row by row, each
-    # (u1 + v1 t)(u2 + v2 t) = u1u2 + v1v2 + (u1v2 + v1u2 + v1v2) t with the
-    # shared v1v2 taken once
-    (ar, ai, br, bi), (cr, ci, dr, di) = _ALPHA, _ALPHA_BAR
-    ur, ui, vr, vi = cw._left  # alpha * x0
-    wr, wi = br * vr - bi * vi, br * vi + bi * vr
-    Ar, Ai = ar * ur - ai * ui + wr, ar * ui + ai * ur + wi
-    Br, Bi = ar * vr - ai * vi + br * ur - bi * ui + wr, ar * vi + ai * vr + br * ui + bi * ur + wi
-    ur, ui, vr, vi = cw._right  # alpha * x1
-    wr, wi = br * vr - bi * vi, br * vi + bi * vr
-    Cr, Ci = ar * ur - ai * ui + wr, ar * ui + ai * ur + wi
-    Dr, Di = ar * vr - ai * vi + br * ur - bi * ui + wr, ar * vi + ai * vr + br * ui + bi * ur + wi
-    ur, ui, vr, vi = _golden_sigma(cw._right)  # i * alphabar * sigma(x1)
-    wr, wi = dr * vr - di * vi, dr * vi + di * vr
-    Ei, Er = cr * ur - ci * ui + wr, -(cr * ui + ci * ur + wi)
-    Fi, Fr = cr * vr - ci * vi + dr * ur - di * ui + wr, -(cr * vi + ci * vr + dr * ui + di * ur + wi)
-    ur, ui, vr, vi = _golden_sigma(cw._left)  # alphabar * sigma(x0)
-    wr, wi = dr * vr - di * vi, dr * vi + di * vr
-    Gr, Gi = cr * ur - ci * ui + wr, cr * ui + ci * ur + wi
-    Hr, Hi = cr * vr - ci * vi + dr * ur - di * ui + wr, cr * vi + ci * vr + dr * ui + di * ur + wi
-    # (A + B t)(G + H t) - (C + D t)(E + F t), with BH - DF shared
-    wr, wi = Br * Hr - Bi * Hi - Dr * Fr + Di * Fi, Br * Hi + Bi * Hr - Dr * Fi - Di * Fr
-    tr = Ar * Hr - Ai * Hi + Br * Gr - Bi * Gi - Cr * Fr + Ci * Fi - Dr * Er + Di * Ei + wr
-    ti = Ar * Hi + Ai * Hr + Br * Gi + Bi * Gr - Cr * Fi - Ci * Fr - Dr * Ei - Di * Er + wi
+    # p = m00*m11; m10 = i*alphabar*sigma(x1), so m01*m10 = i*q with
+    # q = (alpha*x1)(alphabar*sigma(x1)), and 5*det(X) = p - i*q
+    x0, x1 = cw._left, cw._right
+    pr, pi, pvr, pvi = _entry_product(_ALPHA, x0, _ALPHA_BAR, _golden_sigma(x0))
+    qr, qi, qvr, qvi = _entry_product(_ALPHA, x1, _ALPHA_BAR, _golden_sigma(x1))
+    tr, ti = pvr + qvi, pvi - qvr  # the theta-component of p - i*q
     if tr or ti:
         raise ArithmeticError(
             f"determinant of {cw} has a nonvanishing theta-component {GaussianInt(tr, ti)}"
         )
-    return GaussianInt(
-        Ar * Gr - Ai * Gi - Cr * Er + Ci * Ei + wr, Ar * Gi + Ai * Gr - Cr * Ei - Ci * Er + wi
-    )
+    return GaussianInt(pr + qi, pi - qr)
 
 
 def abs_det_sq(cw: GoldenCodeword) -> Fraction:

@@ -139,7 +139,7 @@ def _ref_det_numerator(cw):
 
 
 def test_the_written_out_det_numerator_matches_the_kernel_route():
-    """``det_numerator`` writes the entries and the 2x2 expansion out over
+    """``det_numerator`` writes the 2x2 expansion of the entries out over
     ints.  It agrees with the kernel route on {-1, 0, 1}^8 and on 2 000
     seeded codewords with coordinates in +/-10^6, where each coordinate
     product has its own magnitude, so a wrong sign or a dropped term cannot
