@@ -60,11 +60,11 @@ A codeword holds its halves (a, b) and (c, d) as int 4-tuples and builds
 Gaussian coordinates only when asked for them.  It is also the algebra
 element x0 + e*x1 with x0 = a + b*theta, x1 = c + d*theta and e^2 = i, and
 ``golden_pair_mul`` multiplies codewords as such.  One int kernel serves
-``GoldenInt.__mul__`` and the codeword matrix of ``matrix_times_sqrt5``;
-``golden_pair_mul`` is the kernel's formula written out over the 16 ints of
-two codewords, and ``det_numerator`` writes it out for the two products
-of matrix entries in its 2x2 expansion; tests check both against the
-kernel route.  The
+``GoldenInt.__mul__`` and the codeword matrix of ``matrix_times_sqrt5``,
+and ``det_numerator`` writes it out for the two products of matrix entries
+in its 2x2 expansion.  ``golden_pair_mul`` is written out over the 16 ints
+of two codewords with three Gaussian products per product, not the
+kernel's four; tests check both against the kernel route.  The
 pair projections, bound to their records' ring elements at import, write
 the half keys out over the stored halves, and a test checks them against
 the records.
@@ -600,33 +600,38 @@ def golden_pair_mul(x: GoldenCodeword, y: GoldenCodeword) -> GoldenCodeword:
 
         x y = (x0 y0 + i sigma(x1) y1) + e (sigma(x0) y1 + x1 y0).
 
-    This is the ``_golden_mul`` kernel's formula written out over the 16
-    ints of the two codewords, sigma included; a test checks it against
-    the ``GoldenInt`` route.
+    Written out over the 16 ints of the two codewords, sigma included,
+    with three Gaussian products per Z[i][theta] product (four in
+    ``_golden_mul``); a test checks it against the ``GoldenInt`` route.
     """
     ar, ai, br, bi = x._left
     cr, ci, dr, di = x._right
     er, ei, fr, fi = y._left
     gr, gi, hr, hi = y._right
-    # With x0 = a + b*t, x1 = c + d*t, y0 = e + f*t, y1 = g + h*t, t^2 = t + 1
-    # and sigma(u + v*t) = (u + v) - v*t, the four products give
-    #   x0 y0 + i sigma(x1) y1 = a e + b f + i((c + d) g - d h)
-    #                          + (a f + b e + b f + i(c h - d g)) t,
-    #   sigma(x0) y1 + x1 y0   = (a + b) g - b h + c e + d f
-    #                          + (a h - b g + c f + d e + d f) t.
-    cdr, cdi = cr + dr, ci + di
+    # With t^2 = t + 1, (U + V t)(W + X t) = U W + V X + ((U + V)(W + X) - U W) t
+    # (Karatsuba).  With x0 = a + b*t, x1 = c + d*t, y0 = e + f*t, y1 = g + h*t
+    # and sigma(u + v*t) = (u + v) - v*t, so sigma(x1) = (c + d) - d t:
+    #   x0 y0        = a e + b f + ((a + b)(e + f) - a e) t,
+    #   sigma(x1) y1 = (c + d) g - d h + (c (g + h) - (c + d) g) t,
+    #   sigma(x0) y1 = (a + b) g - b h + (a (g + h) - (a + b) g) t,
+    #   x1 y0        = c e + d f + ((c + d)(e + f) - c e) t.
     abr, abi = ar + br, ai + bi
-    bfr, bfi = br * fr - bi * fi, br * fi + bi * fr
-    dfr, dfi = dr * fr - di * fi, dr * fi + di * fr
+    cdr, cdi = cr + dr, ci + di
+    efr, efi = er + fr, ei + fi
+    ghr, ghi = gr + hr, gi + hi
+    aer, aei = ar * er - ai * ei, ar * ei + ai * er
+    cer, cei = cr * er - ci * ei, cr * ei + ci * er
+    cdgr, cdgi = cdr * gr - cdi * gi, cdr * gi + cdi * gr
+    abgr, abgi = abr * gr - abi * gi, abr * gi + abi * gr
     return GoldenCodeword._of(
-        (ar * er - ai * ei + bfr - (cdr * gi + cdi * gr - dr * hi - di * hr),
-         ar * ei + ai * er + bfi + cdr * gr - cdi * gi - dr * hr + di * hi,
-         ar * fr - ai * fi + br * er - bi * ei + bfr - (cr * hi + ci * hr - dr * gi - di * gr),
-         ar * fi + ai * fr + br * ei + bi * er + bfi + cr * hr - ci * hi - dr * gr + di * gi),
-        (abr * gr - abi * gi - br * hr + bi * hi + cr * er - ci * ei + dfr,
-         abr * gi + abi * gr - br * hi - bi * hr + cr * ei + ci * er + dfi,
-         ar * hr - ai * hi - br * gr + bi * gi + cr * fr - ci * fi + dr * er - di * ei + dfr,
-         ar * hi + ai * hr - br * gi - bi * gr + cr * fi + ci * fr + dr * ei + di * er + dfi),
+        (aer + br * fr - bi * fi - cdgi + dr * hi + di * hr,
+         aei + br * fi + bi * fr + cdgr - dr * hr + di * hi,
+         abr * efr - abi * efi - aer - cr * ghi - ci * ghr + cdgi,
+         abr * efi + abi * efr - aei + cr * ghr - ci * ghi - cdgr),
+        (abgr - br * hr + bi * hi + cer + dr * fr - di * fi,
+         abgi - br * hi - bi * hr + cei + dr * fi + di * fr,
+         ar * ghr - ai * ghi - abgr + cdr * efr - cdi * efi - cer,
+         ar * ghi + ai * ghr - abgi + cdr * efi + cdi * efr - cei),
     )
 
 

@@ -161,6 +161,9 @@ def _first_difference(got: list, want: list) -> int:
 # XOR, so when a row differs from its target, the lowest set bit of the
 # difference lies in the first failing lane: the witness is the one a pair
 # loop finds.  A ring map scans additivity first, then products.
+# ``_cyclic_products`` builds its lane table once per scan, n^2 * |R| ints
+# whose lane y holds c * y_k at coefficient s; a row of product indices is
+# the XOR of the n^2 of them that x's coefficients pick, unpacked once.
 #
 # ``projection_compat`` and ``f_basis`` also take one row at a time, as
 # lists of objects compared in C, and search a row for its first failure
@@ -278,23 +281,29 @@ def _scalar_rows(ring, n: int) -> list[list[int]]:
     return [[_pack(map(row.__getitem__, e), ring.dim) for e in elems] for row in ring._mul]
 
 
-def _cyclic_products(ring, sig: list[list[int]], x: Sequence[int]) -> list[int]:
-    """Index of x*y for every y, in product order (gamma = 1), from the
-    sigma tables ``sig`` of ``ring``.
-
-    Coefficient s of x*y is the sum over k of sigma^k(x_{s-k}) * y_k, so the
-    index is the XOR over k of ``term[y_k]``, where ``term[b]`` packs those
-    products for y_k = b; the sums over y_0..y_k are shared by every y with
-    that prefix.  Oracle-local: written independently of
-    CyclicElement.__mul__ on purpose."""
-    n = len(x)
-    out = [0]
-    for k in range(n):
-        term = [0] * ring.size
-        for s in range(n):
-            term = [t << ring.dim | v for t, v in zip(term, ring._mul[sig[k][x[(s - k) % n]]])]
-        out = [p ^ t for p in out for t in term]
-    return out
+def _cyclic_products(ring, sig: list[list[int]], xs: Iterable[Sequence[int]]) -> Iterator[list[int]]:
+    """For each x of ``xs`` in turn, the index of x*y for every y, in
+    product order (gamma = 1), from the sigma tables ``sig`` of ``ring``:
+    coefficient s of x*y is the sum over k of sigma^k(x_{s-k}) * y_k.
+    Oracle-local: written independently of CyclicElement.__mul__ on purpose."""
+    n, size = len(sig), ring.size
+    width = _lane_width(size**n)
+    # term[k, s][c]: lane y holds c * y_k at coefficient s; y_k steps every
+    # size^(n-1-k) lanes
+    term = {}
+    for k, s in itertools.product(range(n), repeat=2):
+        step, shift = size ** (n - 1 - k), ring.dim * (n - 1 - s)
+        term[k, s] = [
+            int.from_bytes(
+                b"".join(v.to_bytes(width, "little") * step for v in row) * size**k, "little"
+            ) << shift
+            for row in ring._mul
+        ]
+    for x in xs:
+        got = 0
+        for (k, s), t in term.items():
+            got ^= t[sig[k][x[(s - k) % n]]]
+        yield _unpack_lanes(got, size**n, width).tolist()
 
 
 def _sigma_tables(ring, n: int) -> list[list[int]]:
@@ -479,7 +488,7 @@ def certify_regular_rep(failures: list[str], details: list[str]) -> None:
         ))
 
         # a build of its own, so the rows and the x*y route share no table
-        products = map(functools.partial(_cyclic_products, ring, _sigma_tables(ring, n)), elems)
+        products = _cyclic_products(ring, _sigma_tables(ring, n), elems)
         failure = _product_failure(products, elems, ring, rows, reps)
         if failure:
             failures.append(f"rep(x*y) != rep(x)rep(y) at {failure} over {ring.name}")
@@ -503,7 +512,7 @@ def certify_iso_f8m3(failures: list[str], details: list[str]) -> None:
 
     # the map is linear over F2: the index of a coefficient-wise XOR is
     # ix ^ iy; image(x)image(y) against image(x*y), on image(y)'s bit rows
-    products = map(functools.partial(_cyclic_products, F8, _sigma_tables(F8, 3)), elems)
+    products = _cyclic_products(F8, _sigma_tables(F8, 3), elems)
     _map_failures(failures, elems, packed, products, F2, rows)
     details.append("generator relation e^3 = 1 and twist verified implicitly")
 
@@ -1104,8 +1113,11 @@ def certify_det_floors_2(failures: list[str], details: list[str]) -> None:
 # 5*X X^dagger, multiplied out from the symbolic ``matrix_times_sqrt5`` with
 # explicit conjugates, never through the library's norm kernels.
 # ``_representative_table`` groups the scored codewords by one ideal's residue
-# key, so ``delta_min_rep2`` scores them once for both of its ideals.  A tuple
-# then costs three sums and one 2x2 Hermitian determinant.
+# key, so ``delta_min_rep2`` scores them once for both of its ideals.
+# ``_delta_min`` flattens each representative once per ideal into (codeword,
+# m, nonzero, its 12 Gram ints g00|g11|g01).  A tuple then costs one
+# transpose, one test that some codeword is nonzero, one map of sums over
+# the 12 Gram columns and one 2x2 Hermitian determinant.
 
 def _eq2_holds(u: int, ms: Sequence[int]) -> bool:
     """delta >= (sum_i |det X_i|)^2 with u = 25*delta and |det X_i|^2 = m_i / 5,
@@ -1194,9 +1206,14 @@ def _delta_min(
     """``brute_delta_min`` over representatives that ``_scored_representatives``
     has scored; the caller has checked the code's length."""
     table = _representative_table(ideal, scored)
-    # each Gram entry u + v*theta as the ints (u.re, u.im, v.re, v.im)
+    # each representative as (codeword, m, nonzero, grams): grams is g00, g11
+    # and g01 in turn, each entry u + v*theta as the ints (u.re, u.im, v.re,
+    # v.im), so a tuple's Gram sums are one map over its 12-int columns
     for reps in table.values():
-        reps[:] = [(cw, m, *map(GoldenInt._ints, gram)) for cw, m, *gram in reps]
+        reps[:] = [
+            (cw, m, not cw.is_zero, (*g00._ints(), *g11._ints(), *g01._ints()))
+            for cw, m, g00, g01, g11 in reps
+        ]
     best = best_witness = None
     eq2_all = True
     examined = 0
@@ -1212,13 +1229,14 @@ def _delta_min(
         # either ideal has representatives; the zero outer word's tuples
         # include nonzero ones, so ``best`` is always set
         for tup in itertools.product(*(table[golden._coset_key(m, ideal)] for m in outer)):
-            words, ms, g00, g01, g11 = zip(*tup)
-            if all(cw.is_zero for cw in words):
+            words, ms, nonzero, grams = zip(*tup)
+            if not any(nonzero):
                 continue
             examined += 1
             if examined > DELTA_MIN_TUPLE_LIMIT:
                 raise ValueError(f"brute force exceeded {DELTA_MIN_TUPLE_LIMIT} tuples")
-            u = _hermitian_det(*(map(sum, zip(*g)) for g in (g00, g11, g01)))
+            s = list(map(sum, zip(*grams)))
+            u = _hermitian_det(s[:4], s[4:8], s[8:])
             if not _eq2_holds(u, ms):
                 eq2_all = False
             if best is None or u < best:

@@ -152,6 +152,33 @@ def test_the_written_out_det_numerator_matches_the_kernel_route():
         assert det_numerator(cw) == _ref_det_numerator(cw), c
 
 
+@pytest.mark.parametrize(
+    "coords, theta_part",
+    [
+        ((0, 0, 0, 0, 0, 0, 1, 0), "1-2i"),
+        ((0, 0, 1, 0, 0, 0, 0, 0), "2+i"),
+        ((2, -1, 0, 1, 1, 1, -2, 0), "-10+5i"),
+        ((0, 1, 1, -1, 1, 0, 0, 2), "8+14i"),
+    ],
+)
+def test_det_numerator_reports_the_theta_part_of_a_broken_conjugate(monkeypatch, coords, theta_part):
+    """With theta -> 1 - theta planted as the identity, det_numerator's
+    refusal names the theta part of p - i*q, with p = (alpha x0)(alphabar
+    sigma(x0)) and q = (alpha x1)(alphabar sigma(x1)) taken through the
+    kernel.  With a true conjugate p and q have no theta part at all, so
+    only this plant sees how the refusal combines the two: a slip such as
+    p_v + i*q_v for p_v - i*q_v reports 1+2i for (0, 0, 0, theta)."""
+    monkeypatch.setattr(golden, "_golden_sigma", lambda x: x)
+    mul, x0, x1 = golden._golden_mul, coords[:4], coords[4:]
+    pv = mul(mul(golden._ALPHA, x0), mul(golden._ALPHA_BAR, x0))[2:]
+    qv = mul(mul(golden._ALPHA, x1), mul(golden._ALPHA_BAR, x1))[2:]
+    want = GaussianInt(*pv) - GaussianInt(0, 1) * GaussianInt(*qv)
+    assert str(want) == theta_part
+    with pytest.raises(ArithmeticError) as refusal:
+        det_numerator(GoldenCodeword.from_ints(coords))
+    assert str(refusal.value).endswith(f"a nonvanishing theta-component {theta_part}")
+
+
 def test_codeword_value_semantics():
     coords = (1, -2, 0, 1, -1, 0, 3, -1)
     cw = GoldenCodeword.from_ints(coords)

@@ -1144,6 +1144,34 @@ def test_algebra_scans_report_the_per_pair_witness(monkeypatch, ring, flips):
         assert iso.passed
 
 
+def _prefix_sum_products(ring, sig, x):
+    """Index of x*y for every y, the XOR over k of a table of y_k's
+    products, each sum over y_0..y_k shared by every y with that prefix:
+    the route the lane tables replaced, kept as a reference."""
+    n = len(x)
+    out = [0]
+    for k in range(n):
+        term = [0] * ring.size
+        for s in range(n):
+            term = [t << ring.dim | v for t, v in zip(term, ring._mul[sig[k][x[(s - k) % n]]])]
+        out = [p ^ t for p in out for t in term]
+    return out
+
+
+@pytest.mark.parametrize("ring, n", [(F4, 2), (F8, 3)])
+def test_cyclic_products_match_the_prefix_sum_route_and_the_pair_product(ring, n):
+    """Every row of ``_cyclic_products`` against the prefix-sum route, and
+    2 000 seeded pairs against the per-pair product."""
+    sig = _sigma_tables(ring, n)
+    elems = list(itertools.product(range(ring.size), repeat=n))
+    rows = list(verify._cyclic_products(ring, sig, elems))
+    assert rows == [_prefix_sum_products(ring, sig, x) for x in elems]
+    rng = random.Random(43)
+    for _ in range(2000):
+        ix, iy = rng.randrange(len(elems)), rng.randrange(len(elems))
+        assert elems[rows[ix][iy]] == _algebra_product(ring, sig, elems[ix], elems[iy])
+
+
 def test_product_scans_build_the_sigma_tables_once_per_scan(monkeypatch):
     """A product scan builds the sigma tables once, from the live ``_mul``
     table, for all of its ``_cyclic_products`` calls."""
