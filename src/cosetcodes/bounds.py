@@ -129,6 +129,9 @@ class SqrtVal:
             return hash(self.p)
         return hash((self.p, self.q, self.d))
 
+    def __reduce__(self) -> tuple:
+        return SqrtVal, (self.p, self.q, self.d)
+
     # ------------------------------------------------------------------
 
     @property

@@ -173,6 +173,9 @@ class CyclicElement:
     def __hash__(self) -> int:
         return hash((self.ring.name, self.masks))
 
+    def __reduce__(self) -> tuple:
+        return CyclicElement._of, (self.ring, self.masks)
+
     def __str__(self) -> str:
         return "; ".join(str(c) for c in self.coeffs)
 

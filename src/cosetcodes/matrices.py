@@ -224,6 +224,9 @@ class RingMatrix:
     def __hash__(self) -> int:
         return hash((self.ring.name, self.n, self.masks))
 
+    def __reduce__(self) -> tuple:
+        return RingMatrix._of, (self.ring, self.n, self.masks)
+
     def __str__(self) -> str:
         rows = []
         for r in range(self.n):

@@ -79,6 +79,12 @@ class MatrixSpace:
         self.dim = n * n * ring.dim
         self.size = ring.size ** (n * n)
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, MatrixSpace) and (other.ring, other.n) == (self.ring, self.n)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.n))
+
     def __iter__(self) -> Iterator[RingMatrix]:
         return all_matrices(self.ring, self.n)
 

@@ -17,7 +17,8 @@ masks: i swaps the 1-part and the i-part of each coefficient, and w shifts
 the coefficients up and folds the overflow back by the defining polynomial.
 All elements are interned: each ring builds its elements once, so equality
 is identity, compared in C with no Python ``__eq__``, copies and pickles
-return the ring's own element, and hash-based containers are cheap.
+return the ring's own element, and hash-based containers are cheap.  A ring
+of the registry copies and pickles as itself too.
 
 The distinction between F16 and F16_ALT matters: the reducible modulus makes
 F16_ALT a local ring with zero divisors (w^2+w+1 squares to zero), and the
@@ -108,8 +109,10 @@ class RingElement:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self) -> tuple:
-        return (_interned, (self.ring.name, self.mask))
+    def __reduce_ex__(self, protocol: int) -> tuple:
+        if RING_BY_NAME.get(self.ring.name) is not self.ring:
+            return super().__reduce_ex__(protocol)  # by value, as its ring
+        return _interned, (self.ring.name, self.mask)
 
     def __copy__(self) -> "RingElement":
         return self
@@ -218,6 +221,19 @@ class QuotientRing:
 
     def __len__(self) -> int:
         return self.size
+
+    # A registered ring copies and pickles as itself, by name; a ring outside
+    # the registry pickles by value, never as a registered ring of its name.
+    def __reduce_ex__(self, protocol: int) -> tuple:
+        if RING_BY_NAME.get(self.name) is not self:
+            return super().__reduce_ex__(protocol)
+        return get_ring, (self.name,)
+
+    def __copy__(self) -> "QuotientRing":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "QuotientRing":
+        return self
 
     def __repr__(self) -> str:
         kind = "field" if self.is_field else "ring"

@@ -146,10 +146,12 @@ def _first_difference(got: list, want: list) -> int:
 # The algebra claims ``regular_rep``, ``iso_f8m3`` and the two pair models
 # scan every pair (x, y), x outer and y inner, on ints: an element is its
 # index in ``itertools.product`` order, which packs its coefficient masks, and
-# a matrix is one int of packed rows, row 0 and column 0 highest.  The scans
-# build small tables from the live ``ring._mul`` (rebuilt on every call, never
-# cached): per-scalar row tables give image(x)image(y), and the index of x*y
-# comes from ``_cyclic_products`` or, in the pair models, ``twisted_pair_mul``.
+# a matrix is one int of packed rows, row 0 and column 0 highest.  A claim
+# builds each image once, as that int; ``_product_failure`` splits its rows
+# where it reads them.  The scans build small tables from the live
+# ``ring._mul`` (rebuilt on every call, never cached): per-scalar row tables
+# give image(x)image(y), and the index of x*y comes from ``_cyclic_products``
+# or, in the pair models, ``twisted_pair_mul``.
 # Each pair gets its own product and its own matrix product, compared on
 # their own; no pair is inferred from others by linearity, and the first
 # failing pair in scan order is the one reported.
@@ -205,26 +207,25 @@ def _unpack_lanes(packed: int, count: int, width: int) -> array:
     return items
 
 
-def _product_failure(products, labels: list, base, rows: list, images: list[int]) -> tuple | None:
+def _product_failure(products, labels: list, base, n: int, images: list[int]) -> tuple | None:
     """The first (x, y), x outer, with image(x*y) != image(x)image(y), or
     None.  ``products`` gives, for each x in turn, the index of x*y for
-    every y; labels[i] names element i, image i is images[i], and rows[i]
-    holds its n packed rows of entries over ``base``."""
-    n, d = len(rows[0]), base.dim
-    width = _lane_width(1 << n * n * d)
+    every y; labels[i] names element i, and image i is images[i], n x n
+    entries over ``base`` packed row by row."""
+    bits = n * base.dim  # per packed row
+    shifts, low = range(bits * (n - 1), -1, -bits), (1 << bits) - 1
+    width = _lane_width(1 << n * bits)
     table = [v.to_bytes(width, "little") for v in images]
     # term[k][a]: lane y holds a times row k of image(y); row r of
     # image(x)image(y) is the XOR over k of term[k][entry (r, k) of image(x)]
-    term = [
-        [_lanes(map(t.__getitem__, col), width) for t in _scalar_rows(base, n)]
-        for col in zip(*rows)
-    ]
+    smul = _scalar_rows(base, n)
+    term = [[_lanes([t[v >> s & low] for v in images], width) for t in smul] for s in shifts]
     entries = list(itertools.product(range(base.size), repeat=n))
-    for x, rx, xy in zip(labels, rows, products):
+    for x, ix, xy in zip(labels, images, products):
         got = 0
-        for row in rx:
-            got <<= n * d
-            for a, t in zip(entries[row], term):
+        for s in shifts:
+            got <<= bits
+            for a, t in zip(entries[ix >> s & low], term):
                 got ^= t[a]
         # lane y: the image of x*y
         want = int.from_bytes(b"".join(itemgetter(*xy)(table)), "little")
@@ -234,7 +235,7 @@ def _product_failure(products, labels: list, base, rows: list, images: list[int]
     return None
 
 
-def _map_failures(failures: list[str], labels: list, packed: list[int], products, base, rows):
+def _map_failures(failures: list[str], labels: list, packed: list[int], products, base, n: int):
     """Additivity of i -> packed[i] on all pairs (the index of a sum is the
     XOR of the indices), then, if no check has failed so far, products as
     in ``_product_failure``."""
@@ -261,7 +262,7 @@ def _map_failures(failures: list[str], labels: list, packed: list[int], products
             failures.append(f"additivity fails at {labels[ix]}, {labels[iy]}")
             break
     if not failures:
-        failure = _product_failure(products, labels, base, rows, packed)
+        failure = _product_failure(products, labels, base, n, packed)
         if failure:
             failures.append("multiplicativity fails at %s, %s" % failure)
 
@@ -327,10 +328,10 @@ def _sigma_tables(ring, n: int) -> list[list[int]]:
 # ``golden_mindet`` compares ``det_numerator``, the full symbolic 2x2
 # expansion, with the norm form there, once per run.
 #
-# The pass tabulates each of the (2*box+1)^4 halves once as a left half
-# (a, b) and once as a right half (c, d): its norm and the full-coordinate
-# key of the codeword that pads it with zeros (``golden._key_mod``, never
-# the library's half keys).  It then visits every pair, left half outer and
+# The pass tabulates each of the (2*box+1)^4 halves once: its norm, and
+# as a left half (a, b) and as a right half (c, d) the full-coordinate key
+# of the codeword that pads it with zeros (``golden._key_mod``, never the
+# library's half keys).  It then visits every pair, left half outer and
 # right half inner, which is lexicographic codeword order, and gives each
 # codeword its own m and its own key.
 #
@@ -379,7 +380,7 @@ def brute_box_scan(
     pad = (0,) * 4
     halves = list(itertools.product(range(-box, box + 1), repeat=4))
     left = [(h, *norm(*h), keyfn(h + pad)) for h in halves]
-    right = [(h, *norm(*h), keyfn(pad + h)) for h in halves]
+    right = [(h, p, q, keyfn(pad + h)) for h, p, q, _ in left]
     zero = halves.index(pad)
     nonzero_right = right[:zero] + right[zero + 1:]
     violations: list[tuple[int, ...]] = []
@@ -468,13 +469,10 @@ def certify_regular_rep(failures: list[str], details: list[str]) -> None:
         d = ring.dim
         sig = _sigma_tables(ring, n)
         elems = list(itertools.product(range(ring.size), repeat=n))
-        # rows[i]: the rows of rep(elems[i]), each packed like an element;
-        # entry (r, c) is sigma^c(x_{r-c}); reps[i] packs the rows in turn
-        rows = [
-            [_pack([sig[c][x[(r - c) % n]] for c in range(n)], d) for r in range(n)]
-            for x in elems
-        ]
-        reps = [_pack(rs, n * d) for rs in rows]
+        # reps[i]: rep(elems[i]) packed row by row; entry (r, c) is
+        # sigma^c(x_{r-c})
+        cells = list(itertools.product(range(n), repeat=2))
+        reps = [_pack([sig[c][x[(r - c) % n]] for r, c in cells], d) for x in elems]
         if len(set(reps)) != len(elems):
             failures.append(f"regular rep over {ring.name} is not injective")
 
@@ -487,9 +485,9 @@ def certify_regular_rep(failures: list[str], details: list[str]) -> None:
             ).masks, d) != reps[_pack(x, d)]
         ))
 
-        # a build of its own, so the rows and the x*y route share no table
+        # a build of its own, so the reps and the x*y route share no table
         products = _cyclic_products(ring, _sigma_tables(ring, n), elems)
-        failure = _product_failure(products, elems, ring, rows, reps)
+        failure = _product_failure(products, elems, ring, n, reps)
         if failure:
             failures.append(f"rep(x*y) != rep(x)rep(y) at {failure} over {ring.name}")
 
@@ -503,17 +501,16 @@ def certify_iso_f8m3(failures: list[str], details: list[str]) -> None:
         _pack(iso_f8_to_m3(CyclicElement(F8, [F8.elements[m] for m in x])).masks, 1)
         for x in elems
     ]
-    rows = [(v >> 6, v >> 3 & 7, v & 7) for v in packed]
 
     if len(set(packed)) != 512:
         failures.append("f8m3 images are not distinct (not injective)")
-    if rows[64] != (0b100, 0b010, 0b001):  # 64 is the index of (1, 0, 0)
+    if packed[64] != 0b100_010_001:  # 64 is the index of (1, 0, 0)
         failures.append("f8m3 does not send 1 to the identity")
 
     # the map is linear over F2: the index of a coefficient-wise XOR is
     # ix ^ iy; image(x)image(y) against image(x*y), on image(y)'s bit rows
     products = _cyclic_products(F8, _sigma_tables(F8, 3), elems)
-    _map_failures(failures, elems, packed, products, F2, rows)
+    _map_failures(failures, elems, packed, products, F2, 3)
     details.append("generator relation e^3 = 1 and twist verified implicitly")
 
 
@@ -616,8 +613,7 @@ def _pair_model(
         [r0.mask * size + r1.mask for r0, r1 in map(functools.partial(twisted_pair_mul, p), pairs)]
         for p in pairs
     )
-    rows = [divmod(v, 1 << 2 * base.dim) for v in packed]
-    _map_failures(failures, pairs, packed, products, base, rows)
+    _map_failures(failures, pairs, packed, products, base, 2)
 
 
 # The F4-pair model phi onto M2(F2), all 16^2 pairs, and the F4[i]-pair
@@ -1108,16 +1104,16 @@ def certify_det_floors_2(failures: list[str], details: list[str]) -> None:
 # tuple-level brute force for coset codes
 #
 # Delta = det(sum_i X_i X_i^dagger) needs only the Gram entries of each block.
-# ``_scored_representatives`` scores every representative codeword once: its
-# m = 5*|det X|^2 and the entries (0,0), (0,1), (1,1) of the Hermitian
-# 5*X X^dagger, multiplied out from the symbolic ``matrix_times_sqrt5`` with
-# explicit conjugates, never through the library's norm kernels.
-# ``_representative_table`` groups the scored codewords by one ideal's residue
-# key, so ``delta_min_rep2`` scores them once for both of its ideals.
-# ``_delta_min`` flattens each representative once per ideal into (codeword,
-# m, nonzero, its 12 Gram ints g00|g11|g01).  A tuple then costs one
-# transpose, one test that some codeword is nonzero, one map of sums over
-# the 12 Gram columns and one 2x2 Hermitian determinant.
+# ``_scored_representatives`` scores every representative codeword once, as
+# (codeword, m, nonzero, its 12 Gram ints): m = 5*|det X|^2, and the entries
+# g00, g11, g01 of the Hermitian 5*X X^dagger, multiplied out from the
+# symbolic ``matrix_times_sqrt5`` with explicit conjugates, never through the
+# library's norm kernels; each entry u + v*theta is the ints (u.re, u.im,
+# v.re, v.im).  ``_representative_table`` groups the scored codewords by one
+# ideal's residue key, so ``delta_min_rep2`` scores them once for both of its
+# ideals.  A tuple then costs one transpose, one test that some codeword is
+# nonzero, one map of sums over the 12 Gram columns and one 2x2 Hermitian
+# determinant.
 
 def _eq2_holds(u: int, ms: Sequence[int]) -> bool:
     """delta >= (sum_i |det X_i|)^2 with u = 25*delta and |det X_i|^2 = m_i / 5,
@@ -1153,32 +1149,32 @@ DEFAULT_REPRESENTATIVES = ((0, 0), (1, 0), (0, 1), (1, 1))
 # brute_delta_min refuses to examine more tuples than this.
 DELTA_MIN_TUPLE_LIMIT = 2_000_000
 
-_Rep = tuple[GoldenCodeword, int, GoldenInt, GoldenInt, GoldenInt]
+_Rep = tuple[GoldenCodeword, int, bool, tuple[int, ...]]
 _Scored = list[tuple[tuple[int, ...], _Rep]]
 
 
 def _scored_representatives() -> _Scored:
     """The 256 codewords with coordinates in ``DEFAULT_REPRESENTATIVES`` in
-    product order, each as (coords, (codeword, m, g00, g01, g11))."""
+    product order, each as (coords, (codeword, m, nonzero, grams)), grams
+    the ints of g00, g11 and g01 in turn."""
     scored = []
     for pairs in itertools.product(DEFAULT_REPRESENTATIVES, repeat=4):
         coords = sum(pairs, ())
         cw = GoldenCodeword.from_ints(coords)
         (m00, m01), (m10, m11) = cw.matrix_times_sqrt5()
         c00, c01, c10, c11 = (e.complex_conj() for e in (m00, m01, m10, m11))
+        grams = (m00 * c00 + m01 * c01, m10 * c10 + m11 * c11, m00 * c10 + m01 * c11)
         scored.append((coords, (
-            cw, det_sq_times5(coords),
-            m00 * c00 + m01 * c01, m00 * c10 + m01 * c11, m10 * c10 + m11 * c11,
+            cw, det_sq_times5(coords), any(coords), sum((g._ints() for g in grams), ()),
         )))
     return scored
 
 
-def _representative_table(ideal: str, scored: _Scored | None = None) -> dict[int, list[_Rep]]:
-    """The scored representatives (by default scored afresh), each as
-    (codeword, m, g00, g01, g11), grouped by residue key in product order."""
+def _representative_table(ideal: str, scored: _Scored) -> dict[int, list[_Rep]]:
+    """The scored representatives grouped by residue key, in product order."""
     keyfn = _ideal_key_and_floors(ideal)[0]
     table: dict[int, list[_Rep]] = {}
-    for coords, rep in _scored_representatives() if scored is None else scored:
+    for coords, rep in scored:
         table.setdefault(keyfn(coords), []).append(rep)
     return table
 
@@ -1206,14 +1202,6 @@ def _delta_min(
     """``brute_delta_min`` over representatives that ``_scored_representatives``
     has scored; the caller has checked the code's length."""
     table = _representative_table(ideal, scored)
-    # each representative as (codeword, m, nonzero, grams): grams is g00, g11
-    # and g01 in turn, each entry u + v*theta as the ints (u.re, u.im, v.re,
-    # v.im), so a tuple's Gram sums are one map over its 12-int columns
-    for reps in table.values():
-        reps[:] = [
-            (cw, m, not cw.is_zero, (*g00._ints(), *g11._ints(), *g01._ints()))
-            for cw, m, g00, g01, g11 in reps
-        ]
     best = best_witness = None
     eq2_all = True
     examined = 0

@@ -6,7 +6,19 @@ import pickle
 
 import pytest
 
+from cosetcodes.bounds import SqrtVal
+from cosetcodes.cyclic import CyclicElement
+from cosetcodes.golden import GaussianInt, GoldenCodeword, GoldenInt
 from cosetcodes.matrices import RingMatrix
+from cosetcodes.outer_codes import (
+    MatrixSpace,
+    WeightKind,
+    hexacode,
+    lift_code,
+    min_distance,
+    named_code,
+    pushforward_pairs,
+)
 from cosetcodes.rings import (
     F2,
     F2I,
@@ -16,6 +28,8 @@ from cosetcodes.rings import (
     F16,
     F16_ALT,
     RING_BY_NAME,
+    QuotientRing,
+    RingElement,
     get_ring,
     quadratic_conj,
     quadratic_norm,
@@ -270,6 +284,73 @@ def test_elements_are_interned_values(ring):
         assert copy.copy(e) is e and copy.deepcopy(e) is e
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(e, protocol)) is e
+
+
+_VALUES = {
+    **{ring.name: ring for ring in ALL_RINGS},
+    **{repr(ring.elements[-1]): ring.elements[-1] for ring in ALL_RINGS},
+    "RingMatrix": RingMatrix.from_masks(F4I, [[5, 0], [15, 1]]),
+    "CyclicElement": CyclicElement(F16_ALT, [F16_ALT.elements[m] for m in (3, 0, 9, 1)]),
+    "GaussianInt": GaussianInt(1, -2),
+    "GoldenInt": GoldenInt(GaussianInt(1, -2), GaussianInt(0, 3)),
+    "GoldenCodeword": GoldenCodeword.from_ints((1, -2, 0, 1, -1, 0, 3, -1)),
+    "SqrtVal": SqrtVal(1, -2, 5),
+    "MatrixSpace": MatrixSpace(F2I, 2),
+    "ring code": hexacode(),
+    "matrix code": named_code("repetition"),
+    "lifted code": lift_code(hexacode()),
+}
+
+
+@pytest.mark.parametrize("value", _VALUES.values(), ids=_VALUES)
+def test_values_come_back_equal_from_copy_and_pickle(value):
+    """copy, deepcopy and every pickle protocol give an equal value with an
+    equal hash; a ring, an element, and the ring a value is over come back
+    as themselves."""
+    copies = [copy.copy(value), copy.deepcopy(value)] + [
+        pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for copied in copies:
+        assert copied == value and hash(copied) == hash(value)
+        if isinstance(value, (QuotientRing, RingElement)):
+            assert copied is value
+        # rings compare by identity, matrix alphabets by (ring, n)
+        for name in ("ring", "alphabet"):
+            assert getattr(copied, name, None) == getattr(value, name, None)
+
+
+def test_matrix_alphabets_compare_by_ring_and_size():
+    spaces = [MatrixSpace(F2, 2), MatrixSpace(F2, 3), MatrixSpace(F2I, 2)]
+    assert [MatrixSpace(s.ring, s.n) for s in spaces] == spaces
+    assert all(a != b for a, b in itertools.combinations(spaces + [F2], 2))
+    assert named_code("repetition") == named_code("repetition")
+
+
+def test_copied_and_unpickled_values_work_with_the_originals():
+    """A deep-copied ring code still pushes forward to pairs, and an
+    unpickled matrix or algebra element multiplies with the original."""
+    pairs = pushforward_pairs(hexacode())
+    assert min_distance(pushforward_pairs(copy.deepcopy(hexacode())), WeightKind.BACHOC) == (
+        min_distance(pairs, WeightKind.BACHOC)
+    )
+    m = RingMatrix.from_masks(F4I, [[5, 0], [15, 1]])
+    x = CyclicElement(F4, [F4.gen_w, F4.one])
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(RingMatrix.identity(F4I, 2), protocol)) * m == m
+        assert pickle.loads(pickle.dumps(x, protocol)) * x == x * x
+
+
+def test_a_ring_outside_the_registry_is_not_swapped_for_a_registered_one():
+    """An unregistered ring named like a registered one pickles by value:
+    its copy is a ring of its own, with its own elements."""
+    ring = QuotientRing("f4", w_deg=2, w_tail_bits=0b11, subring=F2)
+    assert copy.copy(ring) is ring and copy.deepcopy(ring) is ring
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        copied = pickle.loads(pickle.dumps(ring, protocol))
+        assert copied is not F4 and copied is not ring
+        assert all(e.ring is copied for e in copied) and copied.subring is F2
+        assert copied.gen_w * copied.gen_w == copied.gen_w + copied.one
 
 
 def test_same_mask_elements_of_different_rings_differ():

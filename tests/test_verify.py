@@ -222,13 +222,21 @@ def test_brute_delta_min_matches_a_per_tuple_reference(monkeypatch):
 def test_representative_gram_entries_give_the_determinant(ideal, keys):
     """Every residue key has representatives, and each of the 256 table
     entries satisfies det(5*X X^dagger) = 25*|det X|^2 = 5*m."""
-    table = verify._representative_table(ideal)
+    table = verify._representative_table(ideal, verify._scored_representatives())
     assert sorted(table) == list(range(keys))
     entries = [entry for group in table.values() for entry in group]
     assert len(entries) == 256
-    for cw, m, g00, g01, g11 in entries:
+    for cw, m, _, grams in entries:
+        g00, g01, g11 = _gram_entries(grams)
         det = g00 * g11 - g01 * g01.complex_conj()
         assert det == GoldenInt(GaussianInt(5 * m, 0), GaussianInt(0, 0)), cw
+
+
+def _gram_entries(grams):
+    """g00, g01, g11 as GoldenInts from a representative's 12 Gram ints,
+    which list g00, g11 and g01 in turn."""
+    g00, g11, g01 = (GoldenInt._of(grams[k:k + 4]) for k in (0, 4, 8))
+    return g00, g01, g11
 
 
 def test_hermitian_det_matches_golden_int_arithmetic():
@@ -239,13 +247,14 @@ def test_hermitian_det_matches_golden_int_arithmetic():
     (mostly refused).  Equal values, and the same refusal where the value is
     not an int."""
     rng = random.Random(28)
-    reps = [rep for group in verify._representative_table("1pi").values() for rep in group]
+    table = verify._representative_table("1pi", verify._scored_representatives())
+    reps = [_gram_entries(rep[3]) for group in table.values() for rep in group]
 
     def small():
         return GoldenInt(*(GaussianInt(*rng.choices(range(-3, 4), k=2)) for _ in range(2)))
 
     cases = [
-        [a + b for a, b in zip(rng.choice(reps)[2:], rng.choice(reps)[2:])] for _ in range(200)
+        [a + b for a, b in zip(rng.choice(reps), rng.choice(reps))] for _ in range(200)
     ]
     for _ in range(200):
         x = small()
