@@ -573,22 +573,15 @@ _IDEALS = {
 _ELEMENTS_1PI, _ELEMENTS_2 = _IDEALS["1pi"].ring.elements, _IDEALS["2"].ring.elements
 
 
-def _key_floor_table(ideal: str) -> list[int]:
-    """The norm-pair floors read through the element norms of the pair
-    ring, indexed by residue key: x1 outer, x0 inner."""
+def floor_table(ideal: str) -> list[int]:
+    """The floor on m = 5*|det|^2 of ideal "1pi" or "2", indexed by residue
+    key (4 bits mod (1+i), 8 bits mod 2): the norm-pair floors read through
+    the element norms of the pair ring, x1 outer, x0 inner."""
+    if ideal not in _IDEALS:
+        raise ValueError("ideal must be '1pi' or '2'")
     ring, _, floors = _IDEALS[ideal]
     norms = [quadratic_norm(x).mask for x in ring]
     return [floors[n0 | n1 << ring.subring.dim] for n1 in norms for n0 in norms]
-
-
-def floor_table_mod_1pi() -> list[int]:
-    """floor on m = 5*|det|^2, indexed by the 4-bit mod-(1+i) residue key."""
-    return _key_floor_table("1pi")
-
-
-def floor_table_mod_2() -> list[int]:
-    """floor on m, indexed by the 8-bit coordinate-parity key."""
-    return _key_floor_table("2")
 
 
 # ----------------------------------------------------------------------

@@ -57,7 +57,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .cyclic import multiplication_matrix, pair_to_matrix
 from .matrices import ENUMERATION_LIMIT, RingMatrix, all_matrices
@@ -340,10 +340,6 @@ def _symbol_weight(x: Symbol) -> int:
     return 0 if x.is_zero else 1
 
 
-def hamming_weight(word: Iterable[Symbol]) -> int:
-    return word_weight(tuple(word), WeightKind.HAMMING)
-
-
 def bachoc_weight(m: RingMatrix) -> int:
     """0 for the zero matrix, 1 for invertible, 2 for nonzero singular.
 
@@ -355,10 +351,6 @@ def bachoc_weight(m: RingMatrix) -> int:
     if m.is_invertible:
         return 1
     return 2
-
-
-def bachoc_word_weight(word: Iterable[RingMatrix]) -> int:
-    return word_weight(tuple(word), WeightKind.BACHOC)
 
 
 _NORM_LIFT = ((0, 0), (1, 0), (0, 1), (1, 1))  # F2I mask -> Z[i]
@@ -377,6 +369,7 @@ def lee_weight(x: RingElement, y: RingElement) -> int:
     return (xr + yr) ** 2 + (xi + yi) ** 2
 
 
+# The spec states its Lee floor through this name (acceptance criterion 6).
 def lee_word_weight(word: Sequence[RingElement]) -> int:
     return word_weight(word, WeightKind.LEE)
 

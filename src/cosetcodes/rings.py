@@ -109,16 +109,9 @@ class RingElement:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce_ex__(self, protocol: int) -> tuple:
-        if RING_BY_NAME.get(self.ring.name) is not self.ring:
-            return super().__reduce_ex__(protocol)  # by value, as its ring
-        return _interned, (self.ring.name, self.mask)
-
-    def __copy__(self) -> "RingElement":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "RingElement":
-        return self
+    # The ring's own element of the mask, so copies are the element itself.
+    def __reduce__(self) -> tuple:
+        return self.ring.element, (self.mask,)
 
     def __str__(self) -> str:
         return self.ring.format_element(self)
@@ -149,12 +142,12 @@ class QuotientRing:
     def __init__(
         self,
         name: str,
-        *,
         w_deg: int = 1,
         w_tail_bits: int = 0,
         with_i: bool = False,
         subring: "QuotientRing | None" = None,
     ):
+        self._args = (name, w_deg, w_tail_bits, with_i, subring)
         self.name = name
         self.w_deg = w_deg
         self.with_i = with_i
@@ -223,11 +216,11 @@ class QuotientRing:
         return self.size
 
     # A registered ring copies and pickles as itself, by name; a ring outside
-    # the registry pickles by value, never as a registered ring of its name.
-    def __reduce_ex__(self, protocol: int) -> tuple:
-        if RING_BY_NAME.get(self.name) is not self:
-            return super().__reduce_ex__(protocol)
-        return get_ring, (self.name,)
+    # the registry is rebuilt from its arguments, never as a registered ring.
+    def __reduce__(self) -> tuple:
+        if RING_BY_NAME.get(self.name) is self:
+            return get_ring, (self.name,)
+        return QuotientRing, self._args
 
     def __copy__(self) -> "QuotientRing":
         return self
@@ -346,11 +339,6 @@ F4I = QuotientRing("f4i", w_deg=2, w_tail_bits=0b11, with_i=True, subring=F2I)
 RING_BY_NAME: dict[str, QuotientRing] = {
     r.name: r for r in (F2, F4, F8, F16, F16_ALT, F2I, F4I)
 }
-
-
-def _interned(name: str, mask: int) -> RingElement:
-    """The element that a pickle names."""
-    return RING_BY_NAME[name].elements[mask]
 
 
 def get_ring(name: str) -> QuotientRing:

@@ -352,14 +352,8 @@ def _sigma_tables(ring, n: int) -> list[list[int]]:
 _Minimizer = tuple[int, tuple[int, ...]]
 
 
-def _ideal_key_and_floors(ideal: str) -> tuple[Callable, Callable[[], list[int]]]:
-    """The full-coordinate residue key function and the floor table builder
-    of ideal "1pi" or "2", looked up in golden at call time."""
-    if ideal == "1pi":
-        return functools.partial(golden._key_mod, depth=1), golden.floor_table_mod_1pi
-    if ideal == "2":
-        return functools.partial(golden._key_mod, depth=2), golden.floor_table_mod_2
-    raise ValueError("ideal must be '1pi' or '2'")
+# The oracle's own depth of each ideal, (1+i)^depth, for golden._key_mod.
+_DEPTH = {"1pi": 1, "2": 2}
 
 
 def brute_box_scan(
@@ -372,10 +366,10 @@ def brute_box_scan(
     4/2/1), then per residue key the lexicographic-first (m, coords) that
     minimizes m = 5*|det|^2 in that coset, or None for a coset with no
     nonzero codeword in the box."""
-    keyfn, floors = _ideal_key_and_floors(ideal)
+    table = golden.floor_table(ideal)
     if box < 1:
         raise ValueError("box must be at least 1")
-    table = floors()
+    keyfn = functools.partial(golden._key_mod, depth=_DEPTH[ideal])
     norm = golden.norm_ints
     pad = (0,) * 4
     halves = list(itertools.product(range(-box, box + 1), repeat=4))
@@ -850,9 +844,7 @@ def certify_code_distances(failures: list[str], details: list[str]) -> None:
         want3 = RingMatrix(F2, [[F2.zero, y2], [F2.zero, y1 + y2]])
         if m2 != want2 or m3 != want3:
             failures.append(f"matrix triple mismatch for y={y}")
-        elif outer_codes.bachoc_word_weight(
-            (pair_to_matrix(cw[0], cw[1]), m2, m3)
-        ) != 4:
+        elif outer_codes.word_weight((pair_to_matrix(cw[0], cw[1]), m2, m3), WeightKind.BACHOC) != 4:
             failures.append(f"matrix triple weight != 4 for y={y}")
 
     # the six one-sided unit pairs cover GL2(F2) exactly
@@ -1172,10 +1164,12 @@ def _scored_representatives() -> _Scored:
 
 def _representative_table(ideal: str, scored: _Scored) -> dict[int, list[_Rep]]:
     """The scored representatives grouped by residue key, in product order."""
-    keyfn = _ideal_key_and_floors(ideal)[0]
+    if ideal not in _DEPTH:
+        raise ValueError("ideal must be '1pi' or '2'")
+    depth = _DEPTH[ideal]
     table: dict[int, list[_Rep]] = {}
     for coords, rep in scored:
-        table.setdefault(keyfn(coords), []).append(rep)
+        table.setdefault(golden._key_mod(coords, depth), []).append(rep)
     return table
 
 

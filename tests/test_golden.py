@@ -29,8 +29,7 @@ from cosetcodes.golden import (
     det_complex,
     det_numerator,
     det_sq_times5,
-    floor_table_mod_1pi,
-    floor_table_mod_2,
+    floor_table,
     golden_norm,
     golden_pair_mul,
     min_abs_det_sq,
@@ -335,8 +334,8 @@ def test_mod2_class_of_the_equal_norms_counterexample():
 
 
 def test_floor_tables():
-    t1 = floor_table_mod_1pi()
-    t2 = floor_table_mod_2()
+    t1 = floor_table("1pi")
+    t2 = floor_table("2")
     assert len(t1) == 16 and len(t2) == 256
     assert t1[0] == 4 and t2[0] == 4  # the zero coset keeps the 4/5 floor
     assert set(t1) == {4, 2, 1} and set(t2) == {4, 2, 1}
@@ -351,7 +350,7 @@ def test_floor_tables():
 def test_floor_table_mod_2_takes_each_norm_once(monkeypatch):
     """F4[i] has 16 elements, so the 256 classes need only their 16 norms;
     the norms lie in F2[i], so only its 4 x 4 norm pairs are classified."""
-    expected = floor_table_mod_2()
+    expected = floor_table("2")
     calls = {"quadratic_norm": 0, "_mod2_pair_class": 0}
 
     def counting(name):
@@ -365,14 +364,14 @@ def test_floor_table_mod_2_takes_each_norm_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(golden, name, counting(name))
-    assert floor_table_mod_2() == expected
+    assert floor_table("2") == expected
     assert max(calls.values()) <= 16
 
 
 def test_floor_table_mod_1pi_is_the_pair_matrix_class():
     """The norm route gives the class floor of the pair matrix on all 16
     pairs, in residue-key order (x1 outer, x0 inner)."""
-    assert floor_table_mod_1pi() == [
+    assert floor_table("1pi") == [
         FLOOR_BY_CLASS[classify_projection(pair_to_matrix(x0, x1))] for x1 in F4 for x0 in F4
     ]
 
@@ -380,7 +379,7 @@ def test_floor_table_mod_1pi_is_the_pair_matrix_class():
 def test_floor_table_mod_1pi_takes_each_norm_once(monkeypatch):
     """The determinant of a pair matrix over F2 is N(x0) + N(x1), so the 16
     pairs need only the norms of the 4 elements of F4."""
-    expected = floor_table_mod_1pi()
+    expected = floor_table("1pi")
     calls = [0]
     real = golden.quadratic_norm
 
@@ -389,7 +388,7 @@ def test_floor_table_mod_1pi_takes_each_norm_once(monkeypatch):
         return real(x)
 
     monkeypatch.setattr(golden, "quadratic_norm", counted)
-    assert floor_table_mod_1pi() == expected
+    assert floor_table("1pi") == expected
     assert calls[0] <= 4
 
 
@@ -422,7 +421,7 @@ def test_the_norm_of_a_residue_is_the_residue_of_the_norm(ideal, ring):
     _, half_key, floors = golden._IDEALS[ideal]
     for h in itertools.product(range(-3, 4), repeat=4):
         assert quadratic_norm(ring.elements[half_key(h)]).mask == half_key(norm_ints(*h) + (0, 0))
-    table = floor_table_mod_1pi() if ideal == "1pi" else floor_table_mod_2()
+    table = floor_table(ideal)
     for x0 in ring:
         for x1 in ring:
             n0, n1 = quadratic_norm(x0), quadratic_norm(x1)
@@ -619,7 +618,7 @@ def test_the_floor_scan_finds_every_violation(monkeypatch, ideal, plant):
     key table of its residue key."""
     _plant_norm_floors(monkeypatch, _KEYED_FLOORS[plant])
     monkeypatch.setattr(golden, "heapq", types.SimpleNamespace(nsmallest=lambda n, items: sorted(items)))
-    table = floor_table_mod_1pi() if ideal == "1pi" else floor_table_mod_2()
+    table = floor_table(ideal)
     ring, half_key, _ = golden._IDEALS[ideal]
     bits = ring.dim
     every = [
@@ -693,7 +692,7 @@ def test_a_scan_that_admits_the_floor_itself_is_caught():
     assert planted.count(" t <= ") == 1
     namespace = dict(vars(golden))
     exec(planted, namespace)
-    for ideal, table in (("1pi", floor_table_mod_1pi()), ("2", floor_table_mod_2())):
+    for ideal, table in (("1pi", floor_table("1pi")), ("2", floor_table("2"))):
         checked, violations, counts = scan_det_floors(ideal, 2)
         mutant = namespace["scan_det_floors"](ideal, 2)
         assert violations == [] and (mutant[0], mutant[2]) == (checked, counts)
@@ -731,7 +730,7 @@ def test_the_search_builds_one_table_when_the_half_keys_agree(monkeypatch, ideal
 def _all_halves_floor_scan(ideal, box):
     """scan_det_floors as it was before the slot keys: each of the (2B+1)^4
     halves keyed on its own, and the nine offsets of norm < 4 visited."""
-    table = golden.floor_table_mod_1pi() if ideal == "1pi" else golden.floor_table_mod_2()
+    table = golden.floor_table(ideal)
     ring, half_key, _ = golden._IDEALS[ideal]
     bits = ring.dim
     key_counts = [0] * (1 << bits)

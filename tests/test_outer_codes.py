@@ -19,9 +19,7 @@ from cosetcodes.outer_codes import (
     MatrixSpace,
     WeightKind,
     bachoc_weight,
-    bachoc_word_weight,
     dual_repetition_code,
-    hamming_weight,
     hexacode,
     inner_parity_pair_code,
     lee_weight,
@@ -119,8 +117,8 @@ def test_bachoc_weight_values():
         RingMatrix.identity(F2, 2),
         RingMatrix.parse(F2, "[[1,0],[0,0]]"),
     ]
-    assert bachoc_word_weight(word) == 3
-    assert hamming_weight(word) == 2
+    assert word_weight(word, WeightKind.BACHOC) == 3
+    assert word_weight(word, WeightKind.HAMMING) == 2
 
 
 @pytest.mark.parametrize(
@@ -546,7 +544,9 @@ def test_unit_orbits_keep_only_weight_preserving_units():
         symbol_map=lambda x: pair_to_matrix(x, x if x == F4.one else F4.zero),
         name="planted",
     )
-    weights = sorted(bachoc_word_weight(w) for w in code.codewords() if hamming_weight(w))
+    weights = sorted(
+        word_weight(w, WeightKind.BACHOC) for w in code.codewords() if word_weight(w, WeightKind.HAMMING)
+    )
     assert weights == [1, 1, 2]
     assert min_distance(code, WeightKind.BACHOC) == 1
     assert min_distance(code, WeightKind.HAMMING) == 1
@@ -560,16 +560,16 @@ def test_reed_solomon_distance_is_17_minus_k(k):
 def test_benchmark_code_distances_match_the_codeword_minimum():
     """The four searches of the codes benchmark workload, on pair-permuted
     codes as there, equal the minimum of the public weight functions over
-    every nonzero word of codewords()."""
+    every nonzero word of codewords(), each weighed by word_weight."""
     parity_f4 = _permute_pairs(parity_check_code(8, F4), seed=19)
     jobs = [
-        (_permute_pairs(reed_solomon_code(4), seed=19), WeightKind.HAMMING, hamming_weight),
-        (pushforward_pairs(parity_f4), WeightKind.BACHOC, bachoc_word_weight),
-        (lift_code(parity_f4), WeightKind.HAMMING, hamming_weight),
-        (_permute_pairs(parity_check_code(4, F4I), seed=19), WeightKind.LEE, lee_word_weight),
+        (_permute_pairs(reed_solomon_code(4), seed=19), WeightKind.HAMMING),
+        (pushforward_pairs(parity_f4), WeightKind.BACHOC),
+        (lift_code(parity_f4), WeightKind.HAMMING),
+        (_permute_pairs(parity_check_code(4, F4I), seed=19), WeightKind.LEE),
     ]
-    for code, kind, weight in jobs:
-        want = min(weight(w) for w in code.codewords() if hamming_weight(w))
+    for code, kind in jobs:
+        want = min(word_weight(w, kind) for w in code.codewords() if word_weight(w, WeightKind.HAMMING))
         assert min_distance(code, kind) == want, (code, kind)
 
 
@@ -803,7 +803,9 @@ def test_kept_units_read_every_field_of_a_block(monkeypatch):
     which change the Bachoc weight of (0, 1); the search then visits only
     message 1, and the distance would read 2 instead of 1."""
     code = MappedCode(repetition_code(2, F4), MatrixSpace(F2, 2), 2, _low_then_high, name="planted")
-    assert sorted(bachoc_word_weight(w) for w in code.codewords() if hamming_weight(w)) == [1, 1, 2]
+    assert sorted(
+        word_weight(w, WeightKind.BACHOC) for w in code.codewords() if word_weight(w, WeightKind.HAMMING)
+    ) == [1, 1, 2]
     assert _brute_units(code, WeightKind.BACHOC) == {1}
     kept_units = outer_codes._kept_units
     kept = _recorded_units(monkeypatch)
@@ -1034,5 +1036,6 @@ def test_wide_parity_image_has_distance_1():
     nonzero block (the brute minimum over its 4^9 words takes ~1 s)."""
     code = _wide(parity_check_code(10, F4))
     witness = code.base.encode([F4.one, F4.one] + [F4.zero] * 7)
-    assert hamming_weight([_fold_to_m2f2i(*witness[:5]), _fold_to_m2f2i(*witness[5:])]) == 1
+    folded = [_fold_to_m2f2i(*witness[:5]), _fold_to_m2f2i(*witness[5:])]
+    assert word_weight(folded, WeightKind.HAMMING) == 1
     assert min_distance(code) == 1

@@ -182,13 +182,14 @@ def test_only_a_ring_builds_its_elements():
 
 def test_golden_and_cli_compare_no_value_with_an_ideal_string():
     """The records of ``golden._IDEALS`` are the one place that names the
-    ideals: golden.py and cli.py compare no value with an ideal string, so
-    a new ideal is one more record, not one more branch at each site.  The
-    verify oracle keeps its own dispatch on the ideals, on purpose."""
+    ideals: golden.py, cli.py and verify.py compare no value with an ideal
+    string, so a new ideal is one more record, not one more branch at each
+    site.  The verify oracle dispatches through its own depth table, on
+    purpose: it reads the record only for the library half keys it checks."""
     from cosetcodes import golden
 
     ideals = set(golden._IDEALS)
-    for module in ("golden", "cli"):
+    for module in ("golden", "cli", "verify"):
         path = ROOT / "src" / "cosetcodes" / f"{module}.py"
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Compare):
@@ -201,8 +202,18 @@ def test_golden_and_cli_compare_no_value_with_an_ideal_string():
                 assert not named, f"{module}.py:{node.lineno} compares with {sorted(named)}"
 
 
+def test_golden_names_an_ideal_only_in_its_projections():
+    """A table keyed by ideal has one reader that takes the ideal, so the
+    only public golden names that carry an ideal are the projections."""
+    from cosetcodes import golden
+
+    assert sorted(
+        name for name in vars(golden) if not name.startswith("_") and name.endswith(("_1pi", "_2"))
+    ) == ["project_mod_1pi", "project_mod_2", "project_pair_mod_1pi", "project_pair_mod_2"]
+
+
 def test_the_ideal_strings_written_out_are_the_keys_of_the_record(capsys):
-    """The parser's --ideal choices and the three refusals of an unknown
+    """The parser's --ideal choices and the four refusals of an unknown
     ideal write the ideal strings out, and a literal costs fewer compiled
     bytes than a message built from ``golden._IDEALS``: each must name
     exactly the record's keys, in its order."""
@@ -219,7 +230,8 @@ def test_the_ideal_strings_written_out_are_the_keys_of_the_record(capsys):
     assert next(action.choices for action in mindet._actions if action.dest == "ideal") == keys
     coset = RingMatrix.identity(F2, 2)
     for refuse in (lambda: golden.min_abs_det_sq(1, coset=coset, ideal="3"),
-                   lambda: golden.scan_det_floors("3")):
+                   lambda: golden.scan_det_floors("3"),
+                   lambda: golden.floor_table("3")):
         with pytest.raises(ValueError) as refusal:
             refuse()
         assert re.findall(r"'(\w+)'", str(refusal.value)) == keys

@@ -342,15 +342,19 @@ def test_copied_and_unpickled_values_work_with_the_originals():
 
 
 def test_a_ring_outside_the_registry_is_not_swapped_for_a_registered_one():
-    """An unregistered ring named like a registered one pickles by value:
-    its copy is a ring of its own, with its own elements."""
+    """An unregistered ring named like a registered one pickles by value,
+    under every protocol: its copy is a ring of its own, with its own
+    elements, and so is the ring of an unpickled element."""
     ring = QuotientRing("f4", w_deg=2, w_tail_bits=0b11, subring=F2)
     assert copy.copy(ring) is ring and copy.deepcopy(ring) is ring
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         copied = pickle.loads(pickle.dumps(ring, protocol))
         assert copied is not F4 and copied is not ring
         assert all(e.ring is copied for e in copied) and copied.subring is F2
         assert copied.gen_w * copied.gen_w == copied.gen_w + copied.one
+        w = pickle.loads(pickle.dumps(ring.gen_w, protocol))
+        assert w.ring is not F4 and w.ring is not ring and w is w.ring.gen_w
+        assert w * w == w + w.ring.one
 
 
 def test_same_mask_elements_of_different_rings_differ():

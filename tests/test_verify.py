@@ -956,11 +956,9 @@ def test_brute_box_scan_matches_a_per_codeword_reference(monkeypatch):
     ]
     for raised in (False, True):
         if raised:
-            monkeypatch.setattr(golden, "floor_table_mod_1pi", lambda: [4] * 16)
-            monkeypatch.setattr(golden, "floor_table_mod_2", lambda: [4] * 256)
+            _raise_floors(monkeypatch, lambda key: 4)
         for ideal in ("1pi", "2"):
-            floors = golden.floor_table_mod_1pi if ideal == "1pi" else golden.floor_table_mod_2
-            reference = _reference_box1_scan(ideal, floors(), scored)
+            reference = _reference_box1_scan(ideal, golden.floor_table(ideal), scored)
             assert len(reference[1]) == (5 if raised else 0)
             assert verify.brute_box_scan(ideal, 1) == reference
 
@@ -969,7 +967,7 @@ def _per_codeword_box_scan(ideal, box):
     """brute_box_scan one codeword at a time: left half outer, right half
     inner, each codeword scored and keyed on its own."""
     keyfn = functools.partial(golden._key_mod, depth=1 if ideal == "1pi" else 2)
-    table = (golden.floor_table_mod_1pi if ideal == "1pi" else golden.floor_table_mod_2)()
+    table = golden.floor_table(ideal)
     norm = golden.norm_ints
     pad = (0,) * 4
     halves = list(itertools.product(range(-box, box + 1), repeat=4))
@@ -1013,8 +1011,9 @@ def test_box_claims_catch_a_key_mod_without_its_t_correction(monkeypatch):
 
 def _raise_floors(monkeypatch, floors):
     """Replace both floor tables: ``floors(key)`` gives each key's floor."""
-    monkeypatch.setattr(golden, "floor_table_mod_1pi", lambda: [floors(k) for k in range(16)])
-    monkeypatch.setattr(golden, "floor_table_mod_2", lambda: [floors(k) for k in range(256)])
+    monkeypatch.setattr(
+        golden, "floor_table", lambda ideal: [floors(k) for k in range(4 ** golden._IDEALS[ideal].ring.dim)]
+    )
 
 
 @pytest.mark.parametrize("floors", ["library", "all 4", "sparse 2"])
